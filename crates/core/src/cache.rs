@@ -10,18 +10,20 @@
 //! result).
 //!
 //! The cache is shared: `&MeasurementCache` is [`Sync`], so the parallel
-//! profiler's worker threads and [`par_profile_many`] sweep jobs all hit
-//! one map. Within a single profile this deduplicates nothing (the five
-//! steps differ), but across a sweep it collapses the repeated
-//! reference-instance measurements — e.g. steps 1/2 of every multi-node
-//! p3 cluster re-measure the same `p3.16xlarge` epochs.
+//! profiler's worker threads and the sweep pool's jobs
+//! ([`par_profile_many`], `run_sweep`) all hit one map. Within a single
+//! profile this deduplicates nothing (the five steps differ), but across
+//! a sweep it collapses the repeated reference-instance measurements —
+//! e.g. steps 1/2 of every multi-node p3 cluster re-measure the same
+//! `p3.16xlarge` epochs, often on two workers at once, which is why a
+//! miss is single-flight.
 //!
 //! [`run_epoch`]: stash_ddl::engine::run_epoch
 //! [`par_profile_many`]: crate::profiler::par_profile_many
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use serde::Serialize;
 use stash_ddl::config::TrainConfig;
@@ -73,9 +75,40 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
-    entries: Mutex<HashMap<u128, SimDuration>>,
+    entries: Mutex<Entries>,
+    /// Signalled whenever an in-flight measurement settles.
+    settled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The memo plus the keys some thread is simulating right now.
+#[derive(Debug, Default)]
+struct Entries {
+    done: HashMap<u128, SimDuration>,
+    in_flight: HashSet<u128>,
+}
+
+/// A thread's claim on simulating one key. Dropping it — after the
+/// result is stored, or on an engine error or panic — releases the key
+/// and wakes the threads waiting for it, so a failed measurement never
+/// leaves them blocked.
+struct Claim<'a> {
+    cache: &'a MeasurementCache,
+    key: u128,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Removing a key keeps the map valid whatever the poisoning
+        // thread was doing, and a Drop must not panic.
+        let mut entries = match self.cache.entries.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        entries.in_flight.remove(&self.key);
+        self.cache.settled.notify_all();
+    }
 }
 
 impl MeasurementCache {
@@ -88,7 +121,7 @@ impl MeasurementCache {
     /// Acquires the entry map, preserving the poisoning panic the public
     /// accessors document (a poisoned cache means a measurement thread
     /// died mid-insert; results can no longer be trusted).
-    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<u128, SimDuration>> {
+    fn locked(&self) -> MutexGuard<'_, Entries> {
         match self.entries.lock() {
             Ok(guard) => guard,
             Err(_) => panic!("cache poisoned"),
@@ -102,7 +135,7 @@ impl MeasurementCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.locked().len()
+        self.locked().done.len()
     }
 
     /// `true` when nothing is cached.
@@ -133,8 +166,8 @@ impl MeasurementCache {
     /// Panics if the cache mutex was poisoned.
     pub fn clear(&self) {
         let mut entries = self.locked();
-        let evicted = entries.len() as u64;
-        entries.clear();
+        let evicted = entries.done.len() as u64;
+        entries.done.clear();
         stash_telemetry::metrics::CACHE_EVICTIONS.add(evicted);
     }
 
@@ -142,9 +175,11 @@ impl MeasurementCache {
     /// after. The engine is deterministic, so a cached result is
     /// bit-identical to a fresh run.
     ///
-    /// The engine runs outside the lock: concurrent misses on the same key
-    /// may race to simulate, but both compute the same value, so the
-    /// duplicate insert is harmless.
+    /// The engine runs outside the lock, and a miss is single-flight:
+    /// concurrent requests for a key another thread is simulating wait
+    /// for its result and count as hits. So each distinct key costs one
+    /// simulation and one miss however the requests interleave; only an
+    /// engine error lets a waiter retry (and fail the same way).
     ///
     /// # Errors
     ///
@@ -154,17 +189,7 @@ impl MeasurementCache {
     ///
     /// Panics if the cache mutex was poisoned.
     pub fn epoch_time(&self, cfg: &TrainConfig) -> Result<SimDuration, ProfileError> {
-        let key = config_key(cfg);
-        if let Some(&t) = self.locked().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stash_telemetry::metrics::CACHE_HITS.inc();
-            return Ok(t);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run_epoch(cfg)?.epoch_time;
-        self.locked().insert(key, t);
-        Ok(t)
+        self.memo(cfg, |cfg| Ok(run_epoch(cfg)?.epoch_time))
     }
 
     /// [`Self::epoch_time`] measuring misses inside a caller-owned
@@ -184,16 +209,42 @@ impl MeasurementCache {
         cfg: &TrainConfig,
         arena: &mut EngineArena,
     ) -> Result<SimDuration, ProfileError> {
+        self.memo(cfg, |cfg| Ok(run_epoch_in(cfg, arena)?.epoch_time))
+    }
+
+    /// The single-flight memo behind both lookups: answers from the map,
+    /// waits out a measurement of the same key in flight on another
+    /// thread, or claims the key and runs `simulate`. Waiting cannot
+    /// deadlock because `simulate` (one engine run) never consults the
+    /// cache while it holds a claim.
+    fn memo(
+        &self,
+        cfg: &TrainConfig,
+        simulate: impl FnOnce(&TrainConfig) -> Result<SimDuration, ProfileError>,
+    ) -> Result<SimDuration, ProfileError> {
         let key = config_key(cfg);
-        if let Some(&t) = self.locked().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stash_telemetry::metrics::CACHE_HITS.inc();
-            return Ok(t);
+        let mut entries = self.locked();
+        loop {
+            if let Some(&t) = entries.done.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                stash_telemetry::metrics::CACHE_HITS.inc();
+                return Ok(t);
+            }
+            if entries.in_flight.insert(key) {
+                break;
+            }
+            entries = match self.settled.wait(entries) {
+                Ok(guard) => guard,
+                Err(_) => panic!("cache poisoned"),
+            };
         }
+        drop(entries);
+        let claim = Claim { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
         stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run_epoch_in(cfg, arena)?.epoch_time;
-        self.locked().insert(key, t);
+        let t = simulate(cfg)?;
+        self.locked().done.insert(key, t);
+        drop(claim);
         Ok(t)
     }
 }
@@ -263,6 +314,47 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// `threads` concurrent lookups of `cfg`, released together.
+    fn concurrent_lookups(
+        cache: &MeasurementCache,
+        cfg: &TrainConfig,
+        threads: usize,
+    ) -> Vec<Result<SimDuration, ProfileError>> {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.epoch_time(cfg)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_simulate_once() {
+        let cache = MeasurementCache::new();
+        let results = concurrent_lookups(&cache, &cfg(), 4);
+        let direct = run_epoch(&cfg()).unwrap().epoch_time;
+        assert!(results.iter().all(|r| *r.as_ref().unwrap() == direct));
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 1 });
+    }
+
+    #[test]
+    fn failed_measurements_release_their_waiters() {
+        let cache = MeasurementCache::new();
+        let mut oom = cfg();
+        oom.per_gpu_batch = 1 << 20;
+        let results = concurrent_lookups(&cache, &oom, 3);
+        assert!(results.iter().all(Result::is_err));
+        // Errors are never cached: every lookup ran the engine.
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 3 });
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! * [`pipeline`] — a GPipe-style pipeline-parallel estimator for the
 //!   models the paper's data-parallel profiler must exclude;
 //! * [`sweep`] — the durable, crash-resumable sweep runner: consult-first
-//!   cells over a `stash-store` result store, write-ahead journaling,
+//!   cells over a `stash-store` result store, misses simulated on the
+//!   worker pool and committed in input order, write-ahead journaling,
 //!   retry/backoff and graceful degradation.
 //!
 //! # Examples

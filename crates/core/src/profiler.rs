@@ -501,59 +501,87 @@ pub struct ProfileJob {
     pub cluster: ClusterSpec,
 }
 
-/// Profiles many (profiler, cluster) jobs across [`profile_threads`]
-/// worker threads, returning one result per job in input order.
+/// The sweep worker pool: profiles `jobs` on `workers` threads and hands
+/// each result to `sink` *on the calling thread*, in input order, as soon
+/// as it and every earlier result are done.
 ///
-/// Each worker runs whole jobs with [`ExecMode::Serial`] steps — the
-/// parallelism lives at the job level, so a sweep of dozens of
-/// instance x batch x model points saturates the machine without
-/// oversubscribing it with nested per-step threads. Passing a `cache`
-/// additionally deduplicates measurements shared between jobs (e.g. the
-/// reference-instance steps of multi-node points).
+/// Each worker claims whole jobs and runs them with [`ExecMode::Serial`]
+/// steps inside one [`EngineArena`] of its own — the parallelism lives at
+/// the job level, so a sweep of dozens of instance x batch x model points
+/// saturates the machine without oversubscribing it with nested per-step
+/// threads. Passing a `cache` additionally deduplicates measurements
+/// shared between jobs (e.g. the reference-instance steps of multi-node
+/// points).
 ///
-/// Results are bit-identical to profiling the jobs one by one: jobs are
-/// independent, the engine is deterministic, and each result lands in its
-/// job's slot regardless of completion order.
-pub fn par_profile_many(
-    jobs: &[ProfileJob],
+/// Results are bit-identical to profiling the jobs one by one (jobs are
+/// independent and the engine is deterministic), and because `sink` sees
+/// them in input order on one thread, whatever it does with them — the
+/// durable sweep's store writes and journal appends — happens in the same
+/// order at any worker count. Results that finish early wait in a reorder
+/// buffer until their turn.
+pub(crate) fn profile_in_order(
+    jobs: &[&ProfileJob],
     cache: Option<&MeasurementCache>,
-) -> Vec<Result<StallReport, ProfileError>> {
+    workers: usize,
+    mut sink: impl FnMut(Result<StallReport, ProfileError>),
+) {
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::mpsc;
 
-    let workers = profile_threads().min(jobs.len().max(1));
+    if jobs.is_empty() {
+        return;
+    }
+    let workers = workers.clamp(1, jobs.len());
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<StallReport, ProfileError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    let (done_tx, done_rx) = mpsc::channel();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                // One arena per worker: every job this worker claims
-                // reuses the same simulator state (arenas are !Send, so
-                // they are built inside the thread).
+            let done_tx = done_tx.clone();
+            let next = &next;
+            scope.spawn(move || {
+                // Arenas are !Send, so each is built inside its worker.
                 let mut arena = EngineArena::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
                     let result = job.stash.profile_serial_in(&job.cluster, cache, &mut arena);
-                    match slots[i].lock() {
-                        Ok(mut slot) => *slot = Some(result),
-                        Err(_) => panic!("result slot poisoned"),
+                    if done_tx.send((i, result)).is_err() {
+                        break;
                     }
                 }
             });
         }
+        // The workers hold the only senders now: the receive loop ends
+        // once every one of them has run out of jobs (or died).
+        drop(done_tx);
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        for (i, result) in done_rx {
+            early.insert(i, result);
+            while let Some(result) = early.remove(&due) {
+                sink(result);
+                due += 1;
+            }
+        }
     });
+}
 
-    slots
-        .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Ok(Some(result)) => result,
-            Ok(None) => panic!("worker skipped a job"),
-            Err(_) => panic!("result slot poisoned"),
-        })
-        .collect()
+/// Profiles many (profiler, cluster) jobs across [`profile_threads`]
+/// workers, returning one result per job in input order: the collect
+/// over the sweep worker pool that `core::sweep::run_sweep` streams
+/// from. Passing a `cache` deduplicates measurements shared between jobs.
+pub fn par_profile_many(
+    jobs: &[ProfileJob],
+    cache: Option<&MeasurementCache>,
+) -> Vec<Result<StallReport, ProfileError>> {
+    let jobs: Vec<&ProfileJob> = jobs.iter().collect();
+    let mut results = Vec::with_capacity(jobs.len());
+    profile_in_order(&jobs, cache, profile_threads(), |result| {
+        results.push(result)
+    });
+    results
 }
 
 /// The prior-work DS-Analyzer profiler: steps 2-4 only — it measures prep

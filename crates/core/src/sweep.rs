@@ -5,14 +5,20 @@
 //! Run against a [`ResultStore`], each cell is *consult-first*: a
 //! verified on-disk record is decoded and reused bit-identically
 //! ([`CellStatus::Resumed`]); a missing, quarantined or stale record is
-//! recomputed through the shared [`MeasurementCache`] and durably stored
-//! before the sweep moves on. Intent and progress go through the store's
-//! write-ahead journal: a `plan` line for every cell before any work
-//! starts, then `done`/`fail` per cell — so a sweep killed mid-write
-//! resumes the *whole* grid (including cells it never reached) and
-//! re-runs only those whose records do not verify. The engine being
-//! deterministic, the resumed store converges to the same bytes an
-//! uninterrupted run produces.
+//! recomputed through the shared [`MeasurementCache`] and durably stored.
+//! Intent and progress go through the store's write-ahead journal: a
+//! `plan` line for every cell before any work starts, then `done`/`fail`
+//! per cell — so a sweep killed mid-write resumes the *whole* grid
+//! (including cells it never reached) and re-runs only those whose
+//! records do not verify. The engine being deterministic, the resumed
+//! store converges to the same bytes an uninterrupted run produces.
+//!
+//! Misses are simulated in parallel on the profiler's worker pool, but
+//! every store and journal operation happens on the calling thread, and
+//! cells are committed strictly in input order. A cell that finished
+//! simulating but waits behind a slower earlier cell is not yet durable:
+//! a crash in that window costs its recomputation on resume, never a
+//! wrong or missing record.
 //!
 //! Failure is graceful by construction: store I/O goes through the retry
 //! policy, profile errors are permanent and typed, and a failed cell is
@@ -22,13 +28,13 @@
 use std::io;
 
 use serde::Serialize;
-use stash_ddl::engine::EngineArena;
 use stash_store::journal::JournalEntry;
 use stash_store::prelude::{with_retry, FailReason, Fetch, ResultStore, RetryPolicy};
 use stash_store::{fnv128, key_hex};
 
 use crate::cache::MeasurementCache;
-use crate::profiler::ProfileJob;
+use crate::error::ProfileError;
+use crate::profiler::{profile_in_order, profile_threads, ProfileJob};
 use crate::report::StallReport;
 
 /// Schema tag stamped into every cell record payload and journal plan.
@@ -208,25 +214,22 @@ pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
     serde_json::Value::Object(m)
 }
 
-/// The cell's content address: FNV-128 over the canonical JSON of the
-/// *full* profiler configuration plus the cluster display name — the
-/// same derivation family as `cache::config_key`, so equal cells share a
-/// key and (the engine being deterministic) bit-identical records.
+/// The cell's content address: FNV-128 over the canonical compact JSON
+/// of `{"schema", "cluster", "stash"}` — the schema tag, the cluster
+/// display name and the *full* profiler configuration — the same
+/// derivation family as `cache::config_key`, so equal cells share a key
+/// and (the engine being deterministic) bit-identical records. The JSON
+/// is written straight into one buffer, without a value tree.
 #[must_use]
 pub fn cell_key(job: &ProfileJob) -> u128 {
-    let mut m = serde_json::Map::new();
-    m.insert("schema".to_string(), CELL_SCHEMA.to_json_value());
-    m.insert(
-        "cluster".to_string(),
-        job.cluster.display_name().to_json_value(),
-    );
-    m.insert(
-        "stash".to_string(),
-        serde_json::to_value(&job.stash).unwrap_or(serde_json::Value::Null),
-    );
-    let Ok(canonical) = serde_json::to_string(&serde_json::Value::Object(m)) else {
-        unreachable!("value serialization is infallible")
-    };
+    let mut canonical = String::with_capacity(4096);
+    canonical.push_str("{\"schema\":");
+    CELL_SCHEMA.write_json(&mut canonical);
+    canonical.push_str(",\"cluster\":");
+    job.cluster.display_name().write_json(&mut canonical);
+    canonical.push_str(",\"stash\":");
+    job.stash.write_json(&mut canonical);
+    canonical.push('}');
     fnv128(canonical.as_bytes())
 }
 
@@ -234,15 +237,15 @@ pub fn cell_key(job: &ProfileJob) -> u128 {
 /// descriptor and the report.
 #[must_use]
 pub fn encode_cell_record(job: &ProfileJob, report: &StallReport) -> Vec<u8> {
-    let mut m = serde_json::Map::new();
-    m.insert("schema".to_string(), CELL_SCHEMA.to_json_value());
-    m.insert("cell".to_string(), cell_descriptor(job));
-    m.insert(
-        "report".to_string(),
-        serde_json::to_value(report).unwrap_or(serde_json::Value::Null),
-    );
-    serde_json::to_string(&serde_json::Value::Object(m))
-        .unwrap_or_default()
+    let descriptor = serde_json::to_string(&cell_descriptor(job)).unwrap_or_default();
+    encode_record(&descriptor, report)
+}
+
+/// [`encode_cell_record`] from the descriptor's compact JSON: the same
+/// bytes as serializing the `{schema, cell, report}` object whole.
+fn encode_record(descriptor: &str, report: &StallReport) -> Vec<u8> {
+    let report = serde_json::to_string(report).unwrap_or_default();
+    format!("{{\"schema\":\"{CELL_SCHEMA}\",\"cell\":{descriptor},\"report\":{report}}}")
         .into_bytes()
 }
 
@@ -274,20 +277,156 @@ fn journal_best_effort(store: &ResultStore, policy: &RetryPolicy, entry: &Journa
     let _ = with_retry(policy, || journal.append(store.io(), entry));
 }
 
-/// Runs a sweep over `jobs`, optionally backed by a durable store.
+/// A sweep cell with its store key and plan descriptor, each derived
+/// once per sweep.
+struct Cell<'a> {
+    job: &'a ProfileJob,
+    key: u128,
+    hex: String,
+    descriptor: String,
+}
+
+impl<'a> Cell<'a> {
+    fn new(job: &'a ProfileJob) -> Cell<'a> {
+        let key = cell_key(job);
+        Cell {
+            job,
+            key,
+            hex: key_hex(key),
+            descriptor: serde_json::to_string(&cell_descriptor(job)).unwrap_or_default(),
+        }
+    }
+
+    fn outcome(&self, report: Option<StallReport>, status: CellStatus) -> CellOutcome {
+        CellOutcome {
+            key: self.hex.clone(),
+            cluster: self.job.cluster.display_name(),
+            model: self.job.stash.model().name.clone(),
+            per_gpu_batch: self.job.stash.per_gpu_batch(),
+            report,
+            status,
+        }
+    }
+}
+
+/// What consulting the store decided for a cell.
+enum Consult {
+    /// A verified record decoded: the cell resumes without simulation.
+    Resumed(StallReport),
+    /// The lookup itself failed after retries.
+    Failed(FailReason),
+    /// No usable record (or no store): simulate.
+    Miss,
+    /// A key an earlier cell of this sweep already has. The serial runner
+    /// would find the earlier cell's fresh record, so the store is asked
+    /// again at commit time; the cell is simulated too, in case it misses.
+    Repeat,
+}
+
+impl Consult {
+    fn needs_profile(&self) -> bool {
+        matches!(self, Consult::Miss | Consult::Repeat)
+    }
+}
+
+/// Consult-first: a verified record whose payload decodes is the result;
+/// a miss, a quarantined-corrupt record or a valid frame with a
+/// stale/foreign payload is recomputed (and overwritten on commit).
+fn consult(store: &ResultStore, policy: &RetryPolicy, key: u128) -> Consult {
+    match with_retry(policy, || store.get(key).map_err(io::Error::other)) {
+        Ok(Fetch::Hit(payload)) => match decode_cell_record(&payload) {
+            Ok(report) => Consult::Resumed(report),
+            Err(_) => Consult::Miss,
+        },
+        Ok(Fetch::Miss | Fetch::Quarantined { .. }) => Consult::Miss,
+        Err(reason) => Consult::Failed(reason),
+    }
+}
+
+/// Settles one cell on the calling thread: journals its `done`/`fail`
+/// line and, for a freshly simulated cell, first writes its record.
+/// `profiled` is the simulation result exactly when the consult asked
+/// for one.
+fn commit(
+    cell: &Cell<'_>,
+    consulted: Consult,
+    profiled: Option<Result<StallReport, ProfileError>>,
+    store: Option<&ResultStore>,
+    policy: &RetryPolicy,
+) -> CellOutcome {
+    let consulted = match (consulted, store) {
+        (Consult::Repeat, Some(store)) => consult(store, policy, cell.key),
+        (consulted, _) => consulted,
+    };
+    let journal = |entry: JournalEntry| {
+        if let Some(store) = store {
+            journal_best_effort(store, policy, &entry);
+        }
+    };
+    let report = match (consulted, profiled) {
+        (Consult::Resumed(report), _) => {
+            journal(JournalEntry::done(&cell.hex));
+            return cell.outcome(Some(report), CellStatus::Resumed);
+        }
+        (Consult::Failed(reason), _) => {
+            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
+            return cell.outcome(None, CellStatus::Failed(reason));
+        }
+        // Profile errors are permanent: typed, never retried.
+        (_, Some(Err(e))) => {
+            let reason = FailReason::Profile {
+                error: e.to_string(),
+            };
+            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
+            return cell.outcome(None, CellStatus::Failed(reason));
+        }
+        (_, Some(Ok(report))) => report,
+        (Consult::Miss | Consult::Repeat, None) => {
+            unreachable!("cells that miss the store are always profiled")
+        }
+    };
+    let Some(store) = store else {
+        return cell.outcome(Some(report), CellStatus::Computed);
+    };
+    let payload = encode_record(&cell.descriptor, &report);
+    match with_retry(policy, || {
+        store.put(cell.key, &payload).map_err(io::Error::other)
+    }) {
+        Ok(()) => {
+            journal(JournalEntry::done(&cell.hex));
+            cell.outcome(Some(report), CellStatus::Computed)
+        }
+        Err(reason) => {
+            // Computed but not durable: report the result, flag the cell
+            // — a resumed run must re-run it.
+            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
+            cell.outcome(Some(report), CellStatus::Failed(reason))
+        }
+    }
+}
+
+/// Runs a sweep over `jobs`, optionally backed by a durable store, on
+/// [`profile_threads`] workers.
 ///
-/// Cells run serially in input order (deterministic journal order; the
-/// cache and arena are shared across cells, so repeated reference-
-/// instance measurements are deduplicated exactly as in
-/// [`par_profile_many`]). With a store, each cell is consult-first and
-/// its fresh result is framed and atomically written before the next
-/// cell starts; without one, this is a plain storeless sweep producing
-/// the identical reports and CSV.
+/// The sweep keys every cell once, journals a `plan` line for every cell
+/// (write-ahead intent), then consults the store for every cell in input
+/// order. Only the misses go to the worker pool that [`par_profile_many`]
+/// also runs on: one arena per worker, with `cache` shared by all of
+/// them, so repeated reference-instance measurements are deduplicated
+/// across cells. Each
+/// cell is then committed on the calling thread in strict input order —
+/// record write plus `done` for a computed cell, `done`/`fail` for a
+/// resumed or failed one. All store and journal I/O therefore happens on
+/// one thread, in the same order as a one-cell-at-a-time run: records,
+/// journal and results CSV are byte-identical at any worker count.
+/// Without a store this is a plain storeless sweep producing the
+/// identical reports and CSV.
 ///
 /// Never aborts on a failed cell: failures land in the outcome with
 /// typed reasons, and the caller maps `outcome.failed() > 0` to its
 /// distinct exit class.
 ///
+/// [`profile_threads`]: crate::profiler::profile_threads
 /// [`par_profile_many`]: crate::profiler::par_profile_many
 #[must_use]
 pub fn run_sweep(
@@ -296,112 +435,70 @@ pub fn run_sweep(
     policy: &RetryPolicy,
     cache: &MeasurementCache,
 ) -> SweepOutcome {
-    let mut arena = EngineArena::new();
-    let mut outcome = SweepOutcome::default();
+    run_sweep_on(jobs, store, policy, cache, profile_threads())
+}
+
+fn run_sweep_on(
+    jobs: &[ProfileJob],
+    store: Option<&ResultStore>,
+    policy: &RetryPolicy,
+    cache: &MeasurementCache,
+    workers: usize,
+) -> SweepOutcome {
+    let cells: Vec<Cell<'_>> = jobs.iter().map(Cell::new).collect();
 
     // Write-ahead intent: journal a plan line for *every* cell before any
     // work starts, so a sweep killed in cell 2 of 10 still resumes all
     // ten — including the cells it never reached.
     if let Some(store) = store {
-        for job in jobs {
-            let hex = key_hex(cell_key(job));
-            let descriptor = serde_json::to_string(&cell_descriptor(job)).unwrap_or_default();
-            journal_best_effort(store, policy, &JournalEntry::plan(&hex, &descriptor));
+        for cell in &cells {
+            journal_best_effort(
+                store,
+                policy,
+                &JournalEntry::plan(&cell.hex, &cell.descriptor),
+            );
         }
     }
 
-    for job in jobs {
-        let key = cell_key(job);
-        let hex = key_hex(key);
-        let mut cell = CellOutcome {
-            key: hex.clone(),
-            cluster: job.cluster.display_name(),
-            model: job.stash.model().name.clone(),
-            per_gpu_batch: job.stash.per_gpu_batch(),
-            report: None,
-            status: CellStatus::Computed,
-        };
+    let mut seen = std::collections::HashSet::new();
+    let consulted: Vec<Consult> = cells
+        .iter()
+        .map(|cell| match store {
+            Some(_) if !seen.insert(cell.key) => Consult::Repeat,
+            Some(store) => consult(store, policy, cell.key),
+            None => Consult::Miss,
+        })
+        .collect();
+    let misses: Vec<&ProfileJob> = cells
+        .iter()
+        .zip(&consulted)
+        .filter(|(_, c)| c.needs_profile())
+        .map(|(cell, _)| cell.job)
+        .collect();
 
-        if let Some(store) = store {
-            // Consult-first: a verified record is the result.
-            let fetched = with_retry(policy, || store.get(key).map_err(io::Error::other));
-            match fetched {
-                // A verified hit whose payload decodes is the result; a
-                // valid frame with a stale/foreign payload is recomputed
-                // and overwritten below.
-                Ok(Fetch::Hit(payload)) => {
-                    if let Ok(report) = decode_cell_record(&payload) {
-                        cell.report = Some(report);
-                        cell.status = CellStatus::Resumed;
-                        journal_best_effort(store, policy, &JournalEntry::done(&hex));
-                        outcome.cells.push(cell);
-                        continue;
-                    }
-                }
-                // Miss or quarantined-corrupt: recompute below.
-                Ok(Fetch::Miss | Fetch::Quarantined { .. }) => {}
-                Err(reason) => {
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
-                    cell.status = CellStatus::Failed(reason);
-                    outcome.cells.push(cell);
-                    continue;
-                }
+    // Commit in input order: each profiled result first settles every
+    // consulted cell ahead of it, then itself.
+    let mut outcome = SweepOutcome {
+        cells: Vec::with_capacity(cells.len()),
+    };
+    let mut pending = cells.iter().zip(consulted);
+    profile_in_order(&misses, Some(cache), workers, |profiled| {
+        let mut profiled = Some(profiled);
+        for (cell, consulted) in pending.by_ref() {
+            let needs_profile = consulted.needs_profile();
+            let result = if needs_profile { profiled.take() } else { None };
+            outcome
+                .cells
+                .push(commit(cell, consulted, result, store, policy));
+            if needs_profile {
+                break;
             }
         }
-
-        // Simulate. Profile errors are permanent: typed, never retried.
-        let report = match job
-            .stash
-            .profile_serial_in(&job.cluster, Some(cache), &mut arena)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                let reason = FailReason::Profile {
-                    error: e.to_string(),
-                };
-                if let Some(store) = store {
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
-                }
-                cell.status = CellStatus::Failed(reason);
-                outcome.cells.push(cell);
-                continue;
-            }
-        };
-
-        if let Some(store) = store {
-            let payload = encode_cell_record(job, &report);
-            match with_retry(policy, || {
-                store.put(key, &payload).map_err(io::Error::other)
-            }) {
-                Ok(()) => {
-                    journal_best_effort(store, policy, &JournalEntry::done(&hex));
-                }
-                Err(reason) => {
-                    // Computed but not durable: report the result, flag
-                    // the cell — a resumed run must re-run it.
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
-                    cell.report = Some(report);
-                    cell.status = CellStatus::Failed(reason);
-                    outcome.cells.push(cell);
-                    continue;
-                }
-            }
-        }
-
-        cell.report = Some(report);
-        outcome.cells.push(cell);
+    });
+    for (cell, consulted) in pending {
+        outcome
+            .cells
+            .push(commit(cell, consulted, None, store, policy));
     }
     outcome
 }
@@ -451,6 +548,38 @@ mod tests {
         assert_eq!(cell_key(&jobs[0]), cell_key(&jobs[0]));
         assert_ne!(cell_key(&jobs[0]), cell_key(&jobs[1]));
         assert_ne!(cell_key(&jobs[1]), cell_key(&jobs[2]));
+    }
+
+    #[test]
+    fn cell_keys_match_the_value_tree_derivation() {
+        use stash_hwtopo::instance::p3_16xlarge;
+        // The derivation stores were keyed with before keys were
+        // streamed: records written by either must resume under the other.
+        let tree_key = |job: &ProfileJob| {
+            let mut m = serde_json::Map::new();
+            m.insert("schema".to_string(), CELL_SCHEMA.to_json_value());
+            m.insert(
+                "cluster".to_string(),
+                job.cluster.display_name().to_json_value(),
+            );
+            m.insert("stash".to_string(), job.stash.to_json_value());
+            let mut canonical = String::new();
+            serde::write_json_value(&serde_json::Value::Object(m), &mut canonical);
+            fnv128(canonical.as_bytes())
+        };
+        for (model, _) in zoo::all_models() {
+            let job = ProfileJob {
+                stash: Stash::new(model).with_batch(48).with_epoch_samples(9_000),
+                cluster: ClusterSpec::homogeneous(p3_16xlarge(), 2),
+            };
+            assert_eq!(cell_key(&job), tree_key(&job), "{}", job.stash.model().name);
+        }
+        let job = &jobs()[0];
+        assert_eq!(
+            key_hex(cell_key(job)),
+            key_hex(tree_key(job)),
+            "quick AlexNet cell"
+        );
     }
 
     #[test]
@@ -578,5 +707,108 @@ mod tests {
             .iter()
             .any(|e| e.op == "fail" && e.detail.contains("Profile")));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A stored sweep on `workers` workers: its outcome's CSV and status
+    /// list, and the journal bytes.
+    fn stored_run(
+        tag: &str,
+        jobs: &[ProfileJob],
+        workers: usize,
+    ) -> (String, Vec<CellStatus>, Vec<u8>) {
+        let root = tmp(tag);
+        let store = ResultStore::open(&root, Box::new(StdFs::new())).unwrap();
+        let out = run_sweep_on(
+            jobs,
+            Some(&store),
+            &RetryPolicy::default(),
+            &MeasurementCache::new(),
+            workers,
+        );
+        let journal = std::fs::read(store.journal().path()).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        let statuses = out.cells.iter().map(|c| c.status.clone()).collect();
+        (out.results_csv(), statuses, journal)
+    }
+
+    #[test]
+    fn pooled_failures_keep_serial_order_and_precedence() {
+        use stash_hwtopo::instance::p3_16xlarge;
+        let mut jobs = jobs();
+        // 3x p3.16xlarge has no single-instance reference: this cell
+        // fails permanently, between cells that succeed.
+        jobs.insert(
+            1,
+            ProfileJob {
+                stash: jobs[0].stash.clone(),
+                cluster: ClusterSpec::homogeneous(p3_16xlarge(), 3),
+            },
+        );
+        let serial = stored_run("precedence_1", &jobs, 1);
+        assert!(matches!(
+            serial.1[1],
+            CellStatus::Failed(FailReason::Profile { .. })
+        ));
+        assert_eq!(
+            serial
+                .1
+                .iter()
+                .filter(|s| **s == CellStatus::Computed)
+                .count(),
+            3
+        );
+        for workers in [2, 3] {
+            let pooled = stored_run(&format!("precedence_{workers}"), &jobs, workers);
+            assert_eq!(pooled, serial, "{workers} workers diverged from one");
+        }
+    }
+
+    #[test]
+    fn repeated_cells_resume_from_their_first_occurrence() {
+        let base = jobs();
+        let jobs = vec![base[0].clone(), base[1].clone(), base[0].clone()];
+        let serial = stored_run("repeat_1", &jobs, 1);
+        assert_eq!(
+            serial.1,
+            vec![
+                CellStatus::Computed,
+                CellStatus::Computed,
+                CellStatus::Resumed
+            ]
+        );
+        assert_eq!(stored_run("repeat_3", &jobs, 3), serial);
+    }
+
+    #[test]
+    fn faulted_stores_are_byte_identical_across_worker_counts() {
+        let jobs = jobs();
+        let policy = RetryPolicy {
+            base_backoff_ms: 0,
+            max_backoff_ms: 0,
+            ..RetryPolicy::default()
+        };
+        let run = |workers: usize| {
+            let root = tmp(&format!("faulted_workers_{workers}"));
+            let store =
+                ResultStore::open(&root, Box::new(FaultFs::new(IoFaultPlan::seeded(11)))).unwrap();
+            let out = run_sweep_on(
+                &jobs,
+                Some(&store),
+                &policy,
+                &MeasurementCache::new(),
+                workers,
+            );
+            let records: Vec<Vec<u8>> = store
+                .keys()
+                .unwrap()
+                .into_iter()
+                .map(|k| std::fs::read(store.record_path(k)).unwrap())
+                .collect();
+            let journal = std::fs::read(store.journal().path()).unwrap();
+            let _ = std::fs::remove_dir_all(&root);
+            (out.results_csv(), records, journal)
+        };
+        let serial = run(1);
+        assert_eq!(run(3), serial);
     }
 }

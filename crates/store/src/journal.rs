@@ -10,12 +10,15 @@
 //! <fnv128-low-64-bits, 16 hex> <entry JSON>\n
 //! ```
 //!
-//! so replay can tell a torn tail (the line being appended when the
-//! process died) from good history: replay stops at the first corrupt
-//! line and reports it, and everything before it is trusted. The journal
-//! is an *optimization hint*, not the source of truth — resume always
+//! so replay can tell a torn line (the one being appended when a process
+//! died) from good history: replay skips and reports every line whose
+//! sum does not verify and trusts every line that does. A process that
+//! finds a torn fragment at the end of the journal terminates it
+//! ([`Journal::seal`]) before appending, so its own lines start clean
+//! instead of being glued onto the fragment. The journal is an
+//! *optimization hint*, not the source of truth — resume always
 //! re-verifies `done` claims against the checksummed records themselves,
-//! so a lost tail only costs recomputation, never correctness.
+//! so a lost line only costs recomputation, never correctness.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -83,9 +86,9 @@ impl JournalEntry {
 pub struct JournalReplay {
     /// Every verified entry, in append order.
     pub entries: Vec<JournalEntry>,
-    /// `true` when replay stopped at a torn or corrupt line — the state
-    /// a crash mid-append leaves behind. Entries before the tear are
-    /// intact (each line checks its own sum).
+    /// `true` when replay skipped a torn or corrupt line — the state a
+    /// crash mid-append leaves behind. Every entry kept is intact (each
+    /// line checks its own sum).
     pub torn_tail: bool,
 }
 
@@ -188,8 +191,28 @@ impl Journal {
         io.append(&self.path, line.as_bytes())
     }
 
-    /// Replays the journal, stopping at the first torn or corrupt line.
-    /// A missing journal replays as empty — a fresh sweep.
+    /// Terminates a torn fragment at the end of the journal with a
+    /// newline, so the next [`Journal::append`] starts a line of its own.
+    /// Returns whether there was a fragment to terminate. A missing or
+    /// cleanly ended journal is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend read and append errors.
+    pub fn seal(&self, io: &dyn StoreIo) -> io::Result<bool> {
+        if !io.exists(&self.path) {
+            return Ok(false);
+        }
+        let bytes = io.read(&self.path)?;
+        match bytes.last() {
+            Some(&last) if last != b'\n' => io.append(&self.path, b"\n").map(|()| true),
+            _ => Ok(false),
+        }
+    }
+
+    /// Replays the journal, skipping torn or corrupt lines (and flagging
+    /// them in [`JournalReplay::torn_tail`]). A missing journal replays as
+    /// empty — a fresh sweep.
     ///
     /// # Errors
     ///
@@ -207,10 +230,7 @@ impl Journal {
             }
             match parse_line(line) {
                 Some(entry) => replay.entries.push(entry),
-                None => {
-                    replay.torn_tail = true;
-                    break;
-                }
+                None => replay.torn_tail = true,
             }
         }
         Ok(replay)
@@ -276,6 +296,49 @@ mod tests {
         assert!(replay.torn_tail);
         assert_eq!(replay.entries.len(), 2);
         assert_eq!(replay.done_keys(), vec!["0001".to_string()]);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn appends_after_a_sealed_tear_replay() {
+        let path = tmp("torn_then_append");
+        let io = StdFs::new();
+        let j = Journal::new(&path);
+        j.append(&io, &JournalEntry::plan("0001", "{}")).unwrap();
+        // A crash mid-append leaves a fragment without its newline.
+        let line = line_for(&JournalEntry::plan("0002", "{}")).unwrap();
+        io.append(&path, &line.as_bytes()[..20]).unwrap();
+        // The next process seals the fragment, then appends as usual.
+        assert!(j.seal(&io).unwrap());
+        assert!(!j.seal(&io).unwrap(), "sealing is idempotent");
+        j.append(&io, &JournalEntry::plan("0003", "{}")).unwrap();
+        j.append(&io, &JournalEntry::done("0003")).unwrap();
+        let replay = j.replay(&io).unwrap();
+        assert!(replay.torn_tail);
+        let keys: Vec<(&str, &str)> = replay
+            .entries
+            .iter()
+            .map(|e| (e.op.as_str(), e.key.as_str()))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![("plan", "0001"), ("plan", "0003"), ("done", "0003")]
+        );
+        assert_eq!(replay.done_keys(), vec!["0003".to_string()]);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn sealing_leaves_clean_and_missing_journals_alone() {
+        let path = tmp("seal_clean");
+        let io = StdFs::new();
+        let j = Journal::new(&path);
+        assert!(!j.seal(&io).unwrap());
+        assert!(!io.exists(&path), "sealing must not create a journal");
+        j.append(&io, &JournalEntry::plan("0001", "{}")).unwrap();
+        let before = fs::read(&path).unwrap();
+        assert!(!j.seal(&io).unwrap());
+        assert_eq!(fs::read(&path).unwrap(), before);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release
 cargo test -q
+# Every workspace crate's unit tests and doctests (the line above runs
+# only the root package).
+cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the

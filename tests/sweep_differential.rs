@@ -23,16 +23,46 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+const GRID: [&str; 5] = [
+    "sweep",
+    "--models",
+    "AlexNet,ResNet18",
+    "--clusters",
+    "p3.2xlarge,p3.8xlarge",
+];
+
 fn sweep_grid(extra: &[&str]) -> std::process::Output {
-    let mut args = vec![
-        "sweep",
-        "--models",
-        "AlexNet,ResNet18",
-        "--clusters",
-        "p3.2xlarge,p3.8xlarge",
-    ];
-    args.extend_from_slice(extra);
-    stash(&args)
+    stash(&[&GRID[..], extra].concat())
+}
+
+/// The grid sweep with the worker count pinned through
+/// `STASH_BENCH_THREADS`.
+fn sweep_grid_on(threads: usize, extra: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_stash"))
+        .args([&GRID[..], extra].concat())
+        .env("STASH_BENCH_THREADS", threads.to_string())
+        .output()
+        .expect("run stash binary")
+}
+
+/// Every file a store run leaves behind that must be deterministic: the
+/// results CSV, each record (by name) and the journal.
+fn store_bytes(store: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(store.join("records"))
+        .unwrap()
+        .map(|e| {
+            let p = e.unwrap().path();
+            (
+                format!("records/{}", p.file_name().unwrap().to_string_lossy()),
+                std::fs::read(&p).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    for name in ["results.csv", "journal.log"] {
+        files.push((name.to_string(), std::fs::read(store.join(name)).unwrap()));
+    }
+    files
 }
 
 fn read(path: &Path) -> String {
@@ -167,6 +197,81 @@ fn failed_cells_degrade_gracefully_with_exit_class_2() {
     assert!(lines[1].starts_with("p3.16xlarge*3,AlexNet,"));
     assert!(lines[1].ends_with(",profile-error"), "{}", lines[1]);
     assert!(lines[2].ends_with(",computed"), "{}", lines[2]);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stores_are_byte_identical_across_thread_counts() {
+    let dir = scratch("threads");
+    for faults in [&[][..], &["--io-fault-seed", "42"][..]] {
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let store = dir.join(format!("store_{threads}_{}", faults.len()));
+                let out = sweep_grid_on(
+                    threads,
+                    &[&["--store", store.to_str().unwrap()], faults].concat(),
+                );
+                assert!(
+                    out.status.success(),
+                    "{threads}-thread sweep failed: {out:?}"
+                );
+                store_bytes(&store)
+            })
+            .collect();
+        assert_eq!(runs[0].len(), 6, "4 records, the CSV and the journal");
+        assert_eq!(
+            runs[0], runs[1],
+            "1 and 4 threads diverged (faults: {faults:?})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_sees_cells_planned_after_a_torn_journal_tail() {
+    let dir = scratch("torn");
+    let store = dir.join("store");
+    let store_arg = store.to_str().unwrap();
+
+    let out = stash(&[
+        "sweep",
+        "--models",
+        "AlexNet",
+        "--clusters",
+        "p3.2xlarge",
+        "--store",
+        store_arg,
+    ]);
+    assert!(out.status.success(), "first sweep failed: {out:?}");
+    // A process killed mid-append leaves a line fragment with no newline.
+    let journal = store.join("journal.log");
+    let mut bytes = std::fs::read(&journal).unwrap();
+    bytes.extend_from_slice(b"0123456789abcdef {\"op\":\"pl");
+    std::fs::write(&journal, &bytes).unwrap();
+
+    // The next process plans two more cells after the tear.
+    let out = stash(&[
+        "sweep",
+        "--models",
+        "ResNet18,ShuffleNet",
+        "--clusters",
+        "p3.2xlarge",
+        "--store",
+        store_arg,
+    ]);
+    assert!(out.status.success(), "second sweep failed: {out:?}");
+
+    let out = stash(&["sweep", "--store", store_arg, "--resume"]);
+    assert!(out.status.success(), "resume failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("journal has a torn tail"), "{stdout}");
+    assert!(stdout.contains("resuming 3 journaled cell(s)"), "{stdout}");
+    assert!(
+        stdout.contains("0 computed, 3 resumed, 0 failed"),
+        "{stdout}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
