@@ -9,7 +9,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{pct, rollup_from_reports, run_sweep, small_model_batches, SweepJob, Table};
+use stash_bench::{bench_stash, pct, rollup_from_reports, small_model_batches, Table};
+use stash_core::cache::MeasurementCache;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{p2_16xlarge, p2_8xlarge, p3_16xlarge, p3_8xlarge};
@@ -39,12 +41,15 @@ fn main() {
     for model in zoo::small_models() {
         for batch in small_model_batches() {
             for (family, cluster) in &configs {
-                jobs.push(SweepJob::new(model.clone(), batch, cluster.clone()));
+                jobs.push(ProfileJob {
+                    stash: bench_stash(model.clone(), batch),
+                    cluster: cluster.clone(),
+                });
                 families.push(*family);
             }
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -62,7 +67,6 @@ fn main() {
             pct(Some(s)),
         ]);
     }
-    t.set_perf(perf);
     t.finish();
     assert!(
         stalls["p2.16xlarge"] > stalls["p2.8xlarge"],

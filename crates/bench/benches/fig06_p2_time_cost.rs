@@ -6,10 +6,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{
-    p2_configs, rollup_from_reports, run_sweep, small_model_batches, SweepJob, Table,
-};
+use stash_bench::{bench_stash, p2_configs, rollup_from_reports, small_model_batches, Table};
+use stash_core::cache::MeasurementCache;
 use stash_core::cost::epoch_cost;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 
 fn main() {
@@ -22,11 +22,14 @@ fn main() {
     for model in zoo::small_models() {
         for batch in small_model_batches() {
             for cluster in p2_configs() {
-                jobs.push(SweepJob::new(model.clone(), batch, cluster));
+                jobs.push(ProfileJob {
+                    stash: bench_stash(model.clone(), batch),
+                    cluster,
+                });
             }
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -59,7 +62,6 @@ fn main() {
         }
         *cheapest_votes.entry(best.unwrap().0).or_insert(0) += 1;
     }
-    t.set_perf(perf);
     t.finish();
     assert!(
         time_8x2 < time_16x,

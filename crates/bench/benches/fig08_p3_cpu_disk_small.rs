@@ -5,9 +5,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{
-    p3_configs, pct, rollup_from_reports, run_sweep, small_model_batches, SweepJob, Table,
-};
+use stash_bench::{bench_stash, p3_configs, pct, rollup_from_reports, small_model_batches, Table};
+use stash_core::cache::MeasurementCache;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 
 fn main() {
@@ -26,11 +26,14 @@ fn main() {
     for model in zoo::small_models() {
         for batch in small_model_batches() {
             for cluster in p3_configs() {
-                jobs.push(SweepJob::new(model.clone(), batch, cluster));
+                jobs.push(ProfileJob {
+                    stash: bench_stash(model.clone(), batch),
+                    cluster,
+                });
             }
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -51,7 +54,6 @@ fn main() {
             pct(Some(d)),
         ]);
     }
-    t.set_perf(perf);
     t.finish();
     cpu_samples.sort_by(f64::total_cmp);
     let median_cpu = cpu_samples[cpu_samples.len() / 2];

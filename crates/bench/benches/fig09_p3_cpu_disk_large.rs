@@ -7,9 +7,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{
-    large_model_batches, p3_configs, pct, rollup_from_reports, run_sweep, SweepJob, Table,
-};
+use stash_bench::{bench_stash, large_model_batches, p3_configs, pct, rollup_from_reports, Table};
+use stash_core::cache::MeasurementCache;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 
 fn main() {
@@ -28,7 +28,10 @@ fn main() {
     for model in zoo::large_vision_models() {
         for batch in large_model_batches() {
             for cluster in p3_configs() {
-                jobs.push(SweepJob::new(model.clone(), batch, cluster));
+                jobs.push(ProfileJob {
+                    stash: bench_stash(model.clone(), batch),
+                    cluster,
+                });
             }
         }
     }
@@ -36,9 +39,12 @@ fn main() {
     // some configs, so its results stay fallible below.
     let bert_start = jobs.len();
     for cluster in p3_configs() {
-        jobs.push(SweepJob::new(zoo::bert_large(), 4, cluster));
+        jobs.push(ProfileJob {
+            stash: bench_stash(zoo::bert_large(), 4),
+            cluster,
+        });
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -87,7 +93,6 @@ fn main() {
             ]);
         }
     }
-    t.set_perf(perf);
     t.finish();
     assert!(worst_cpu < 20.0, "CPU stall negligible, got {worst_cpu}%");
     assert!(

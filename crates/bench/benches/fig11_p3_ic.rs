@@ -7,8 +7,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use stash_bench::{
-    large_model_batches, pct, rollup_from_reports, run_sweep, small_model_batches, SweepJob, Table,
+    bench_stash, large_model_batches, pct, rollup_from_reports, small_model_batches, Table,
 };
+use stash_core::cache::MeasurementCache;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{p3_16xlarge, p3_24xlarge, p3_8xlarge};
@@ -34,14 +36,13 @@ fn main() {
     let mut jobs = Vec::new();
     for (model, batch) in points {
         for inst in [p3_8xlarge(), p3_16xlarge(), p3_24xlarge()] {
-            jobs.push(SweepJob::new(
-                model.clone(),
-                batch,
-                ClusterSpec::single(inst),
-            ));
+            jobs.push(ProfileJob {
+                stash: bench_stash(model.clone(), batch),
+                cluster: ClusterSpec::single(inst),
+            });
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -58,7 +59,6 @@ fn main() {
             pct(Some(ic)),
         ]);
     }
-    t.set_perf(perf);
     t.finish();
     assert!(
         stalls["p3.8xlarge"] > stalls["p3.16xlarge"],

@@ -3,10 +3,10 @@
 //! Expected shapes: p3.16xlarge and p3.24xlarge are equally performant
 //! (same NVLink), so the pricier 24xlarge is the least cost-optimal.
 
-use stash_bench::{
-    large_model_batches, p3_configs, rollup_from_reports, run_sweep, SweepJob, Table,
-};
+use stash_bench::{bench_stash, large_model_batches, p3_configs, rollup_from_reports, Table};
+use stash_core::cache::MeasurementCache;
 use stash_core::cost::epoch_cost;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 
 fn main() {
@@ -25,10 +25,13 @@ fn main() {
     let mut jobs = Vec::new();
     for (model, batch) in &points {
         for cluster in p3_configs() {
-            jobs.push(SweepJob::new(model.clone(), *batch, cluster));
+            jobs.push(ProfileJob {
+                stash: bench_stash(model.clone(), *batch),
+                cluster,
+            });
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -71,7 +74,6 @@ fn main() {
             format!("{:.2}", bill.epoch_cost),
         ]);
     }
-    t.set_perf(perf);
     t.finish();
     let time_ratio = t24 / t16;
     assert!(

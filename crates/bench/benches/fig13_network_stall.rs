@@ -7,7 +7,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{pct, rollup_from_reports, run_sweep, SweepJob, Table};
+use stash_bench::{bench_stash, pct, rollup_from_reports, Table};
+use stash_core::cache::MeasurementCache;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::p3_8xlarge;
@@ -23,10 +25,13 @@ fn main() {
     let mut jobs = Vec::new();
     for model in [zoo::resnet50(), zoo::vgg11()] {
         for batch in batches {
-            jobs.push(SweepJob::new(model.clone(), batch, cluster.clone()));
+            jobs.push(ProfileJob {
+                stash: bench_stash(model.clone(), batch),
+                cluster: cluster.clone(),
+            });
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -54,7 +59,6 @@ fn main() {
             jobs_chunk[0].stash.model().name
         );
     }
-    t.set_perf(perf);
     t.finish();
     print!("{}", t.to_bar_chart(&["model", "batch"], "nw_stall_pct"));
     assert!(

@@ -6,8 +6,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{rollup_from_reports, run_sweep, SweepJob, Table};
+use stash_bench::{bench_stash, rollup_from_reports, Table};
+use stash_core::cache::MeasurementCache;
 use stash_core::cost::epoch_cost;
+use stash_core::profiler::{par_profile_many, ProfileJob};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{
@@ -37,10 +39,13 @@ fn main() {
     let mut jobs = Vec::new();
     for model in &models {
         for cluster in &configs {
-            jobs.push(SweepJob::new(model.clone(), 32, cluster.clone()));
+            jobs.push(ProfileJob {
+                stash: bench_stash(model.clone(), 32),
+                cluster: cluster.clone(),
+            });
         }
     }
-    let (results, perf) = run_sweep(jobs.clone());
+    let results = par_profile_many(&jobs, Some(&MeasurementCache::new()));
     t.set_rollup(rollup_from_reports(
         results.iter().filter_map(|r| r.as_ref().ok()),
     ));
@@ -66,7 +71,6 @@ fn main() {
         }
         cheapest.insert(jobs_chunk[0].stash.model().name.clone(), best.unwrap().0);
     }
-    t.set_perf(perf);
     t.finish();
     assert!(
         cheapest["ShuffleNet"].starts_with("p2."),

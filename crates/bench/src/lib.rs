@@ -4,6 +4,9 @@
 //! `benches/`): a [`Table`] emitter that prints the paper-style rows and
 //! persists CSV + JSON under `results/`, plus the standard sweeps
 //! (instances, batch sizes, profiler settings) used across figures.
+//! Figure sweeps build one `ProfileJob` per cell with [`bench_stash`] and
+//! run them through `par_profile_many` with a fresh `MeasurementCache`;
+//! results are identical at any `STASH_BENCH_THREADS`.
 //!
 //! Every bench target is a `harness = false` binary: running
 //! `cargo bench --workspace` regenerates every table and figure of the
@@ -12,13 +15,10 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Instant;
 
 pub mod chart;
 
-use stash_core::cache::MeasurementCache;
-use stash_core::error::ProfileError;
-use stash_core::profiler::{par_profile_many, profile_threads, ProfileJob, Stash};
+use stash_core::profiler::Stash;
 use stash_core::report::StallReport;
 use stash_dnn::dataset::DatasetSpec;
 use stash_dnn::model::Model;
@@ -90,275 +90,6 @@ pub fn bench_stash(model: Model, batch: u64) -> Stash {
         .with_sampled_iterations(bench_iters())
 }
 
-/// One sweep point: a configured profiler aimed at one cluster.
-#[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// The configured profiler (model, batch, dataset, iterations).
-    pub stash: Stash,
-    /// The cluster to characterize.
-    pub cluster: ClusterSpec,
-}
-
-impl SweepJob {
-    /// Builds a sweep point from the standard bench profiler settings.
-    #[must_use]
-    pub fn new(model: Model, batch: u64, cluster: ClusterSpec) -> SweepJob {
-        SweepJob {
-            stash: bench_stash(model, batch),
-            cluster,
-        }
-    }
-}
-
-/// How a sweep performed: wall-clock, cache effectiveness, and (when the
-/// serial baseline was measured) the speedup over the seed's
-/// one-profile-at-a-time, uncached execution.
-#[derive(Debug, Clone)]
-pub struct SweepPerf {
-    /// Wall-clock seconds for the parallel, cached sweep.
-    pub wall_secs: f64,
-    /// Wall-clock seconds for the serial uncached baseline, when measured
-    /// (`STASH_BENCH_BASELINE=1`).
-    pub serial_secs: Option<f64>,
-    /// `serial_secs / wall_secs`, when the baseline was measured.
-    pub speedup: Option<f64>,
-    /// Wall-clock seconds for a cache-warm re-sweep (every measurement
-    /// served from the cache), when the baseline was measured.
-    pub warm_secs: Option<f64>,
-    /// `serial_secs / warm_secs`: the memoization speedup a warm
-    /// characterization database delivers over re-simulating from scratch.
-    pub warm_speedup: Option<f64>,
-    /// Measurement-cache hits during the sweep.
-    pub cache_hits: u64,
-    /// Measurement-cache misses (engine runs) during the sweep.
-    pub cache_misses: u64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Number of profile jobs in the sweep.
-    pub jobs: usize,
-    /// Full water-filling solves performed by the flow solver during the
-    /// sweep (see [`stash_ddl::perf_stats`]).
-    pub full_recomputes: u64,
-    /// Network state changes the solver settled with incremental
-    /// shortcuts instead of a full solve.
-    pub shortcut_events: u64,
-    /// Iterations extended analytically by steady-state fast-forward
-    /// rather than simulated event-by-event.
-    pub fast_forwarded_iterations: u64,
-    /// Discrete events delivered by engine event queues.
-    pub sim_events: u64,
-}
-
-impl SweepPerf {
-    /// Cache hit fraction in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Renders the sweep record in the Prometheus text exposition format
-    /// (the same `stash_*` families `stash trace` dumps), so sweeps and
-    /// traces can be scraped side by side.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        let mut b = stash_telemetry::prom::MetricsBuilder::new();
-        b.family(
-            "stash_measurement_cache_hits_total",
-            "counter",
-            "Profiler measurement-cache hits during the sweep.",
-        );
-        b.sample(
-            "stash_measurement_cache_hits_total",
-            &[],
-            self.cache_hits as f64,
-        );
-        b.family(
-            "stash_measurement_cache_misses_total",
-            "counter",
-            "Profiler measurement-cache misses (engine runs) during the sweep.",
-        );
-        b.sample(
-            "stash_measurement_cache_misses_total",
-            &[],
-            self.cache_misses as f64,
-        );
-        b.family(
-            "stash_sweep_jobs_total",
-            "counter",
-            "Profile jobs executed by the sweep.",
-        );
-        b.sample("stash_sweep_jobs_total", &[], self.jobs as f64);
-        b.family(
-            "stash_sweep_wall_seconds",
-            "gauge",
-            "Wall-clock seconds for the parallel, cached sweep.",
-        );
-        b.sample("stash_sweep_wall_seconds", &[], self.wall_secs);
-        b.family(
-            "stash_sweep_threads",
-            "gauge",
-            "Worker threads used by the sweep.",
-        );
-        b.sample("stash_sweep_threads", &[], self.threads as f64);
-        b.family(
-            "stash_solver_full_recomputes_total",
-            "counter",
-            "Full water-filling solves performed by the flow solver.",
-        );
-        b.sample(
-            "stash_solver_full_recomputes_total",
-            &[],
-            self.full_recomputes as f64,
-        );
-        b.family(
-            "stash_solver_shortcut_events_total",
-            "counter",
-            "Network state changes settled by incremental shortcuts.",
-        );
-        b.sample(
-            "stash_solver_shortcut_events_total",
-            &[],
-            self.shortcut_events as f64,
-        );
-        b.family(
-            "stash_fast_forwarded_iterations_total",
-            "counter",
-            "Iterations extended analytically by steady-state fast-forward.",
-        );
-        b.sample(
-            "stash_fast_forwarded_iterations_total",
-            &[],
-            self.fast_forwarded_iterations as f64,
-        );
-        b.family(
-            "stash_sim_events_total",
-            "counter",
-            "Discrete events delivered by engine event queues.",
-        );
-        b.sample("stash_sim_events_total", &[], self.sim_events as f64);
-        b.finish()
-    }
-}
-
-/// Profiles every job across all cores with measurement memoization,
-/// returning per-job results (in input order) plus the sweep's
-/// performance record.
-///
-/// With `STASH_BENCH_BASELINE=1` the sweep is additionally re-run the
-/// seed way — serially, uncached — to measure the speedup, and the two
-/// result sets are asserted bit-identical (the determinism contract).
-///
-/// # Panics
-///
-/// Panics if the baseline comparison finds any divergence.
-#[must_use]
-pub fn run_sweep(jobs: Vec<SweepJob>) -> (Vec<Result<StallReport, ProfileError>>, SweepPerf) {
-    let profile_jobs: Vec<ProfileJob> = jobs
-        .iter()
-        .map(|j| ProfileJob {
-            stash: j.stash.clone(),
-            cluster: j.cluster.clone(),
-        })
-        .collect();
-
-    let cache = MeasurementCache::new();
-    let perf_before = stash_ddl::perf_stats::snapshot();
-    let started = Instant::now();
-    let results = par_profile_many(&profile_jobs, Some(&cache));
-    let wall_secs = started.elapsed().as_secs_f64();
-    let stats = cache.stats();
-    // Solver/fast-forward activity attributed to this sweep only (the
-    // counters are process-wide monotonic atomics).
-    let solver = stash_ddl::perf_stats::snapshot().since(&perf_before);
-
-    let (serial_secs, speedup, warm_secs, warm_speedup) =
-        if std::env::var("STASH_BENCH_BASELINE").is_ok_and(|v| v == "1") {
-            let started = Instant::now();
-            let baseline: Vec<Result<StallReport, ProfileError>> = profile_jobs
-                .iter()
-                .map(|j| j.stash.profile_serial(&j.cluster))
-                .collect();
-            let secs = started.elapsed().as_secs_f64();
-            for (i, (fast, slow)) in results.iter().zip(&baseline).enumerate() {
-                assert_eq!(
-                    fast.as_ref().ok(),
-                    slow.as_ref().ok(),
-                    "job {i}: parallel+cached result diverged from serial baseline"
-                );
-            }
-            // Warm re-sweep: the cache now holds every measurement, so this
-            // is the "characterization database already paid for" case the
-            // paper argues for — no simulation, only report assembly.
-            let started = Instant::now();
-            let warm = par_profile_many(&profile_jobs, Some(&cache));
-            let wsecs = started.elapsed().as_secs_f64();
-            for (i, (fast, rewarm)) in results.iter().zip(&warm).enumerate() {
-                assert_eq!(
-                    fast.as_ref().ok(),
-                    rewarm.as_ref().ok(),
-                    "job {i}: cache-warm result diverged from first sweep"
-                );
-            }
-            (
-                Some(secs),
-                Some(secs / wall_secs.max(1e-9)),
-                Some(wsecs),
-                Some(secs / wsecs.max(1e-9)),
-            )
-        } else {
-            (None, None, None, None)
-        };
-
-    let perf = SweepPerf {
-        wall_secs,
-        serial_secs,
-        speedup,
-        warm_secs,
-        warm_speedup,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        threads: profile_threads(),
-        jobs: jobs.len(),
-        full_recomputes: solver.full_recomputes,
-        shortcut_events: solver.shortcut_events,
-        fast_forwarded_iterations: solver.fast_forwarded_iterations,
-        sim_events: solver.sim_events,
-    };
-    let mut prom_text = perf.prometheus();
-    if stash_telemetry::enabled() {
-        // The registry families are disjoint from the sweep families, so
-        // the concatenation is still one valid exposition.
-        prom_text.push_str(&stash_telemetry::snapshot::Snapshot::take().render_prom());
-    }
-    if let Err(e) = stash_telemetry::prom::validate(&prom_text) {
-        panic!("sweep metrics failed exposition validation: {e}");
-    }
-    let prom_path = results_dir().join("sweep_metrics.prom");
-    if let Err(e) = fs::write(&prom_path, prom_text) {
-        eprintln!("[warn: could not write {}: {e}]", prom_path.display());
-    }
-    println!(
-        "[sweep: {} jobs in {:.3}s on {} threads, cache {}/{} hits ({:.0}%){}]",
-        perf.jobs,
-        perf.wall_secs,
-        perf.threads,
-        perf.cache_hits,
-        perf.cache_hits + perf.cache_misses,
-        perf.hit_rate() * 100.0,
-        perf.speedup
-            .map_or_else(String::new, |s| format!(", {s:.1}x over serial uncached")),
-    );
-    if let (Some(w), Some(s)) = (perf.warm_secs, perf.warm_speedup) {
-        println!("[sweep warm re-run: {w:.3}s, {s:.0}x over serial uncached]");
-    }
-    (results, perf)
-}
-
 /// Folds profiled stall breakdowns into one [`StallRollup`], using the
 /// same `(track, category)` placement a traced run produces: compute and
 /// the exposed interconnect / network / fetch stalls land on the rank-0
@@ -412,7 +143,6 @@ pub struct Table {
     title: String,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
-    perf: Option<SweepPerf>,
     rollup: Option<StallRollup>,
 }
 
@@ -425,15 +155,8 @@ impl Table {
             title: title.to_string(),
             columns: columns.iter().map(|c| (*c).to_string()).collect(),
             rows: Vec::new(),
-            perf: None,
             rollup: None,
         }
-    }
-
-    /// Attaches the sweep's performance record; it is emitted as a `perf`
-    /// object in the results JSON.
-    pub fn set_perf(&mut self, perf: SweepPerf) {
-        self.perf = Some(perf);
     }
 
     /// Attaches the sweep's per-category stall rollup; it is written as
@@ -575,27 +298,6 @@ impl Table {
             serde_json::Value::String(self.title.clone()),
         );
         doc.insert("rows".to_string(), serde_json::Value::Array(json_rows));
-        if let Some(perf) = &self.perf {
-            doc.insert(
-                "perf".to_string(),
-                serde_json::json!({
-                    "wall_secs": perf.wall_secs,
-                    "serial_secs": perf.serial_secs,
-                    "speedup": perf.speedup,
-                    "warm_secs": perf.warm_secs,
-                    "warm_speedup": perf.warm_speedup,
-                    "cache_hits": perf.cache_hits,
-                    "cache_misses": perf.cache_misses,
-                    "cache_hit_rate": perf.hit_rate(),
-                    "threads": perf.threads as u64,
-                    "jobs": perf.jobs as u64,
-                    "full_recomputes": perf.full_recomputes,
-                    "shortcut_events": perf.shortcut_events,
-                    "fast_forwarded_iterations": perf.fast_forwarded_iterations,
-                    "sim_events": perf.sim_events,
-                }),
-            );
-        }
         let json_text = match serde_json::to_string_pretty(&serde_json::Value::Object(doc)) {
             Ok(t) => t,
             Err(e) => panic!("cannot serialize {}: {e}", self.name),
@@ -655,35 +357,6 @@ mod tests {
         t.row(vec!["b", "20.0"]);
         let c = t.to_bar_chart(&["config"], "stall");
         assert!(c.contains('a') && c.contains("20.0"));
-    }
-
-    #[test]
-    fn sweep_perf_prometheus_exposes_cache_counters() {
-        let perf = SweepPerf {
-            wall_secs: 1.5,
-            serial_secs: None,
-            speedup: None,
-            warm_secs: None,
-            warm_speedup: None,
-            cache_hits: 42,
-            cache_misses: 7,
-            threads: 4,
-            jobs: 9,
-            full_recomputes: 11,
-            shortcut_events: 1_000,
-            fast_forwarded_iterations: 640,
-            sim_events: 5_000,
-        };
-        let text = perf.prometheus();
-        stash_telemetry::prom::validate(&text).unwrap();
-        assert!(text.contains("stash_measurement_cache_hits_total 42"));
-        assert!(text.contains("stash_measurement_cache_misses_total 7"));
-        assert!(text.contains("stash_sweep_jobs_total 9"));
-        assert!(text.contains("# TYPE stash_sweep_wall_seconds gauge"));
-        assert!(text.contains("stash_solver_full_recomputes_total 11"));
-        assert!(text.contains("stash_solver_shortcut_events_total 1000"));
-        assert!(text.contains("stash_fast_forwarded_iterations_total 640"));
-        assert!(text.contains("stash_sim_events_total 5000"));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! contention between subsystems is emergent.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::OnceLock;
 
 use stash_collectives::bucket::CommPlan;
 use stash_collectives::constants::GRAD_HOOK_OVERHEAD;
@@ -31,7 +30,6 @@ use stash_trace::{Category, SharedTracer, Track};
 
 use crate::config::{ActiveGpus, DataMode, TrainConfig};
 use crate::error::TrainError;
-use crate::perf_stats;
 use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};
 use crate::report::{EpochReport, IterationSample};
 
@@ -158,26 +156,14 @@ struct Comm {
 pub struct EngineOptions {
     /// Detect the exact periodic steady state of synthetic-data runs and
     /// extend the remaining iterations analytically instead of simulating
-    /// them event by event. Defaults from the `STASH_FAST_FORWARD`
-    /// environment variable (`0` disables; anything else — including
-    /// unset — enables).
+    /// them event by event. On by default.
     pub fast_forward: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            fast_forward: fast_forward_env_default(),
-        }
+        EngineOptions { fast_forward: true }
     }
-}
-
-/// `STASH_FAST_FORWARD` parsed once per process: reading environment
-/// variables allocates, and [`EngineOptions::default`] sits on the
-/// zero-allocation hot path.
-fn fast_forward_env_default() -> bool {
-    static FF_ENV: OnceLock<bool> = OnceLock::new();
-    *FF_ENV.get_or_init(|| std::env::var_os("STASH_FAST_FORWARD").is_none_or(|v| v != "0"))
 }
 
 /// Reusable simulation state: the flow network, the event queue and the
@@ -621,11 +607,8 @@ struct Engine<'a> {
     /// engine.
     faults: Option<FaultRuntime>,
     /// Iterations skipped by fast-forward (diagnostic only; flushed to
-    /// [`perf_stats`], never reported in the [`EpochReport`]).
+    /// the telemetry registry, never reported in the [`EpochReport`]).
     ff_iterations: u64,
-    /// Flow-network recompute counters at construction, so per-epoch deltas
-    /// survive arena reuse.
-    net_stats0: (u64, u64),
     /// Iteration-series recorder; `None` unless a series entry point was
     /// used with the telemetry switch on. Pure observation — never
     /// perturbs the simulation.
@@ -741,7 +724,9 @@ impl<'a> Engine<'a> {
             Vec::new()
         };
 
-        let net_stats0 = net.recompute_stats();
+        // Recompute counter at construction, so series deltas survive
+        // arena reuse.
+        let (recomputes0, _) = net.recompute_stats();
         // Fast-forward needs exactly repeating iterations: synthetic input
         // (loader pipelines have their own long-period state), no
         // per-iteration trace samples, and enough iterations for the
@@ -881,14 +866,13 @@ impl<'a> Engine<'a> {
             ff,
             faults,
             ff_iterations: 0,
-            net_stats0,
             // Behind the telemetry switch like every other self-observation
             // layer: a series entry point with the switch off records
             // nothing (and allocates nothing).
             series: (record_series && stash_telemetry::enabled()).then(|| SeriesState {
                 rec: SeriesRecorder::new(),
                 mark: SeriesMark {
-                    recomputes: net_stats0.0,
+                    recomputes: recomputes0,
                     ..SeriesMark::default()
                 },
             }),
@@ -2297,18 +2281,10 @@ impl<'a> Engine<'a> {
     // ----- reporting --------------------------------------------------------
 
     fn build_report(&mut self) -> EpochReport {
-        // Flush per-epoch diagnostics to the process-wide counters. The
-        // report itself never carries them: it must stay bit-identical
-        // across fast-forward on/off and arena reuse.
-        let (full, shortcut) = self.net.recompute_stats();
-        perf_stats::record_epoch(
-            full - self.net_stats0.0,
-            shortcut - self.net_stats0.1,
-            self.ff_iterations,
-            self.q.delivered_count(),
-        );
         // The solver/queue registry metrics are recorded at their own
-        // hot-path sites; only epoch-scoped facts flush here.
+        // hot-path sites; only epoch-scoped facts flush here. The report
+        // itself never carries them: it must stay bit-identical across
+        // fast-forward on/off and arena reuse.
         stash_telemetry::metrics::FF_ITERATIONS.add(self.ff_iterations);
         stash_telemetry::metrics::EPOCHS.inc();
         let full_iters = self.cfg.epoch_iterations();

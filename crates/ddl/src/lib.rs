@@ -32,7 +32,6 @@
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod perf_stats;
 pub mod recovery;
 pub mod report;
 
@@ -45,7 +44,6 @@ pub mod prelude {
         EngineArena, EngineOptions, SeriesRun,
     };
     pub use crate::error::TrainError;
-    pub use crate::perf_stats::PerfSnapshot;
     pub use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};
     pub use crate::report::EpochReport;
 }

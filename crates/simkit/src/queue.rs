@@ -85,7 +85,6 @@ pub struct EventQueue<E> {
     /// Deepest `live` has been since the last [`EventQueue::take_depth_high_water`].
     window_hw: usize,
     scheduled: u64,
-    delivered: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -107,7 +106,6 @@ impl<E> EventQueue<E> {
             live: 0,
             window_hw: 0,
             scheduled: 0,
-            delivered: 0,
         }
     }
 
@@ -195,7 +193,6 @@ impl<E> EventQueue<E> {
             self.live -= 1;
             debug_assert!(entry.at >= self.now);
             self.now = entry.at;
-            self.delivered += 1;
             stash_telemetry::metrics::QUEUE_POPPED.inc();
             return Some((entry.at, entry.payload));
         }
@@ -244,12 +241,6 @@ impl<E> EventQueue<E> {
         self.scheduled
     }
 
-    /// Total events delivered over the queue's lifetime.
-    #[must_use]
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
-
     /// Returns the queue to its freshly-constructed state while keeping the
     /// heap, slot-table and free-list capacity, so a reused queue behaves
     /// bit-identically to a new one without reallocating.
@@ -262,7 +253,6 @@ impl<E> EventQueue<E> {
         self.live = 0;
         self.window_hw = 0;
         self.scheduled = 0;
-        self.delivered = 0;
     }
 }
 
@@ -320,7 +310,6 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(2), ());
         q.pop();
         assert_eq!(q.scheduled_count(), 2);
-        assert_eq!(q.delivered_count(), 1);
         assert_eq!(q.len(), 1);
     }
 
@@ -350,7 +339,6 @@ mod tests {
         q.reset();
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.scheduled_count(), 0);
-        assert_eq!(q.delivered_count(), 0);
         assert!(q.is_empty());
         q.schedule_at(SimTime::from_nanos(1), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 2)));

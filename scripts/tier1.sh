@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, full test suite, lint-clean
-# under clippy, warning-free rustdoc, and CLI smoke tests for the trace,
-# report, diff, chaos, perf, dash and flight-recorder subcommand surface.
+# under clippy (every target), warning-free rustdoc, CLI smoke tests for
+# the trace, report, diff, chaos, perf, dash, flight-recorder, sweep and
+# fsck subcommand surface, the durable-sweep resume gate, and a
+# figure-regeneration gate at one and two sweep workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +14,7 @@ cargo test -q
 # Every workspace crate's unit tests and doctests (the line above runs
 # only the root package).
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the
 # gate visible and catches regressions even if the workspace line changes.
@@ -222,6 +224,42 @@ cargo test -q --test perf_cli
 cargo test -q --test series_differential
 cargo test -q --test series_props
 
-# Benchmark-script smoke: runs the figure sweep with fast-forward on and
-# off at a small iteration budget and sanity-checks the perf record.
-scripts/bench.sh --smoke
+# Durable-sweep economics: a cold 24-cell sweep simulates every cell into
+# a fresh store; the resumed run serves every cell from verified records.
+# The resumed CSV must agree with the cold one on every value (only the
+# status column flips computed -> resumed), and resuming must be at least
+# 5x faster: the store exists so crashed fleets never pay for a cell twice.
+rm -rf /tmp/stash_tier1_grid_store
+grid=(--models AlexNet,ResNet18,ResNet50,ShuffleNet,MobileNet-v2,VGG11
+    --clusters "p3.2xlarge,p3.8xlarge,p3.16xlarge,p3.8xlarge*2" --iters 30)
+t0=$(date +%s%N)
+./target/release/stash sweep "${grid[@]}" --store /tmp/stash_tier1_grid_store \
+    --out /tmp/stash_tier1_grid_cold.csv >/dev/null
+t1=$(date +%s%N)
+./target/release/stash sweep --store /tmp/stash_tier1_grid_store --resume \
+    --out /tmp/stash_tier1_grid_warm.csv >/dev/null
+t2=$(date +%s%N)
+cmp <(sed 's/,[a-z-]*$//' /tmp/stash_tier1_grid_cold.csv) \
+    <(sed 's/,[a-z-]*$//' /tmp/stash_tier1_grid_warm.csv)
+cold_ns=$((t1 - t0))
+resumed_ns=$((t2 - t1))
+awk -v c="$cold_ns" -v r="$resumed_ns" \
+    'BEGIN { printf "[durable sweep: cold %.3fs -> resumed %.3fs, %.1fx]\n", c / 1e9, r / 1e9, c / r }'
+if ((cold_ns < 5 * resumed_ns)); then
+    echo "resume speedup gate: below 5x, the store is no longer paying for itself" >&2
+    exit 1
+fi
+
+# Figure-regeneration gate: two figure sweeps at the default iteration
+# budget, on one sweep worker and on two, must rewrite their committed
+# CSV, JSON and rollup files byte for byte (`git diff` compares with the
+# index, so a deliberate figure change passes once it is staged).
+fig_files=()
+for fig in fig04_p2_cpu_disk fig11_p3_ic; do
+    fig_files+=("results/$fig.csv" "results/$fig.json" "results/${fig}_rollup.json")
+done
+for threads in 1 2; do
+    env -u STASH_BENCH_ITERS STASH_BENCH_THREADS="$threads" \
+        cargo bench -q -p stash-bench --bench fig04_p2_cpu_disk --bench fig11_p3_ic >/dev/null
+    git diff --exit-code --stat -- "${fig_files[@]}"
+done

@@ -104,12 +104,20 @@ fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
     })
 }
 
-fn parse_batch(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "-b" || a == "--batch")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
+/// The `-b/--batch` value: 32 when the flag is absent, otherwise a
+/// positive integer. Anything else prints a usage error and yields `None`.
+fn parse_batch(args: &[String]) -> Option<u64> {
+    let Some(i) = args.iter().position(|a| a == "-b" || a == "--batch") else {
+        return Some(32);
+    };
+    let v = args.get(i + 1).map_or("", String::as_str);
+    match v.parse::<u64>() {
+        Ok(b) if b >= 1 => Some(b),
+        _ => {
+            eprintln!("-b/--batch wants a positive integer, got '{v}'");
+            None
+        }
+    }
 }
 
 fn stash_for(model: Model, batch: u64) -> Stash {
@@ -176,7 +184,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match stash_for(model, parse_batch(args)).profile(&cluster) {
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
+    match stash_for(model, batch).profile(&cluster) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS
@@ -205,7 +216,10 @@ fn cmd_advise(args: &[String]) -> ExitCode {
     } else {
         Objective::Cost
     };
-    let stash = stash_for(model, parse_batch(args));
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
+    let stash = stash_for(model, batch);
     match recommend(&stash, &default_candidates(), objective) {
         Ok(advice) => {
             println!("{:<16} {:>12} {:>10}", "cluster", "epoch", "cost $");
@@ -297,7 +311,9 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             )
         });
 
-    let batch = parse_batch(args);
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
     // Real warm-cache data so the trace shows the full pipeline: fetch,
     // prep, H2D upload, compute and all-reduce on their own tracks.
     let dataset = if model.name.starts_with("BERT") {
@@ -502,7 +518,9 @@ fn cmd_report(args: &[String]) -> ExitCode {
         });
     let (html_path, json_path) = report_paths(&out_base);
 
-    let batch = parse_batch(args);
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
     let dataset = if model.name.starts_with("BERT") {
         DatasetSpec::squad2()
     } else {
@@ -658,12 +676,23 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         eprintln!("usage: stash diff <baseline.json> <current.json> [--threshold FRAC]");
         return ExitCode::FAILURE;
     };
-    let threshold = args
+    let threshold = match args
         .iter()
         .position(|a| a == "--threshold" || a == "-t")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DIFF_THRESHOLD);
+        .map(|i| args.get(i + 1).map_or("", String::as_str))
+    {
+        None => DEFAULT_DIFF_THRESHOLD,
+        Some(v) => match v.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => t,
+            _ => {
+                eprintln!(
+                    "--threshold wants a finite, non-negative fraction, got '{v}'\n\
+                     usage: stash diff <baseline.json> <current.json> [--threshold FRAC]"
+                );
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let load_doc = |path: &str| -> Result<serde_json::Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
@@ -835,7 +864,9 @@ fn cmd_perf(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let batch = parse_batch(args);
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
     let model_slug = model_name.to_lowercase();
 
     // Everything below runs with self-telemetry on, from a clean
@@ -994,6 +1025,9 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
     let seed: u64 = match args
         .iter()
         .position(|a| a == "--seed")
@@ -1071,7 +1105,6 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
 
     // A full (factor-1) synthetic window: every accumulator is exact, so
     // the trace must corroborate the engine to the nanosecond.
-    let batch = parse_batch(args);
     let iters: u64 = 16;
     let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * iters);
     cfg.epoch_mode = EpochMode::Full;
@@ -1544,6 +1577,10 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         },
     };
 
+    let Some(batch) = parse_batch(args) else {
+        return ExitCode::FAILURE;
+    };
+
     let mut policy = RetryPolicy::default();
     if let Some(v) = flag_val(args, "--retries") {
         match v.parse::<u32>() {
@@ -1684,7 +1721,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             eprintln!("empty --clusters/--models list\n{usage}");
             return ExitCode::FAILURE;
         }
-        let batch = parse_batch(args);
         for cluster_spec in &cluster_specs {
             let cluster = match parse_cluster(cluster_spec) {
                 Ok(c) => c,

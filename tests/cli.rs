@@ -66,6 +66,18 @@ fn unknown_inputs_fail_with_guidance() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("usage"));
+
+    // A batch that is not a positive integer is a usage error, not a
+    // silent fallback to the default batch.
+    for bad in ["abc", "-3", "0"] {
+        let out = stash(&["profile", "resnet18", "p3.2xlarge", "-b", bad]);
+        assert!(!out.status.success(), "-b {bad} was accepted");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("-b/--batch wants a positive integer"),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -216,6 +228,15 @@ fn diff_passes_self_compare_and_flags_doctored_report() {
     assert!(!out.status.success(), "doctored report must fail the diff");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("network"), "{stderr}");
+
+    // A threshold that is unparsable, non-finite or negative is a usage
+    // error, even on a self-compare that would otherwise pass.
+    for bad in ["NaN", "inf", "abc", "-0.5"] {
+        let out = stash(&["diff", json, json, "--threshold", bad]);
+        assert!(!out.status.success(), "--threshold {bad} was accepted");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--threshold wants"), "{stderr}");
+    }
 
     // Garbage input errors out rather than panicking.
     let out = stash(&["diff", json, "/definitely/not/a/file.json"]);

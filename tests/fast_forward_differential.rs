@@ -6,8 +6,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_in, run_epoch_with, EngineArena, EngineOptions};
-use stash::ddl::perf_stats;
+use stash::ddl::engine::{
+    run_epoch_in, run_epoch_series, run_epoch_with, EngineArena, EngineOptions,
+};
 use stash::prelude::*;
 
 fn clusters() -> Vec<ClusterSpec> {
@@ -65,15 +66,21 @@ fn fast_forward_engages_on_long_synthetic_runs() {
         32 * 200,
     );
     cfg.epoch_mode = EpochMode::Full;
-    let before = perf_stats::snapshot();
-    let on = run(&cfg, true);
-    let skipped = perf_stats::snapshot()
-        .since(&before)
-        .fast_forwarded_iterations;
+    // Count this run's own skips through its iteration series (recorded
+    // only with the telemetry switch on, which changes no report bit), not
+    // a process-wide counter the other tests in this binary also advance.
+    stash::telemetry::enable();
+    let skipped = |fast_forward| {
+        let sr = run_epoch_series(&cfg, &EngineOptions { fast_forward }, None).expect("series");
+        (sr.series.totals().ff_iterations, sr.run.report)
+    };
+    let (skipped_on, on) = skipped(true);
     assert!(
-        skipped >= 150,
-        "expected most of 200 iterations to be fast-forwarded, got {skipped}"
+        skipped_on >= 150,
+        "expected most of 200 iterations to be fast-forwarded, got {skipped_on}"
     );
+    let (skipped_off, _) = skipped(false);
+    assert_eq!(skipped_off, 0, "fast-forward off still skipped iterations");
     // And the skipped iterations change nothing.
     assert_eq!(run(&cfg, false), on);
 }

@@ -102,7 +102,7 @@ fn sigkill_mid_write_then_resume_converges_to_identical_bytes() {
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_stash"))
         .args(
-            &[
+            [
                 &[
                     "sweep",
                     "--store",
