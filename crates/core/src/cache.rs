@@ -27,8 +27,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use serde::Serialize;
 use stash_ddl::config::TrainConfig;
-use stash_ddl::engine::{run_epoch, run_epoch_in, EngineArena};
+use stash_ddl::engine::{run_epoch_in, EngineArena};
 use stash_simkit::time::SimDuration;
+use stash_store::fnv128;
 
 use crate::error::ProfileError;
 
@@ -152,12 +153,6 @@ impl MeasurementCache {
         }
     }
 
-    /// Resets the hit/miss counters (entries are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
     /// Drops every stored measurement (counters are kept). Each dropped
     /// entry counts as an eviction in the telemetry registry.
     ///
@@ -171,15 +166,18 @@ impl MeasurementCache {
         stash_telemetry::metrics::CACHE_EVICTIONS.add(evicted);
     }
 
-    /// The epoch time for `cfg`, simulated on first request and memoized
-    /// after. The engine is deterministic, so a cached result is
-    /// bit-identical to a fresh run.
+    /// The epoch time for `cfg`, simulated on first request (inside the
+    /// caller's `arena`, so a loop over many configurations reuses one
+    /// simulator allocation) and memoized after. The engine is
+    /// deterministic, so a cached result is bit-identical to a fresh run.
     ///
     /// The engine runs outside the lock, and a miss is single-flight:
     /// concurrent requests for a key another thread is simulating wait
     /// for its result and count as hits. So each distinct key costs one
     /// simulation and one miss however the requests interleave; only an
-    /// engine error lets a waiter retry (and fail the same way).
+    /// engine error lets a waiter retry (and fail the same way). Waiting
+    /// cannot deadlock because a claimed key's simulation (one engine
+    /// run) never consults the cache.
     ///
     /// # Errors
     ///
@@ -188,39 +186,10 @@ impl MeasurementCache {
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
-    pub fn epoch_time(&self, cfg: &TrainConfig) -> Result<SimDuration, ProfileError> {
-        self.memo(cfg, |cfg| Ok(run_epoch(cfg)?.epoch_time))
-    }
-
-    /// [`Self::epoch_time`] measuring misses inside a caller-owned
-    /// [`EngineArena`], so a loop over many configurations reuses one
-    /// simulator allocation instead of rebuilding per miss. Results are
-    /// bit-identical to [`Self::epoch_time`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (which are never cached).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned.
-    pub fn epoch_time_in(
+    pub fn epoch_time(
         &self,
         cfg: &TrainConfig,
         arena: &mut EngineArena,
-    ) -> Result<SimDuration, ProfileError> {
-        self.memo(cfg, |cfg| Ok(run_epoch_in(cfg, arena)?.epoch_time))
-    }
-
-    /// The single-flight memo behind both lookups: answers from the map,
-    /// waits out a measurement of the same key in flight on another
-    /// thread, or claims the key and runs `simulate`. Waiting cannot
-    /// deadlock because `simulate` (one engine run) never consults the
-    /// cache while it holds a claim.
-    fn memo(
-        &self,
-        cfg: &TrainConfig,
-        simulate: impl FnOnce(&TrainConfig) -> Result<SimDuration, ProfileError>,
     ) -> Result<SimDuration, ProfileError> {
         let key = config_key(cfg);
         let mut entries = self.locked();
@@ -242,41 +211,38 @@ impl MeasurementCache {
         let claim = Claim { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
         stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = simulate(cfg)?;
+        let t = run_epoch_in(cfg, arena)?.epoch_time;
         self.locked().done.insert(key, t);
         drop(claim);
         Ok(t)
     }
 }
 
-/// Canonical cache key: FNV-1a (128-bit) over the config's canonical JSON.
+/// Canonical cache key: FNV-1a (128-bit, [`fnv128`]) over the config's
+/// canonical JSON, streamed without building a `Value` tree.
 ///
 /// Serialization is field-ordered and deterministic, so equal configs hash
 /// equal; 128 bits make accidental collisions between distinct configs
 /// negligible.
 #[must_use]
 pub fn config_key(cfg: &TrainConfig) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-    let Ok(canonical) = serde_json::to_string(&cfg.to_json_value()) else {
+    let Ok(canonical) = serde_json::to_string(cfg) else {
         unreachable!("TrainConfig serialization is infallible")
     };
-    let mut h = OFFSET;
-    for b in canonical.bytes() {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    fnv128(canonical.as_bytes())
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use stash_ddl::config::ActiveGpus;
+    use stash_datapipe::cache::CacheState;
+    use stash_ddl::config::{ActiveGpus, DataMode, EpochMode, Straggler};
+    use stash_ddl::engine::run_epoch;
+    use stash_dnn::dataset::DatasetSpec;
     use stash_dnn::zoo;
     use stash_hwtopo::cluster::ClusterSpec;
-    use stash_hwtopo::instance::p3_8xlarge;
+    use stash_hwtopo::instance::{catalog, p3_8xlarge};
 
     fn cfg() -> TrainConfig {
         let mut c = TrainConfig::synthetic(
@@ -306,10 +272,57 @@ mod tests {
     }
 
     #[test]
+    fn config_keys_match_the_value_tree_derivation() {
+        // The derivation caches were keyed with before keys were streamed.
+        let tree_key = |cfg: &TrainConfig| {
+            fnv128(
+                serde_json::to_string(&cfg.to_json_value())
+                    .unwrap()
+                    .as_bytes(),
+            )
+        };
+        for (model, _) in zoo::all_models() {
+            for inst in catalog() {
+                for nodes in [1, 2] {
+                    let cluster = ClusterSpec::homogeneous(inst.clone(), nodes);
+                    let synthetic = TrainConfig::synthetic(cluster, model.clone(), 32, 2_000);
+                    let mut single = synthetic.clone();
+                    single.active = ActiveGpus::Single;
+                    let mut cold = synthetic.clone();
+                    cold.data = DataMode::Real {
+                        dataset: DatasetSpec::imagenet1k(),
+                        cache: CacheState::Cold,
+                    };
+                    let mut warm = synthetic.clone();
+                    warm.data = DataMode::Real {
+                        dataset: DatasetSpec::squad2(),
+                        cache: CacheState::Warm,
+                    };
+                    warm.epoch_mode = EpochMode::Full;
+                    warm.straggler = Some(Straggler {
+                        rank: 0,
+                        slowdown: 1.5,
+                    });
+                    warm.record_trace = true;
+                    for cfg in [synthetic, single, cold, warm] {
+                        assert_eq!(
+                            config_key(&cfg),
+                            tree_key(&cfg),
+                            "{} on {}",
+                            cfg.model.name,
+                            cfg.cluster.display_name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn second_lookup_hits_and_matches() {
         let cache = MeasurementCache::new();
-        let first = cache.epoch_time(&cfg()).unwrap();
-        let second = cache.epoch_time(&cfg()).unwrap();
+        let first = cache.epoch_time(&cfg(), &mut EngineArena::new()).unwrap();
+        let second = cache.epoch_time(&cfg(), &mut EngineArena::new()).unwrap();
         assert_eq!(first, second);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
@@ -328,7 +341,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        cache.epoch_time(cfg)
+                        cache.epoch_time(cfg, &mut EngineArena::new())
                     })
                 })
                 .collect();
@@ -360,7 +373,7 @@ mod tests {
     #[test]
     fn clear_empties_entries_but_keeps_counters() {
         let cache = MeasurementCache::new();
-        cache.epoch_time(&cfg()).unwrap();
+        cache.epoch_time(&cfg(), &mut EngineArena::new()).unwrap();
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
@@ -370,7 +383,7 @@ mod tests {
     #[test]
     fn cached_value_matches_direct_engine_run() {
         let cache = MeasurementCache::new();
-        let via_cache = cache.epoch_time(&cfg()).unwrap();
+        let via_cache = cache.epoch_time(&cfg(), &mut EngineArena::new()).unwrap();
         let direct = run_epoch(&cfg()).unwrap().epoch_time;
         assert_eq!(via_cache, direct);
     }

@@ -71,9 +71,7 @@ pub mod prelude {
     pub use crate::db::CharacterizationDb;
     pub use crate::error::ProfileError;
     pub use crate::pipeline::{plan as pipeline_plan, PipelinePlan};
-    pub use crate::profiler::{
-        par_profile_many, profile_threads, DsAnalyzer, ExecMode, ProfileJob, Stash,
-    };
+    pub use crate::profiler::{par_profile_many, profile_threads, DsAnalyzer, ProfileJob, Stash};
     pub use crate::qos::{network_stall_distribution, QosDistribution};
     pub use crate::render::{comparison_markdown, report_markdown};
     pub use crate::report::{StallReport, StepTimes};

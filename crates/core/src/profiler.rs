@@ -19,14 +19,13 @@ use stash_collectives::bucket::Bucketing;
 use stash_collectives::schedule::Algorithm;
 use stash_datapipe::cache::CacheState;
 use stash_ddl::config::{ActiveGpus, DataMode, EpochMode, TrainConfig};
-use stash_ddl::engine::{run_epoch_in, run_epoch_traced, EngineArena};
+use stash_ddl::engine::{run_epoch_in, EngineArena};
 use stash_dnn::dataset::DatasetSpec;
 use stash_dnn::model::Model;
 use stash_gpucompute::precision::Precision;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{catalog, InstanceType};
-use stash_simkit::time::{SimDuration, SimTime};
-use stash_trace::{Category, SharedTracer, Track};
+use stash_simkit::time::SimDuration;
 
 use crate::cache::MeasurementCache;
 use crate::error::ProfileError;
@@ -35,19 +34,6 @@ use crate::report::{StallReport, StepTimes};
 /// Default number of iterations simulated per step (the paper exploits
 /// DL's repetitiveness the same way: one epoch characterizes training).
 pub const DEFAULT_SAMPLED_ITERATIONS: u64 = 25;
-
-/// How a profile executes its five measurement steps.
-///
-/// The steps are independent simulations of a deterministic engine, so
-/// both modes produce bit-identical [`StallReport`]s; `Parallel` simply
-/// overlaps their wall-clock time on separate threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum ExecMode {
-    /// Run steps 1-5 one after another on the calling thread.
-    Serial,
-    /// Run the steps concurrently on scoped threads (one per step).
-    Parallel,
-}
 
 /// Number of worker threads sweep fan-out uses: the `STASH_BENCH_THREADS`
 /// environment variable when set (minimum 1), otherwise the machine's
@@ -281,7 +267,7 @@ impl Stash {
     /// Propagates engine errors (e.g. out-of-memory) and
     /// [`ProfileError::NoReference`] for unreferenced multi-node shapes.
     pub fn profile(&self, cluster: &ClusterSpec) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Parallel, None)
+        self.profile_threaded(cluster, None)
     }
 
     /// [`Stash::profile`] on the calling thread only — the original
@@ -291,7 +277,7 @@ impl Stash {
     ///
     /// As for [`Stash::profile`].
     pub fn profile_serial(&self, cluster: &ClusterSpec) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Serial, None)
+        self.profile_serial_in(cluster, None, &mut EngineArena::new())
     }
 
     /// [`Stash::profile`] backed by a measurement cache: steps whose
@@ -306,73 +292,48 @@ impl Stash {
         cluster: &ClusterSpec,
         cache: &MeasurementCache,
     ) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Parallel, Some(cache))
+        self.profile_threaded(cluster, Some(cache))
     }
 
-    /// The fully explicit profiling entry point: chooses serial or
-    /// parallel step execution and an optional measurement cache.
+    /// The steps on scoped threads, one per step, each in an arena of its
+    /// own (the engine's state is deliberately !Send).
     ///
-    /// All four combinations produce bit-identical reports: the engine is
+    /// Bit-identical to [`Stash::profile_serial_in`]: the engine is
     /// deterministic, steps are independent, results are assembled in step
     /// order, and on error the lowest-numbered failing step wins (exactly
     /// the error serial execution would have surfaced first).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stash::profile`].
-    pub fn profile_with(
+    fn profile_threaded(
         &self,
         cluster: &ClusterSpec,
-        mode: ExecMode,
         cache: Option<&MeasurementCache>,
     ) -> Result<StallReport, ProfileError> {
-        match mode {
-            ExecMode::Serial => {
-                let mut arena = EngineArena::new();
-                self.profile_serial_in(cluster, cache, &mut arena)
-            }
-            ExecMode::Parallel => {
-                let reference = Self::reference_for(cluster)?;
-                let configs = self.step_configs(cluster, &reference);
-                let results: Vec<Result<SimDuration, ProfileError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = configs
-                        .iter()
-                        .map(|cfg| {
-                            scope.spawn(move || {
-                                // Each step thread owns its arena (the
-                                // engine's state is deliberately !Send).
-                                let mut arena = EngineArena::new();
-                                measure_in(cache, cfg, &mut arena)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => panic!("measurement step panicked"),
-                        })
-                        .collect()
-                });
-                let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-                for r in results {
-                    times.push(r?);
-                }
-                Ok(self.assemble_report(cluster, reference, &times))
-            }
+        let reference = Self::reference_for(cluster)?;
+        let configs = self.step_configs(cluster, &reference);
+        let results: Vec<Result<SimDuration, ProfileError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = configs
+                .iter()
+                .map(|cfg| scope.spawn(move || measure_in(cache, cfg, &mut EngineArena::new())))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(r) => r,
+                    Err(_) => panic!("measurement step panicked"),
+                })
+                .collect()
+        });
+        let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
+        for r in results {
+            times.push(r?);
         }
+        Ok(self.assemble_report(cluster, reference, &times))
     }
 
-    /// Serial profile that measures every step inside a caller-owned
-    /// [`EngineArena`]: the five-step measurement ladder reuses one flow
-    /// network and event queue, and a sweep looping over many points can
-    /// pass the same arena to every profile. Reports are bit-identical to
-    /// the other execution modes.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stash::profile`].
-    pub fn profile_serial_in(
+    /// The steps one after another inside a caller-owned [`EngineArena`]:
+    /// the five-step measurement ladder reuses one flow network and event
+    /// queue, and a sweep worker passes the same arena to every profile it
+    /// runs.
+    fn profile_serial_in(
         &self,
         cluster: &ClusterSpec,
         cache: Option<&MeasurementCache>,
@@ -408,68 +369,6 @@ impl Stash {
             },
         }
     }
-
-    /// [`Stash::profile_serial`] with a trace recorder attached: every
-    /// measurement step runs through the traced engine, scoped to its own
-    /// process namespace (`t1` → process 1, ... `t5` → process 5) so the
-    /// five independent simulations — each with its own clock starting at
-    /// zero — stay distinguishable in one sink. Each step is additionally
-    /// stamped as a span on its [`stash_trace::TrackKind::Profiler`] lane
-    /// covering the step's (extrapolated) epoch time.
-    ///
-    /// The report is bit-identical to [`Stash::profile_serial`]; the
-    /// tracer's process is restored to its previous value afterwards.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stash::profile`].
-    pub fn profile_traced(
-        &self,
-        cluster: &ClusterSpec,
-        tracer: &SharedTracer,
-    ) -> Result<StallReport, ProfileError> {
-        const STEP_NAMES: [&str; 5] = ["t1", "t2", "t3", "t4", "t5"];
-        let reference = Self::reference_for(cluster)?;
-        let configs = self.step_configs(cluster, &reference);
-        let prior_process = tracer.borrow().process();
-
-        let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-        for (step, cfg) in configs.iter().enumerate() {
-            tracer.borrow_mut().set_process(step as u32 + 1);
-            let result = run_epoch_traced(cfg, tracer);
-            let report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    tracer.borrow_mut().set_process(prior_process);
-                    return Err(e.into());
-                }
-            };
-            tracer.borrow_mut().span(
-                Track::profiler(step),
-                Category::Solver,
-                STEP_NAMES[step],
-                SimTime::ZERO,
-                SimTime::ZERO + report.epoch_time,
-            );
-            times.push(report.epoch_time);
-        }
-        tracer.borrow_mut().set_process(prior_process);
-
-        Ok(StallReport {
-            cluster: cluster.display_name(),
-            reference: reference.name,
-            model: self.model.name.clone(),
-            per_gpu_batch: self.per_gpu_batch,
-            world: cluster.world_size(),
-            times: StepTimes {
-                t1: Some(times[0]),
-                t2: Some(times[1]),
-                t3: Some(times[2]),
-                t4: Some(times[3]),
-                t5: times.get(4).copied(),
-            },
-        })
-    }
 }
 
 /// Measures one step config inside `arena`, answering from `cache` when
@@ -482,7 +381,7 @@ fn measure_in(
 ) -> Result<SimDuration, ProfileError> {
     let t0 = stash_telemetry::enabled().then(std::time::Instant::now);
     let out = match cache {
-        Some(c) => c.epoch_time_in(cfg, arena),
+        Some(c) => c.epoch_time(cfg, arena),
         None => Ok(run_epoch_in(cfg, arena)?.epoch_time),
     };
     if let Some(t0) = t0 {
@@ -505,8 +404,8 @@ pub struct ProfileJob {
 /// each result to `sink` *on the calling thread*, in input order, as soon
 /// as it and every earlier result are done.
 ///
-/// Each worker claims whole jobs and runs them with [`ExecMode::Serial`]
-/// steps inside one [`EngineArena`] of its own — the parallelism lives at
+/// Each worker claims whole jobs and runs their steps serially inside one
+/// [`EngineArena`] of its own — the parallelism lives at
 /// the job level, so a sweep of dozens of instance x batch x model points
 /// saturates the machine without oversubscribing it with nested per-step
 /// threads. Passing a `cache` additionally deduplicates measurements
@@ -630,23 +529,7 @@ impl DsAnalyzer {
     ///
     /// Propagates engine errors.
     pub fn profile(&self, instance: InstanceType) -> Result<StallReport, ProfileError> {
-        self.profile_with(instance, ExecMode::Parallel, None)
-    }
-
-    /// [`DsAnalyzer::profile`] with explicit execution mode and optional
-    /// measurement cache, mirroring [`Stash::profile_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn profile_with(
-        &self,
-        instance: InstanceType,
-        mode: ExecMode,
-        cache: Option<&MeasurementCache>,
-    ) -> Result<StallReport, ProfileError> {
-        let cluster = ClusterSpec::single(instance);
-        let mut report = self.inner.profile_with(&cluster, mode, cache)?;
+        let mut report = self.inner.profile(&ClusterSpec::single(instance))?;
         report.times.t1 = None;
         report.times.t5 = None;
         Ok(report)
@@ -747,36 +630,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 4, "first run simulates all four steps");
         assert_eq!(stats.hits, 4, "second run is fully cached");
-    }
-
-    #[test]
-    fn traced_profile_matches_serial_and_stamps_steps() {
-        use stash_trace::{shared, JsonSink, Tracer, TrackKind};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let stash = quick(zoo::alexnet());
-        let cluster = ClusterSpec::homogeneous(p3_8xlarge(), 2);
-        let serial = stash.profile_serial(&cluster).unwrap();
-        let sink = Rc::new(RefCell::new(JsonSink::new()));
-        let tracer = shared(Tracer::new(sink.clone()));
-        let traced = stash.profile_traced(&cluster, &tracer).unwrap();
-        assert_eq!(serial, traced);
-
-        let events = sink.borrow().events().to_vec();
-        let stamps: Vec<u32> = events
-            .iter()
-            .filter(|(_, e)| e.track().kind == TrackKind::Profiler)
-            .map(|(p, _)| *p)
-            .collect();
-        assert_eq!(stamps, vec![1, 2, 3, 4, 5], "five steps, one stamp each");
-        assert!(
-            events
-                .iter()
-                .any(|(p, e)| *p == 3 && e.track().kind == TrackKind::Gpu),
-            "step 3's engine events are namespaced to process 3"
-        );
-        assert_eq!(tracer.borrow().process(), 0, "process scope restored");
     }
 
     #[test]

@@ -494,21 +494,6 @@ pub fn run_epoch_series(
         .map(|(run, series)| SeriesRun { run, series })
 }
 
-/// [`run_epoch_series`] reusing a caller-owned [`EngineArena`].
-///
-/// # Errors
-///
-/// As for [`run_epoch_series`].
-pub fn run_epoch_series_in(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-    arena: &mut EngineArena,
-) -> Result<SeriesRun, TrainError> {
-    run_epoch_inner(cfg, None, options, plan, Some(arena), true)
-        .map(|(run, series)| SeriesRun { run, series })
-}
-
 fn run_epoch_inner(
     cfg: &TrainConfig,
     tracer: Option<&SharedTracer>,

@@ -40,8 +40,8 @@ pub mod prelude {
     pub use crate::config::{ActiveGpus, DataMode, EpochMode, Straggler, TrainConfig};
     pub use crate::engine::{
         run_epoch, run_epoch_faulted, run_epoch_faulted_traced, run_epoch_faulted_with,
-        run_epoch_in, run_epoch_series, run_epoch_series_in, run_epoch_traced, run_epoch_with,
-        EngineArena, EngineOptions, SeriesRun,
+        run_epoch_in, run_epoch_series, run_epoch_traced, run_epoch_with, EngineArena,
+        EngineOptions, SeriesRun,
     };
     pub use crate::error::TrainError;
     pub use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};

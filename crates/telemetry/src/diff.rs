@@ -31,7 +31,8 @@ pub const RECOMPUTES_PER_EPOCH_RATIO: f64 = 1.25;
 /// ...with this absolute floor (recomputes/epoch).
 pub const RECOMPUTES_PER_EPOCH_FLOOR: f64 = 16.0;
 
-/// Outcome of a telemetry comparison.
+/// Outcome of a telemetry or series comparison ([`diff_docs`] here and
+/// [`crate::series::diff_docs`]).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryDiff {
     /// Hard failures (non-zero exit): metric, baseline, current.

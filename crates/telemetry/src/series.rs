@@ -36,6 +36,8 @@
 
 use serde_json::{Map, Number, Value};
 
+use crate::diff::TelemetryDiff;
+
 /// JSON schema tag written by [`IterSeries::to_json`].
 pub const SCHEMA: &str = "stash-series-v1";
 
@@ -653,23 +655,6 @@ pub fn is_series_doc(doc: &Value) -> bool {
     doc.get("schema").and_then(Value::as_str) == Some(SCHEMA)
 }
 
-/// Outcome of gating one series document against a baseline.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesDiff {
-    /// Failed dynamics gates (non-empty ⇒ CI should fail).
-    pub regressions: Vec<String>,
-    /// Informational lines (values compared, subject mismatches).
-    pub notes: Vec<String>,
-}
-
-impl SeriesDiff {
-    /// `true` when every gate passed.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
 /// Gates `current` against `baseline` on iteration-time dynamics:
 /// CoV may grow to `baseline × `[`COV_RATIO`]` + `[`COV_FLOOR`], the
 /// transient-spike count to `baseline × `[`SPIKE_COUNT_RATIO`]` +
@@ -679,10 +664,10 @@ impl SeriesDiff {
 /// # Errors
 ///
 /// Returns a message when either document is not `stash-series-v1`.
-pub fn diff_docs(baseline: &Value, current: &Value) -> Result<SeriesDiff, String> {
+pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, String> {
     let (bm, bs) = IterSeries::from_json(baseline).map_err(|e| format!("baseline: {e}"))?;
     let (cm, cs) = IterSeries::from_json(current).map_err(|e| format!("current: {e}"))?;
-    let mut out = SeriesDiff::default();
+    let mut out = TelemetryDiff::default();
     if bm.cluster != cm.cluster || bm.model != cm.model {
         out.notes.push(format!(
             "subject changed: {} {} -> {} {}",

@@ -4,22 +4,19 @@
 //! one writer (and one strict validator) for every `.prom` artifact the
 //! workspace emits. This module re-exports the builder for source
 //! compatibility and keeps the canned renderer that turns a
-//! [`StallRollup`] (and optional cache counters) into the metric family
-//! the sweeps and the `stash trace` CLI dump.
+//! [`StallRollup`] into the metric families the `stash trace` CLI dumps.
 
 pub use stash_telemetry::prom::MetricsBuilder;
 
 use crate::rollup::StallRollup;
 
-/// Renders a rollup (plus optional measurement-cache counters) as the
-/// standard `stash_*` metric families:
+/// Renders a rollup as the standard `stash_*` metric families:
 ///
 /// * `stash_span_nanoseconds_total{kind,category}` — traced span time,
 ///   integer nanoseconds, exactly the rollup's reconciled totals;
-/// * `stash_trace_events_total{type}` — spans / instants / counters seen;
-/// * `stash_measurement_cache_{hits,misses}_total` — when provided.
+/// * `stash_trace_events_total{type}` — spans / instants / counters seen.
 #[must_use]
-pub fn render_rollup(rollup: &StallRollup, cache: Option<(u64, u64)>) -> String {
+pub fn render_rollup(rollup: &StallRollup) -> String {
     let mut b = MetricsBuilder::new();
 
     b.family(
@@ -56,21 +53,6 @@ pub fn render_rollup(rollup: &StallRollup, cache: Option<(u64, u64)>) -> String 
         &[("type", "counter")],
         counters as f64,
     );
-
-    if let Some((hits, misses)) = cache {
-        b.family(
-            "stash_measurement_cache_hits_total",
-            "counter",
-            "Profiler measurement-cache hits.",
-        );
-        b.sample("stash_measurement_cache_hits_total", &[], hits as f64);
-        b.family(
-            "stash_measurement_cache_misses_total",
-            "counter",
-            "Profiler measurement-cache misses.",
-        );
-        b.sample("stash_measurement_cache_misses_total", &[], misses as f64);
-    }
 
     b.finish()
 }
@@ -185,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn rollup_rendering_includes_cache_counters_and_validates() {
+    fn rollup_rendering_validates() {
         let events = vec![(
             0,
             TraceEvent::Span {
@@ -198,11 +180,9 @@ mod tests {
             },
         )];
         let rollup = StallRollup::from_events(&events);
-        let text = render_rollup(&rollup, Some((7, 3)));
+        let text = render_rollup(&rollup);
         validate(&text).unwrap();
         assert!(text.contains("stash_span_nanoseconds_total{kind=\"gpu\",category=\"compute\"} 42"));
         assert!(text.contains("stash_trace_events_total{type=\"span\"} 1"));
-        assert!(text.contains("stash_measurement_cache_hits_total 7"));
-        assert!(text.contains("stash_measurement_cache_misses_total 3"));
     }
 }

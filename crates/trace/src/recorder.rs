@@ -229,7 +229,7 @@ mod tests {
         let mut t = Tracer::new(sink.clone());
         t.set_process(3);
         assert_eq!(t.process(), 3);
-        t.instant(Track::profiler(2), Category::Solver, "t3", SimTime::ZERO);
+        t.instant(Track::solver(), Category::Solver, "t3", SimTime::ZERO);
         assert_eq!(sink.borrow().events()[0].0, 3);
     }
 

@@ -24,8 +24,8 @@ use crate::span::TraceEvent;
 ///
 /// `process` is the namespace the emitting tracer was scoped to (see
 /// [`crate::recorder::Tracer::set_process`]): independent simulations
-/// recorded into one sink (e.g. the profiler's five steps) stay
-/// distinguishable even though each starts its own clock at zero.
+/// recorded into one sink stay distinguishable even though each starts
+/// its own clock at zero.
 pub trait TraceSink: std::fmt::Debug {
     /// Records one event.
     fn record(&mut self, process: u32, event: &TraceEvent);

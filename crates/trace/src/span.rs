@@ -82,8 +82,6 @@ pub enum TrackKind {
     Flow,
     /// The rate solver's activity.
     Solver,
-    /// One profiler measurement step (t1..t5).
-    Profiler,
 }
 
 impl TrackKind {
@@ -96,7 +94,6 @@ impl TrackKind {
             TrackKind::Comm => "comm",
             TrackKind::Flow => "flow",
             TrackKind::Solver => "solver",
-            TrackKind::Profiler => "profiler",
         }
     }
 }
@@ -109,7 +106,7 @@ pub struct Track {
     /// Node (instance) index; 0 for cluster-global tracks.
     pub node: u32,
     /// Lane within the kind/node namespace (GPU local index, worker
-    /// index, flow id, profiler step).
+    /// index, flow id).
     pub index: u32,
 }
 
@@ -164,16 +161,6 @@ impl Track {
         }
     }
 
-    /// The lane of profiler measurement step `step` (0-based).
-    #[must_use]
-    pub fn profiler(step: usize) -> Track {
-        Track {
-            kind: TrackKind::Profiler,
-            node: 0,
-            index: step as u32,
-        }
-    }
-
     /// Human-readable lane name (Chrome thread name, metric label).
     #[must_use]
     pub fn label(&self) -> String {
@@ -183,7 +170,6 @@ impl Track {
             TrackKind::Comm => "comm".to_string(),
             TrackKind::Flow => format!("flow {}", self.index),
             TrackKind::Solver => "solver".to_string(),
-            TrackKind::Profiler => format!("step t{}", self.index + 1),
         }
     }
 }
@@ -316,7 +302,6 @@ mod tests {
         assert_eq!(t.kind, TrackKind::Gpu);
         assert_eq!((t.node, t.index), (2, 5));
         assert_eq!(t.label(), "gpu n2g5");
-        assert_eq!(Track::profiler(0).label(), "step t1");
         assert_eq!(Track::comm().label(), "comm");
     }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, release build, full test suite, lint-clean
-# under clippy (every target), warning-free rustdoc, CLI smoke tests for
+# Tier-1 gate: formatting, release build, full test suite, the benchmark
+# package's build, unit tests and smoke run, lint-clean under clippy
+# (every target), warning-free rustdoc, CLI smoke tests for
 # the trace, report, diff, chaos, perf, dash, flight-recorder, sweep and
 # fsck subcommand surface, the durable-sweep resume gate, and a
 # figure-regeneration gate at one and two sweep workers.
@@ -14,6 +15,12 @@ cargo test -q
 # Every workspace crate's unit tests and doctests (the line above runs
 # only the root package).
 cargo test --workspace -q
+# The repository benchmark (examples/benchmark) imports profiler, engine,
+# cache and store names directly: build it, run its unit tests, and run
+# its smoke mode, which exits non-zero unless every workload's re-checks
+# and the seed-1 golden result digests pass.
+cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke
 cargo clippy --workspace --all-targets -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the

@@ -1,53 +1,230 @@
 //! `stash` — the command-line profiler.
 //!
-//! ```text
-//! stash catalog                          list the AWS instance catalog
-//! stash models                           list the model zoo
-//! stash profile <model> <cluster> [-b N] run the 5-step methodology
-//! stash advise <model> [-b N] [--cost]   rank all candidate clusters
-//! stash probe <instance>                 per-GPU PCIe bandwidth probe
-//! stash trace <instance> <model>         traced epoch + Chrome trace JSON
-//!             [--out PATH] [-b N]        (either argument order works)
-//! stash report <instance> <model>        critical-path stall report:
-//!             [--out PATH] [-b N]        self-contained HTML + JSON
-//! stash diff <baseline.json> <cur.json>  flag per-category stall (or, for
-//!             [--threshold FRAC]         telemetry docs, simulator-health)
-//!                                        regressions (non-zero exit)
-//! stash chaos <instance> <model>         faulted epoch under a seeded or
-//!             [--seed N] [--plan FILE]   file-provided fault plan, with a
-//!             [--out PATH] [-b N]        JSON resilience report
-//!             [--flight PATH]            (+ last-events flight recording
-//!                                        dumped to PATH on failure)
-//! stash perf <cluster|sweep> <model>     simulator self-telemetry for one
-//!             [-b N] [--out BASE]        profile or a candidate sweep:
-//!             [--format csv]             BASE.json + BASE.prom
-//!                                        (+ BASE.csv with --format csv)
-//! stash dash <results-dir>               fleet stall dashboard from the
-//!             [--out PATH]               stash-series-v1 docs in the dir
-//!                                        (simulates a default sweep when
-//!                                        the dir has none), validated
-//!                                        self-contained HTML
-//! stash sweep [--models A,B]             durable characterization sweep:
-//!             [--clusters X,Y] [-b N]    consult-first cells against a
-//!             [--iters N]                checksummed result store with a
-//!             [--store DIR] [--resume]   write-ahead journal; exit 2 when
-//!             [--out CSV]                cells failed but the sweep
-//!             [--io-fault-plan FILE]     finished (graceful degradation);
-//!             [--io-fault-seed N]        deterministic I/O fault
-//!             [--retries N]              injection for crash drills
-//!             [--deadline-secs S]
-//! stash fsck <store-dir> [--repair]      verify every store record's
-//!                                        frame; quarantine corrupt ones
-//!                                        and (with --repair) rebuild them
-//!                                        from the journal, exit 2 when
-//!                                        corruption remains
-//! ```
+//! `COMMANDS` is the usage table: each subcommand's usage line (printed
+//! on a usage error, and by a bare `stash` for all of them together), the
+//! flags it declares and the function that runs it. One pass over the
+//! arguments (`Args::parse`) splits positionals from declared flags; a
+//! flag the command does not declare, or a value flag given no value, is
+//! a usage error. Every command returns `Result<ExitCode, String>` and
+//! `main` alone reports an `Err`: the message on stderr, exit 1. Exit 2
+//! is a finished run with failed sweep cells or corrupt store records.
 //!
 //! Cluster syntax matches the paper: `p3.16xlarge` or `p3.8xlarge*2`.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 use stash::prelude::*;
+use stash::telemetry::diff::TelemetryDiff;
+
+/// The flags several commands share, as `Args` keys.
+const OUT: &str = "-o/--out";
+const BATCH: &str = "-b/--batch";
+
+/// One subcommand. Its usage line gives its name and one `<positional>`
+/// per required positional argument; flags are spelled `--long` or
+/// `-s/--long`.
+struct Command {
+    usage: &'static str,
+    /// Flags that take the next argument as their value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<ExitCode, String>,
+}
+
+impl Command {
+    fn name(&self) -> &str {
+        self.usage.split(' ').nth(1).unwrap_or_default()
+    }
+
+    fn positionals(&self) -> usize {
+        self.usage.matches(" <").count()
+    }
+
+    /// The table spelling of the flag `token` names, and whether it takes
+    /// a value.
+    fn flag(&self, token: &str) -> Option<(&'static str, bool)> {
+        let values = self.values.iter().map(|&f| (f, true));
+        let switches = self.switches.iter().map(|&f| (f, false));
+        values
+            .chain(switches)
+            .find(|(f, _)| f.split('/').any(|name| name == token))
+    }
+}
+
+static COMMANDS: [Command; 13] = [
+    Command {
+        usage: "stash catalog",
+        values: &[],
+        switches: &[],
+        run: cmd_catalog,
+    },
+    Command {
+        usage: "stash models",
+        values: &[],
+        switches: &[],
+        run: cmd_models,
+    },
+    Command {
+        usage: "stash profile <model> <cluster> [-b batch]",
+        values: &[BATCH],
+        switches: &[],
+        run: cmd_profile,
+    },
+    Command {
+        usage: "stash advise <model> [-b batch] [--cost|--time]",
+        values: &[BATCH],
+        switches: &["--cost", "--time"],
+        run: cmd_advise,
+    },
+    Command {
+        usage: "stash probe <instance>",
+        values: &[],
+        switches: &[],
+        run: cmd_probe,
+    },
+    Command {
+        usage: "stash trace <instance> <model> [--out PATH] [-b batch]",
+        values: &[OUT, BATCH],
+        switches: &[],
+        run: cmd_trace,
+    },
+    Command {
+        usage: "stash report <instance> <model> [--out PATH] [-b batch]",
+        values: &[OUT, BATCH],
+        switches: &[],
+        run: cmd_report,
+    },
+    Command {
+        usage: "stash diff <baseline.json> <current.json> [--threshold FRAC]",
+        values: &["-t/--threshold"],
+        switches: &[],
+        run: cmd_diff,
+    },
+    Command {
+        usage: "stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] \
+                [--flight PATH] [--series PATH] [-b batch]",
+        values: &["--seed", "--plan", OUT, "--flight", "--series", BATCH],
+        switches: &[],
+        run: cmd_chaos,
+    },
+    Command {
+        usage: "stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]",
+        values: &[BATCH, OUT, "-f/--format"],
+        switches: &[],
+        run: cmd_perf,
+    },
+    Command {
+        usage: "stash dash <results-dir> [--out PATH]",
+        values: &[OUT],
+        switches: &[],
+        run: cmd_dash,
+    },
+    Command {
+        usage: "stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] \
+                [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] \
+                [--io-fault-seed N] [--retries N] [--deadline-secs S]",
+        values: &[
+            "--models",
+            "--clusters",
+            BATCH,
+            "--iters",
+            "--store",
+            "--out",
+            "--io-fault-plan",
+            "--io-fault-seed",
+            "--retries",
+            "--deadline-secs",
+        ],
+        switches: &["--resume"],
+        run: cmd_sweep,
+    },
+    Command {
+        usage: "stash fsck <store-dir> [--repair]",
+        values: &[],
+        switches: &["--repair"],
+        run: cmd_fsck,
+    },
+];
+
+/// A command's arguments, split in one pass.
+struct Args {
+    cmd: &'static Command,
+    /// Positional arguments in order: at least `cmd.positionals()`.
+    pos: Vec<String>,
+    /// The flags given, keyed by their table spelling, with their values
+    /// (`None` for switches). The first occurrence of a flag wins.
+    flags: BTreeMap<&'static str, Option<String>>,
+}
+
+impl Args {
+    /// Splits `raw` into positionals and `cmd`'s flags. A value flag takes
+    /// the next argument unless that starts with `--`, so `-b -3` still
+    /// reaches the batch parser.
+    fn parse(cmd: &'static Command, raw: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            cmd,
+            pos: Vec::new(),
+            flags: BTreeMap::new(),
+        };
+        let mut it = raw.iter();
+        while let Some(token) = it.next() {
+            if !token.starts_with('-') {
+                args.pos.push(token.clone());
+                continue;
+            }
+            let Some((flag, takes_value)) = cmd.flag(token) else {
+                return Err(format!("unknown flag '{token}'\n{}", args.usage()));
+            };
+            let value = if takes_value {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("{token} needs a value\n{}", args.usage())),
+                }
+            } else {
+                None
+            };
+            args.flags.entry(flag).or_insert(value);
+        }
+        if args.pos.len() < cmd.positionals() {
+            return Err(args.usage());
+        }
+        Ok(args)
+    }
+
+    fn usage(&self) -> String {
+        format!("usage: {}", self.cmd.usage)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag)?.as_deref()
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    /// `flag`'s value as a positive integer, `None` when absent.
+    fn positive<T: std::str::FromStr + Default + PartialOrd>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.value(flag) else {
+            return Ok(None);
+        };
+        match v.parse::<T>() {
+            Ok(n) if n > T::default() => Ok(Some(n)),
+            _ => Err(format!("{flag} wants a positive integer, got '{v}'")),
+        }
+    }
+
+    /// The `-b/--batch` value: 32 when the flag is absent.
+    fn batch(&self) -> Result<u64, String> {
+        Ok(self.positive(BATCH)?.unwrap_or(32))
+    }
+}
 
 /// Edit distance, for "did you mean" hints on unknown names.
 fn levenshtein(a: &str, b: &str) -> usize {
@@ -104,32 +281,145 @@ fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
     })
 }
 
-/// The `-b/--batch` value: 32 when the flag is absent, otherwise a
-/// positive integer. Anything else prints a usage error and yields `None`.
-fn parse_batch(args: &[String]) -> Option<u64> {
-    let Some(i) = args.iter().position(|a| a == "-b" || a == "--batch") else {
-        return Some(32);
+/// The `<instance> <model>` pair of trace, report, chaos and perf, in
+/// either order: `first` is the model when it names one in the zoo.
+/// Returns the resolved model and both names as given.
+fn subject<'a>(first: &'a str, second: &'a str) -> Result<(Model, &'a str, &'a str), String> {
+    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
+        (first, second)
+    } else {
+        (second, first)
     };
-    let v = args.get(i + 1).map_or("", String::as_str);
-    match v.parse::<u64>() {
-        Ok(b) if b >= 1 => Some(b),
-        _ => {
-            eprintln!("-b/--batch wants a positive integer, got '{v}'");
-            None
-        }
+    Ok((lookup_model(model_name)?, model_name, cluster_spec))
+}
+
+/// `<model>_<cluster>` for default output paths (`*` becomes `x`).
+fn slug(model_name: &str, cluster_spec: &str) -> String {
+    format!(
+        "{}_{}",
+        model_name.to_lowercase(),
+        cluster_spec.replace('*', "x")
+    )
+}
+
+/// The dataset a model streams: SQuAD for BERT models, ImageNet for the
+/// rest.
+fn dataset_for(model: &Model) -> DatasetSpec {
+    if model.name.starts_with("BERT") {
+        DatasetSpec::squad2()
+    } else {
+        DatasetSpec::imagenet1k()
     }
 }
 
 fn stash_for(model: Model, batch: u64) -> Stash {
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
+    let dataset = dataset_for(&model);
     Stash::new(model).with_batch(batch).with_dataset(dataset)
 }
 
-fn cmd_catalog() -> ExitCode {
+/// The window `trace` and `report` simulate: 12 sampled iterations of
+/// real, warm-cache data, so the trace shows the full pipeline — fetch,
+/// prep, H2D upload, compute and all-reduce on their own tracks.
+fn traced_window(cluster: ClusterSpec, model: Model, batch: u64) -> TrainConfig {
+    let dataset = dataset_for(&model);
+    let mut cfg = TrainConfig::synthetic(cluster, model, batch, batch * 12);
+    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
+    cfg.record_trace = true;
+    cfg.data = DataMode::Real {
+        dataset,
+        cache: CacheState::Warm,
+    };
+    cfg
+}
+
+fn write_creating_dirs(path: &str, text: &str) -> Result<(), String> {
+    if let Some(dir) = Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        }
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Runs `run` with a recording tracer and returns its result together
+/// with every event the tracer saw.
+fn with_tracer<T>(
+    run: impl FnOnce(&SharedTracer) -> Result<T, TrainError>,
+) -> Result<(T, Vec<(u32, TraceEvent)>), TrainError> {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let sink = Rc::new(RefCell::new(JsonSink::new()));
+    let out = run(&shared(Tracer::new(sink.clone())))?;
+    let events = sink.borrow().events().to_vec();
+    Ok((out, events))
+}
+
+/// Runs one traced window of `cfg` and returns the epoch report plus the
+/// rank-0 critical-path decomposition of the raw trace.
+fn traced_critical_path(cfg: &TrainConfig) -> Result<(EpochReport, CriticalPath), TrainError> {
+    let (r, events) = with_tracer(|tracer| run_epoch_traced(cfg, tracer))?;
+    Ok((r, CriticalPath::from_events(&events, 0, Track::gpu(0, 0))))
+}
+
+/// The engine's stall accumulators, labelled, in the order every
+/// reconciliation checks them. Recovery and straggler time only move
+/// under faults.
+fn engine_accounts(r: &EpochReport) -> [(&'static str, SimDuration); 5] {
+    [
+        ("compute", r.compute_time),
+        ("data-wait", r.data_wait),
+        ("comm-wait", r.comm_wait),
+        ("recovery", r.recovery_time),
+        ("straggler", r.straggler_time),
+    ]
+}
+
+/// The critical path's raw total for each of `engine_accounts`, in the
+/// same order: a trace that balances the engine's accounting matches
+/// them to the nanosecond (after extrapolating a sampled window).
+fn path_accounts(path: &CriticalPath) -> [SimDuration; 5] {
+    use PathCategory as C;
+    [
+        &[C::Compute, C::Overlap][..],
+        &[C::Prep, C::Fetch],
+        &[C::Interconnect, C::Network],
+        &[C::Recovery],
+        &[C::Straggler],
+    ]
+    .map(|cats| SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum()))
+}
+
+/// Runs one iteration-series pass of `cfg` with telemetry switched on
+/// for the duration. The series engine is a pure observer, so this never
+/// disagrees with a plain run of the same config — the zoo-wide
+/// differential test proves bit-identity.
+fn series_run(cfg: &TrainConfig, plan: Option<&FaultPlan>) -> Result<SeriesRun, TrainError> {
+    let was_enabled = stash::telemetry::enabled();
+    stash::telemetry::enable();
+    let out = run_epoch_series(cfg, &EngineOptions { fast_forward: true }, plan);
+    if !was_enabled {
+        stash::telemetry::disable();
+    }
+    out
+}
+
+/// A series run's `stash-series-v1` document.
+fn series_doc(sr: &SeriesRun) -> serde_json::Value {
+    let r = &sr.run.report;
+    let meta = stash::telemetry::series::SeriesMeta {
+        cluster: r.cluster.clone(),
+        model: r.model.clone(),
+        world: r.world as u64,
+        per_gpu_batch: r.per_gpu_batch,
+        iterations: r.iterations,
+        simulated_iterations: r.simulated_iterations,
+    };
+    sr.series.to_json(&meta)
+}
+
+fn cmd_catalog(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<13} {:>10} {:>6} {:<14} {:>9} {:>8}",
         "instance", "gpus", "vcpus", "interconnect", "net_gbps", "$/hr"
@@ -145,10 +435,10 @@ fn cmd_catalog() -> ExitCode {
             i.price_per_hour
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_models() -> ExitCode {
+fn cmd_models(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<14} {:>12} {:>8} {:>12}",
         "model", "gradients_M", "layers", "sync_points"
@@ -162,100 +452,56 @@ fn cmd_models() -> ExitCode {
             m.trainable_layer_count()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let (Some(model_name), Some(cluster_spec)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash profile <model> <cluster> [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-    match stash_for(model, batch).profile(&cluster) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("profiling failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// Runs the 5-step methodology against one cluster.
+fn cmd_profile(args: &Args) -> Result<ExitCode, String> {
+    let model = lookup_model(&args.pos[0])?;
+    let cluster = parse_cluster(&args.pos[1])?;
+    let report = stash_for(model, args.batch()?)
+        .profile(&cluster)
+        .map_err(|e| format!("profiling failed: {e}"))?;
+    print!("{report}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_advise(args: &[String]) -> ExitCode {
-    let Some(model_name) = args.first() else {
-        eprintln!("usage: stash advise <model> [-b batch] [--cost|--time]");
-        return ExitCode::FAILURE;
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let objective = if args.iter().any(|a| a == "--time") {
+/// Ranks every candidate cluster by epoch cost (or time).
+fn cmd_advise(args: &Args) -> Result<ExitCode, String> {
+    let model = lookup_model(&args.pos[0])?;
+    let objective = if args.has("--time") {
         Objective::Time
     } else {
         Objective::Cost
     };
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-    let stash = stash_for(model, batch);
-    match recommend(&stash, &default_candidates(), objective) {
-        Ok(advice) => {
-            println!("{:<16} {:>12} {:>10}", "cluster", "epoch", "cost $");
-            for r in &advice.ranked {
-                println!(
-                    "{:<16} {:>12} {:>10.2}",
-                    r.cluster_name,
-                    r.cost.epoch_time.to_string(),
-                    r.cost.epoch_cost
-                );
-            }
-            for s in &advice.skipped {
-                println!("{:<16} skipped: {}", s.cluster_name, s.reason);
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("advisor failed: {e}");
-            ExitCode::FAILURE
-        }
+    let stash = stash_for(model, args.batch()?);
+    let advice = recommend(&stash, &default_candidates(), objective)
+        .map_err(|e| format!("advisor failed: {e}"))?;
+    println!("{:<16} {:>12} {:>10}", "cluster", "epoch", "cost $");
+    for r in &advice.ranked {
+        println!(
+            "{:<16} {:>12} {:>10.2}",
+            r.cluster_name,
+            r.cost.epoch_time.to_string(),
+            r.cost.epoch_cost
+        );
     }
+    for s in &advice.skipped {
+        println!("{:<16} skipped: {}", s.cluster_name, s.reason);
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_probe(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        eprintln!("usage: stash probe <instance>");
-        return ExitCode::FAILURE;
-    };
-    let Some(inst) = by_name(name) else {
+/// Per-GPU PCIe bandwidth with every GPU of an instance probing at once.
+fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
+    let name = &args.pos[0];
+    let inst = by_name(name).ok_or_else(|| {
         let cat = catalog();
         match nearest(name, cat.iter().map(|i| i.name.as_str())) {
-            Some(s) => eprintln!("unknown instance '{name}' — did you mean '{s}'?"),
-            None => eprintln!("unknown instance '{name}' (try `stash catalog`)"),
+            Some(s) => format!("unknown instance '{name}' — did you mean '{s}'?"),
+            None => format!("unknown instance '{name}' (try `stash catalog`)"),
         }
-        return ExitCode::FAILURE;
-    };
+    })?;
     let mut net = FlowNet::new();
     let topo = Topology::build(&ClusterSpec::single(inst), &mut net);
     let rates = topo.pcie_bandwidth_probe(&net, 0);
@@ -266,78 +512,21 @@ fn cmd_probe(args: &[String]) -> ExitCode {
     for (g, r) in rates.iter().enumerate() {
         println!("  gpu{g}: {:.2} GB/s", r / 1e9);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash trace <instance> <model> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    // Accept either argument order: `trace p3.2xlarge resnet50` (the
-    // paper's instance-first habit) or `trace resnet50 p3.8xlarge*2`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            format!(
-                "results/trace_{}_{}.json",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x")
-            )
-        });
-
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-    // Real warm-cache data so the trace shows the full pipeline: fetch,
-    // prep, H2D upload, compute and all-reduce on their own tracks.
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
-    let mut cfg = TrainConfig::synthetic(cluster, model, batch, batch * 12);
-    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
-    cfg.record_trace = true;
-    cfg.data = DataMode::Real {
-        dataset,
-        cache: CacheState::Warm,
-    };
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let r = match run_epoch_traced(&cfg, &tracer) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("trace failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// A traced epoch: per-iteration timeline, span rollup, and a validated
+/// Chrome trace JSON.
+fn cmd_trace(args: &Args) -> Result<ExitCode, String> {
+    let (model, model_name, cluster_spec) = subject(&args.pos[0], &args.pos[1])?;
+    let cluster = parse_cluster(cluster_spec)?;
+    let out_path = args.value(OUT).map_or_else(
+        || format!("results/trace_{}.json", slug(model_name, cluster_spec)),
+        str::to_string,
+    );
+    let cfg = traced_window(cluster, model, args.batch()?);
+    let (r, events) = with_tracer(|tracer| run_epoch_traced(&cfg, tracer))
+        .map_err(|e| format!("trace failed: {e}"))?;
 
     println!(
         "{} | {} | batch {} x {} GPUs — per-iteration timeline",
@@ -362,7 +551,6 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         r.throughput
     );
 
-    let events = sink.borrow().events().to_vec();
     let rollup = StallRollup::from_events(&events);
     println!(
         "\nper-category traced span time (raw, {} simulated iterations):",
@@ -371,42 +559,19 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     for (kind, category, total) in rollup.kind_totals() {
         println!("  {:<9} {:<13} {}", kind.label(), category.label(), total);
     }
-    print!("\n{}", stash::trace::metrics::render_rollup(&rollup, None));
+    print!("\n{}", stash::trace::metrics::render_rollup(&rollup));
 
-    let json = stash::trace::chrome::export(&events);
-    let text = match serde_json::to_string_pretty(&json) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    match stash::trace::chrome::validate(&text) {
-        Ok(stats) => {
-            println!(
-                "\ntrace validated: {} spans / {} instants / {} counters on {} tracks (max depth {})",
-                stats.spans, stats.instants, stats.counters, stats.tracks, stats.max_depth
-            );
-            println!("chrome trace written to {out_path} (open in chrome://tracing or Perfetto)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("exported trace failed validation: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let text = serde_json::to_string_pretty(&stash::trace::chrome::export(&events))
+        .map_err(|e| format!("cannot serialize trace: {e}"))?;
+    write_creating_dirs(&out_path, &text)?;
+    let stats = stash::trace::chrome::validate(&text)
+        .map_err(|e| format!("exported trace failed validation: {e}"))?;
+    println!(
+        "\ntrace validated: {} spans / {} instants / {} counters on {} tracks (max depth {})",
+        stats.spans, stats.instants, stats.counters, stats.tracks, stats.max_depth
+    );
+    println!("chrome trace written to {out_path} (open in chrome://tracing or Perfetto)");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resolves `--out BASE` (or the default) into `(html, json)` paths:
@@ -422,160 +587,38 @@ fn report_paths(base: &str) -> (String, String) {
     }
 }
 
-fn write_creating_dirs(path: &str, text: &str) -> Result<(), String> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
-}
+/// A critical-path stall report: self-contained HTML plus JSON for
+/// `stash diff`, with a re-simulated what-if table.
+fn cmd_report(args: &Args) -> Result<ExitCode, String> {
+    use stash::trace::report::{BlameRow, WhatIfRow};
 
-/// Runs one traced window of `cfg` and returns the epoch report plus the
-/// rank-0 critical-path decomposition of the raw trace.
-fn traced_critical_path(cfg: &TrainConfig) -> Result<(EpochReport, CriticalPath), String> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let r = run_epoch_traced(cfg, &tracer).map_err(|e| e.to_string())?;
-    let events = sink.borrow().events().to_vec();
-    let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
-    Ok((r, path))
-}
-
-/// Runs one iteration-series pass of `cfg` (telemetry switched on for
-/// the duration) and returns the run's `stash-series-v1` document, or
-/// `None` when the run produced no samples. The series engine is a pure
-/// observer, so this never disagrees with a plain run of the same
-/// config — the zoo-wide differential test proves bit-identity.
-fn run_series(
-    cfg: &TrainConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<Option<serde_json::Value>, String> {
-    let was_enabled = stash::telemetry::enabled();
-    stash::telemetry::enable();
-    let out = run_epoch_series(cfg, &EngineOptions { fast_forward: true }, plan);
-    if !was_enabled {
-        stash::telemetry::disable();
-    }
-    let sr = out.map_err(|e| e.to_string())?;
-    if sr.series.is_empty() {
-        return Ok(None);
-    }
-    let r = &sr.run.report;
-    let meta = stash::telemetry::series::SeriesMeta {
-        cluster: r.cluster.clone(),
-        model: r.model.clone(),
-        world: r.world as u64,
-        per_gpu_batch: r.per_gpu_batch,
-        iterations: r.iterations,
-        simulated_iterations: r.simulated_iterations,
-    };
-    Ok(Some(sr.series.to_json(&meta)))
-}
-
-fn cmd_report(args: &[String]) -> ExitCode {
-    use stash::trace::report::BlameRow;
-
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash report <instance> <model> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    // Either argument order, like `stash trace`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_base = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            format!(
-                "results/report_{}_{}",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x")
-            )
-        });
+    let (model, model_name, cluster_spec) = subject(&args.pos[0], &args.pos[1])?;
+    let cluster = parse_cluster(cluster_spec)?;
+    let out_base = args.value(OUT).map_or_else(
+        || format!("results/report_{}", slug(model_name, cluster_spec)),
+        str::to_string,
+    );
     let (html_path, json_path) = report_paths(&out_base);
+    let cfg = traced_window(cluster.clone(), model, args.batch()?);
 
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
-    let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * 12);
-    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
-    cfg.record_trace = true;
-    cfg.data = DataMode::Real {
-        dataset,
-        cache: CacheState::Warm,
-    };
-
-    let (r, path) = match traced_critical_path(&cfg) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (r, path) = traced_critical_path(&cfg).map_err(|e| format!("report failed: {e}"))?;
     let factor = r.iterations as f64 / r.simulated_iterations as f64;
 
     // The critical path must balance the engine's own accounting exactly:
     // the raw per-category sums, extrapolated with the same mul_f64 the
     // report used, land on the EpochReport fields to the nanosecond.
-    let raw = |cats: &[PathCategory]| {
-        SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum::<u64>())
-    };
-    let checks = [
-        (
-            "compute",
-            raw(&[PathCategory::Compute, PathCategory::Overlap]),
-            r.compute_time,
-        ),
-        (
-            "data-wait",
-            raw(&[PathCategory::Prep, PathCategory::Fetch]),
-            r.data_wait,
-        ),
-        (
-            "comm-wait",
-            raw(&[PathCategory::Interconnect, PathCategory::Network]),
-            r.comm_wait,
-        ),
-    ];
     println!(
         "{} | {} | batch {} x {} GPUs — critical-path reconciliation",
         r.cluster, r.model, r.per_gpu_batch, r.world
     );
-    for (what, traced, engine) in checks {
+    let accounts = engine_accounts(&r).into_iter().zip(path_accounts(&path));
+    for ((what, engine), traced) in accounts.take(3) {
         let scaled = traced.mul_f64(factor);
         println!("  {what:<9} trace {scaled:>12}  engine {engine:>12}");
         if scaled != engine {
-            eprintln!("critical path does not reconcile with the engine's {what} accounting");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "critical path does not reconcile with the engine's {what} accounting"
+            ));
         }
     }
 
@@ -584,13 +627,8 @@ fn cmd_report(args: &[String]) -> ExitCode {
     report.engine_compute_ns = r.compute_time.as_nanos();
     report.engine_data_wait_ns = r.data_wait.as_nanos();
     report.engine_comm_wait_ns = r.comm_wait.as_nanos();
-    report.series = match run_series(&cfg, None) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let sr = series_run(&cfg, None).map_err(|e| format!("report failed: {e}"))?;
+    report.series = (!sr.series.is_empty()).then(|| series_doc(&sr));
     report.blame = path
         .top_blamed(10)
         .into_iter()
@@ -642,7 +680,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
                 err * 100.0
             );
         }
-        report.whatif.push(stash::trace::report::WhatIfRow {
+        report.whatif.push(WhatIfRow {
             resource: res.label().to_string(),
             factor: 2.0,
             projected_wall_ns: projected,
@@ -650,148 +688,100 @@ fn cmd_report(args: &[String]) -> ExitCode {
         });
     }
 
-    let json_text = match serde_json::to_string_pretty(&report.to_json()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (path, text) in [(&json_path, &json_text), (&html_path, &report.to_html())] {
-        if let Err(e) = write_creating_dirs(path, text) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let json_text = serde_json::to_string_pretty(&report.to_json())
+        .map_err(|e| format!("cannot serialize report: {e}"))?;
+    write_creating_dirs(&json_path, &json_text)?;
+    write_creating_dirs(&html_path, &report.to_html())?;
     println!(
         "\nreport written to {html_path} (open in any browser) and {json_path} (for `stash diff`)"
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    use stash::trace::report::{diff, InsightReport, DEFAULT_DIFF_THRESHOLD};
+/// Prints a simulator-health or iteration-dynamics gate: the notes, then
+/// either the all-clear or the regressions (exit 1).
+fn print_gate(
+    d: &TelemetryDiff,
+    what: &str,
+    base_path: &str,
+    cur_path: &str,
+) -> Result<ExitCode, String> {
+    for note in &d.notes {
+        println!("  {note}");
+    }
+    if d.is_clean() {
+        println!("no {what} regressions: {base_path} vs {cur_path}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    Err(format!(
+        "{} {what} regression(s):\n  {}",
+        d.regressions.len(),
+        d.regressions.join("\n  ")
+    ))
+}
 
-    let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash diff <baseline.json> <current.json> [--threshold FRAC]");
-        return ExitCode::FAILURE;
-    };
-    let threshold = match args
-        .iter()
-        .position(|a| a == "--threshold" || a == "-t")
-        .map(|i| args.get(i + 1).map_or("", String::as_str))
-    {
+/// Gates one document against a baseline: stall reports per category,
+/// telemetry documents on simulator health, series documents on
+/// iteration dynamics. Regressions exit non-zero.
+fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
+    use serde_json::Value;
+    use stash::telemetry::{diff as telemetry, series};
+    use stash::trace::report::{diff, DEFAULT_DIFF_THRESHOLD};
+
+    let (base_path, cur_path) = (args.pos[0].as_str(), args.pos[1].as_str());
+    let threshold = match args.value("-t/--threshold") {
         None => DEFAULT_DIFF_THRESHOLD,
         Some(v) => match v.parse::<f64>() {
             Ok(t) if t.is_finite() && t >= 0.0 => t,
             _ => {
-                eprintln!(
-                    "--threshold wants a finite, non-negative fraction, got '{v}'\n\
-                     usage: stash diff <baseline.json> <current.json> [--threshold FRAC]"
-                );
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "--threshold wants a finite, non-negative fraction, got '{v}'\n{}",
+                    args.usage()
+                ))
             }
         },
     };
-    let load_doc = |path: &str| -> Result<serde_json::Value, String> {
+    let load_doc = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
     };
-    let (base_doc, cur_doc) = match (load_doc(base_path), load_doc(cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let base_doc = load_doc(base_path)?;
+    let cur_doc = load_doc(cur_path)?;
 
     // Series documents get the iteration-dynamics gates (CoV, transient
     // spikes); telemetry documents the simulator-health gates; stall
     // reports the per-category workload gates. Mixing kinds is an error.
-    let series = (
-        stash::telemetry::series::is_series_doc(&base_doc),
-        stash::telemetry::series::is_series_doc(&cur_doc),
-    );
-    match series {
-        (true, true) => {
-            let d = match stash::telemetry::series::diff_docs(&base_doc, &cur_doc) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for note in &d.notes {
-                println!("  {note}");
+    type Gate = fn(&Value, &Value) -> Result<TelemetryDiff, String>;
+    type Kind = (&'static str, fn(&Value) -> bool, Gate, &'static str);
+    let kinds: [Kind; 2] = [
+        (
+            "iteration-dynamics",
+            series::is_series_doc,
+            series::diff_docs,
+            "a series document against a non-series document",
+        ),
+        (
+            "simulator-health",
+            telemetry::is_telemetry_doc,
+            telemetry::diff_docs,
+            "a telemetry document against a stall report",
+        ),
+    ];
+    for (what, is_kind, gate, mixed) in kinds {
+        match (is_kind(&base_doc), is_kind(&cur_doc)) {
+            (true, true) => {
+                let d = gate(&base_doc, &cur_doc)?;
+                return print_gate(&d, what, base_path, cur_path);
             }
-            if d.is_clean() {
-                println!("no iteration-dynamics regressions: {base_path} vs {cur_path}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("{} iteration-dynamics regression(s):", d.regressions.len());
-            for reg in &d.regressions {
-                eprintln!("  {reg}");
-            }
-            return ExitCode::FAILURE;
+            (false, false) => {}
+            _ => return Err(format!("cannot diff {mixed} ({base_path} vs {cur_path})")),
         }
-        (true, false) | (false, true) => {
-            eprintln!(
-                "cannot diff a series document against a non-series document \
-                 ({base_path} vs {cur_path})"
-            );
-            return ExitCode::FAILURE;
-        }
-        (false, false) => {}
     }
 
-    // Telemetry documents get the simulator-health gates; stall reports
-    // get the per-category workload gates. Mixing the two is an error.
-    let telemetry = (
-        stash::telemetry::diff::is_telemetry_doc(&base_doc),
-        stash::telemetry::diff::is_telemetry_doc(&cur_doc),
-    );
-    match telemetry {
-        (true, true) => {
-            let d = match stash::telemetry::diff::diff_docs(&base_doc, &cur_doc) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for note in &d.notes {
-                println!("  {note}");
-            }
-            if d.is_clean() {
-                println!("no simulator-health regressions: {base_path} vs {cur_path}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("{} simulator-health regression(s):", d.regressions.len());
-            for reg in &d.regressions {
-                eprintln!("  {reg}");
-            }
-            return ExitCode::FAILURE;
-        }
-        (true, false) | (false, true) => {
-            eprintln!(
-                "cannot diff a telemetry document against a stall report \
-                 ({base_path} vs {cur_path})"
-            );
-            return ExitCode::FAILURE;
-        }
-        (false, false) => {}
-    }
-
-    let load = |path: &str, doc: &serde_json::Value| -> Result<InsightReport, String> {
-        InsightReport::from_json(doc).map_err(|e| format!("{path}: {e}"))
-    };
-    let (baseline, current) = match (load(base_path, &base_doc), load(cur_path, &cur_doc)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let load =
+        |path: &str, doc: &Value| InsightReport::from_json(doc).map_err(|e| format!("{path}: {e}"));
+    let baseline = load(base_path, &base_doc)?;
+    let current = load(cur_path, &cur_doc)?;
     let regs = diff(&baseline, &current, threshold);
     if regs.is_empty() {
         println!(
@@ -802,71 +792,45 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             current.model,
             threshold * 100.0
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    eprintln!(
-        "{} stall regression(s) beyond {:.0}%:",
+    let rows: Vec<String> = regs
+        .iter()
+        .map(|reg| {
+            format!(
+                "  {:<13} {:>14} ns -> {:>14} ns  ({:.2}x)",
+                reg.category, reg.baseline_ns, reg.current_ns, reg.ratio
+            )
+        })
+        .collect();
+    Err(format!(
+        "{} stall regression(s) beyond {:.0}%:\n{}",
         regs.len(),
-        threshold * 100.0
-    );
-    for reg in &regs {
-        eprintln!(
-            "  {:<13} {:>14} ns -> {:>14} ns  ({:.2}x)",
-            reg.category, reg.baseline_ns, reg.current_ns, reg.ratio
-        );
-    }
-    ExitCode::FAILURE
+        threshold * 100.0,
+        rows.join("\n")
+    ))
 }
 
-fn cmd_perf(args: &[String]) -> ExitCode {
+/// Simulator self-telemetry for one profile or a candidate sweep:
+/// BASE.json + BASE.prom (+ BASE.csv with `--format csv`).
+fn cmd_perf(args: &Args) -> Result<ExitCode, String> {
     use stash::telemetry::snapshot::Snapshot;
 
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!(
-            "usage: stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let format_csv = match args
-        .iter()
-        .position(|a| a == "--format" || a == "-f")
-        .map(|i| args.get(i + 1))
-    {
-        None => false,
-        Some(Some(v)) if v == "csv" => true,
-        Some(Some(v)) if v == "table" => false,
-        Some(v) => {
-            eprintln!(
-                "--format expects 'csv' or 'table', got '{}'",
-                v.map(String::as_str).unwrap_or("")
-            );
-            return ExitCode::FAILURE;
-        }
+    let format_csv = match args.value("-f/--format") {
+        None | Some("table") => false,
+        Some("csv") => true,
+        Some(v) => return Err(format!("--format expects 'csv' or 'table', got '{v}'")),
     };
     // `perf sweep <model>` aggregates the advisor's default candidates;
     // anything else profiles one cluster. Either argument order works.
-    let sweep = first == "sweep" || second == "sweep";
-    let model_name = if sweep {
-        if first == "sweep" {
-            second
-        } else {
-            first
-        }
-    } else if zoo::by_name(first).is_some() {
-        first
-    } else {
-        second
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let (model, model_name, cluster_spec) = match (args.pos[0].as_str(), args.pos[1].as_str()) {
+        ("sweep", name) | (name, "sweep") => (lookup_model(name)?, name, None),
+        (first, second) => {
+            let (model, name, cluster_spec) = subject(first, second)?;
+            (model, name, Some(cluster_spec))
         }
     };
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
+    let batch = args.batch()?;
     let model_slug = model_name.to_lowercase();
 
     // Everything below runs with self-telemetry on, from a clean
@@ -876,68 +840,60 @@ fn cmd_perf(args: &[String]) -> ExitCode {
     stash::telemetry::metrics::reset_all();
     let cache = MeasurementCache::new();
 
-    let (scope, subject, default_base, snap) = if sweep {
-        let mut fleet = Snapshot::zero();
-        let mut prev = Snapshot::take();
-        println!(
-            "{:<16} {:>12} {:>12} {:>16}",
-            "cluster", "events", "recomputes", "solver p99 ns"
-        );
-        for cluster in default_candidates() {
-            let name = cluster.display_name();
-            let stash_p = stash_for(model.clone(), batch);
-            if let Err(e) = stash_p.profile_cached(&cluster, &cache) {
-                println!("{name:<16} skipped: {e}");
-                continue;
-            }
-            let cur = Snapshot::take();
-            let delta = cur.since(&prev);
-            prev = cur;
+    let (scope, what, default_base, snap) = match cluster_spec {
+        None => {
+            let mut fleet = Snapshot::zero();
+            let mut prev = Snapshot::take();
             println!(
                 "{:<16} {:>12} {:>12} {:>16}",
-                name,
-                delta.counter("stash_sim_queue_events_popped_total"),
-                delta.counter("stash_sim_solver_full_recomputes_total"),
-                delta
-                    .histogram("stash_sim_solver_recompute_latency_ns")
-                    .map_or(0, |h| h.quantile(0.99))
+                "cluster", "events", "recomputes", "solver p99 ns"
             );
-            fleet.merge(&delta);
-        }
-        (
-            "sweep",
-            format!("sweep {model_slug}"),
-            format!("results/telemetry_sweep_{model_slug}"),
-            fleet,
-        )
-    } else {
-        let cluster_spec = if model_name == first { second } else { first };
-        let cluster = match parse_cluster(cluster_spec) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+            for cluster in default_candidates() {
+                let name = cluster.display_name();
+                let stash_p = stash_for(model.clone(), batch);
+                if let Err(e) = stash_p.profile_cached(&cluster, &cache) {
+                    println!("{name:<16} skipped: {e}");
+                    continue;
+                }
+                let cur = Snapshot::take();
+                let delta = cur.since(&prev);
+                prev = cur;
+                println!(
+                    "{:<16} {:>12} {:>12} {:>16}",
+                    name,
+                    delta.counter("stash_sim_queue_events_popped_total"),
+                    delta.counter("stash_sim_solver_full_recomputes_total"),
+                    delta
+                        .histogram("stash_sim_solver_recompute_latency_ns")
+                        .map_or(0, |h| h.quantile(0.99))
+                );
+                fleet.merge(&delta);
             }
-        };
-        if let Err(e) = stash_for(model.clone(), batch).profile_cached(&cluster, &cache) {
-            eprintln!("profiling failed: {e}");
-            return ExitCode::FAILURE;
+            (
+                "sweep",
+                format!("sweep {model_slug}"),
+                format!("results/telemetry_sweep_{model_slug}"),
+                fleet,
+            )
         }
-        (
-            "instance",
-            format!("{cluster_spec} {model_slug}"),
-            format!(
-                "results/telemetry_{model_slug}_{}",
-                cluster_spec.replace('*', "x")
-            ),
-            Snapshot::take(),
-        )
+        Some(cluster_spec) => {
+            let cluster = parse_cluster(cluster_spec)?;
+            stash_for(model, batch)
+                .profile_cached(&cluster, &cache)
+                .map_err(|e| format!("profiling failed: {e}"))?;
+            (
+                "instance",
+                format!("{cluster_spec} {model_slug}"),
+                format!("results/telemetry_{}", slug(model_name, cluster_spec)),
+                Snapshot::take(),
+            )
+        }
     };
 
     if format_csv {
         print!("{}", snap.to_csv());
     } else {
-        println!("\nsimulator self-telemetry — {subject}:");
+        println!("\nsimulator self-telemetry — {what}:");
         for &(name, v) in &snap.counters {
             println!("  {name:<46} {v:>14}");
         }
@@ -954,135 +910,66 @@ fn cmd_perf(args: &[String]) -> ExitCode {
         }
     }
 
-    let out_base = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or(default_base);
-    let json_path = format!("{out_base}.json");
-    let prom_path = format!("{out_base}.prom");
-    let json_text = match serde_json::to_string_pretty(&snap.to_json(scope, &subject)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize telemetry: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out_base = args.value(OUT).map_or(default_base, str::to_string);
+    let json_text = serde_json::to_string_pretty(&snap.to_json(scope, &what))
+        .map_err(|e| format!("cannot serialize telemetry: {e}"))?;
     let prom_text = snap.render_prom();
-    if let Err(e) = stash::telemetry::prom::validate(&prom_text) {
-        eprintln!("telemetry exposition failed validation: {e}");
-        return ExitCode::FAILURE;
-    }
+    stash::telemetry::prom::validate(&prom_text)
+        .map_err(|e| format!("telemetry exposition failed validation: {e}"))?;
     let mut outputs = vec![
-        (json_path.clone(), json_text),
-        (prom_path.clone(), prom_text),
+        (format!("{out_base}.json"), json_text),
+        (format!("{out_base}.prom"), prom_text),
     ];
     if format_csv {
         outputs.push((format!("{out_base}.csv"), snap.to_csv()));
     }
     for (path, text) in &outputs {
-        if let Err(e) = write_creating_dirs(path, text) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        write_creating_dirs(path, text)?;
     }
     let names: Vec<&str> = outputs.iter().map(|(p, _)| p.as_str()).collect();
     println!(
         "\nprom validated — telemetry written to {}",
         names.join(", ")
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    use std::cell::RefCell;
-    use std::rc::Rc;
+/// A faulted epoch under a seeded or file-provided fault plan, self-checked
+/// against the engine, with a JSON resilience report (and, with
+/// `--flight`, the engine's last events dumped on failure).
+fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
+    use stash::telemetry::flight::{flight_dump, flight_enable, DEFAULT_CAPACITY};
 
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!(
-            "usage: stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--series PATH] [-b batch]"
-        );
-        return ExitCode::FAILURE;
-    };
-    // Either argument order, like `stash trace`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-    let seed: u64 = match args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--seed expects an unsigned integer, got '{v}'");
-                return ExitCode::FAILURE;
-            }
-        },
+    let (model, model_name, cluster_spec) = subject(&args.pos[0], &args.pos[1])?;
+    let cluster = parse_cluster(cluster_spec)?;
+    let batch = args.batch()?;
+    let seed: u64 = match args.value("--seed") {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--seed expects an unsigned integer, got '{v}'"))?,
         None => 42,
     };
-    let plan_file = args
-        .iter()
-        .position(|a| a == "--plan")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
+    let plan_file = args.value("--plan");
+    let out_path = args.value(OUT).map_or_else(
+        || {
+            let origin = plan_file.map_or_else(|| format!("seed{seed}"), |_| "plan".to_string());
             format!(
-                "results/chaos_{}_{}_{}.json",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x"),
-                if plan_file.is_some() {
-                    "plan".to_string()
-                } else {
-                    format!("seed{seed}")
-                }
+                "results/chaos_{}_{origin}.json",
+                slug(model_name, cluster_spec)
             )
-        });
+        },
+        str::to_string,
+    );
 
     // Optional flight recorder: keep the tail of the engine's event
     // stream and dump it on failure — typed errors and panics alike —
     // so a broken chaos run leaves behind what the simulator was doing.
-    let flight_path = args
-        .iter()
-        .position(|a| a == "--flight")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let series_path = args
-        .iter()
-        .position(|a| a == "--series")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(path) = flight_path.clone() {
-        stash::telemetry::flight::flight_enable(stash::telemetry::flight::DEFAULT_CAPACITY);
+    let flight_path = args.value("--flight");
+    if let Some(path) = flight_path.map(str::to_string) {
+        flight_enable(DEFAULT_CAPACITY);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if let Some(dump) = stash::telemetry::flight::flight_dump() {
+            if let Some(dump) = flight_dump() {
                 if write_creating_dirs(&path, &dump).is_ok() {
                     eprintln!("flight recording written to {path}");
                 }
@@ -1090,18 +977,6 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
             prev(info);
         }));
     }
-    let flight_fail = |msg: String| -> ExitCode {
-        if let Some(path) = &flight_path {
-            if let Some(dump) = stash::telemetry::flight::flight_dump() {
-                match write_creating_dirs(path, &dump) {
-                    Ok(()) => eprintln!("flight recording written to {path}"),
-                    Err(e) => eprintln!("{e}"),
-                }
-            }
-        }
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
 
     // A full (factor-1) synthetic window: every accumulator is exact, so
     // the trace must corroborate the engine to the nanosecond.
@@ -1110,137 +985,90 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
     cfg.epoch_mode = EpochMode::Full;
     cfg.record_trace = true;
 
-    // Fault-free baseline: the yardstick, and the plan horizon.
-    let base = match run_epoch(&cfg) {
-        Ok(r) => r,
-        Err(e) => return flight_fail(format!("chaos baseline failed: {e}")),
-    };
-
-    let (world, nodes) = (cluster.world_size(), cluster.node_count());
-    let plan = match &plan_file {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return flight_fail(format!("cannot read {path}: {e}")),
-            };
-            match FaultPlan::from_json(&text) {
-                Ok(p) => p,
-                Err(e) => return flight_fail(format!("{path}: {e}")),
+    // Everything the flight recorder covers: the runs and their checks.
+    let checked_run = || -> Result<(EpochReport, FaultPlan, FaultedRun), String> {
+        // Fault-free baseline: the yardstick, and the plan horizon.
+        let base = run_epoch(&cfg).map_err(|e| format!("chaos baseline failed: {e}"))?;
+        let (world, nodes) = (cluster.world_size(), cluster.node_count());
+        let plan = match plan_file {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                FaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?
             }
-        }
-        None => FaultPlan::seeded(seed, world, nodes, base.epoch_time),
-    };
-    if let Err(e) = plan.validate(world, nodes) {
-        return flight_fail(format!("fault plan does not fit {cluster_spec}: {e}"));
-    }
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let run = match run_epoch_faulted_traced(&cfg, &plan, &tracer) {
-        Ok(r) => r,
-        Err(e) => return flight_fail(format!("chaos run failed: {e}")),
-    };
-    let r = &run.report;
-
-    // Self-check: the rank-0 trace lane must reconcile with the engine's
-    // accounting exactly, recovery and straggler categories included.
-    let events = sink.borrow().events().to_vec();
-    let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
-    let raw = |cats: &[PathCategory]| {
-        SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum::<u64>())
-    };
-    let checks = [
-        (
-            "compute",
-            raw(&[PathCategory::Compute, PathCategory::Overlap]),
-            r.compute_time,
-        ),
-        (
-            "data-wait",
-            raw(&[PathCategory::Prep, PathCategory::Fetch]),
-            r.data_wait,
-        ),
-        (
-            "comm-wait",
-            raw(&[PathCategory::Interconnect, PathCategory::Network]),
-            r.comm_wait,
-        ),
-        ("recovery", raw(&[PathCategory::Recovery]), r.recovery_time),
-        (
-            "straggler",
-            raw(&[PathCategory::Straggler]),
-            r.straggler_time,
-        ),
-    ];
-    for (what, traced, engine) in checks {
-        if traced != engine {
-            return flight_fail(format!(
-                "chaos self-check failed: traced {what} {traced} != engine {engine}"
-            ));
-        }
-    }
-
-    // Optional iteration series: an un-traced series run of the same
-    // faulted config must agree with the traced run bit-for-bit (both
-    // instrumentation layers are pure observers), and its downsampled
-    // totals must reconcile with the report at integer-ns exactness —
-    // the sixth leg of the chaos self-check.
-    if let Some(spath) = &series_path {
-        let was_enabled = stash::telemetry::enabled();
-        stash::telemetry::enable();
-        let sr = run_epoch_series(&cfg, &EngineOptions { fast_forward: true }, Some(&plan));
-        if !was_enabled {
-            stash::telemetry::disable();
-        }
-        let sr = match sr {
-            Ok(sr) => sr,
-            Err(e) => return flight_fail(format!("chaos series run failed: {e}")),
+            None => FaultPlan::seeded(seed, world, nodes, base.epoch_time),
         };
-        if sr.run != run {
-            return flight_fail(
-                "chaos self-check failed: series engine disagrees with the traced run".to_string(),
-            );
-        }
-        let t = sr.series.totals();
-        let factor = r.iterations as f64 / r.simulated_iterations as f64;
-        let series_checks = [
-            ("compute", t.compute_ns, r.compute_time),
-            ("data-wait", t.data_wait_ns, r.data_wait),
-            ("comm-wait", t.comm_wait_ns, r.comm_wait),
-            ("recovery", t.recovery_ns, r.recovery_time),
-            ("straggler", t.straggler_ns, r.straggler_time),
-        ];
-        for (what, ns, engine) in series_checks {
-            let Ok(ns) = u64::try_from(ns) else {
-                return flight_fail(format!("chaos series {what} total is negative ({ns})"));
-            };
-            if SimDuration::from_nanos(ns).mul_f64(factor) != engine {
-                return flight_fail(format!(
-                    "chaos self-check failed: series {what} does not reconcile with the engine"
+        plan.validate(world, nodes)
+            .map_err(|e| format!("fault plan does not fit {cluster_spec}: {e}"))?;
+
+        let (run, events) = with_tracer(|tracer| run_epoch_faulted_traced(&cfg, &plan, tracer))
+            .map_err(|e| format!("chaos run failed: {e}"))?;
+        let r = &run.report;
+
+        // Self-check: the rank-0 trace lane must reconcile with the engine's
+        // accounting exactly, recovery and straggler categories included.
+        let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
+        for ((what, engine), traced) in engine_accounts(r).into_iter().zip(path_accounts(&path)) {
+            if traced != engine {
+                return Err(format!(
+                    "chaos self-check failed: traced {what} {traced} != engine {engine}"
                 ));
             }
         }
-        let meta = stash::telemetry::series::SeriesMeta {
-            cluster: r.cluster.clone(),
-            model: r.model.clone(),
-            world: r.world as u64,
-            per_gpu_batch: r.per_gpu_batch,
-            iterations: r.iterations,
-            simulated_iterations: r.simulated_iterations,
-        };
-        let text = match serde_json::to_string_pretty(&sr.series.to_json(&meta)) {
-            Ok(t) => t,
-            Err(e) => return flight_fail(format!("cannot serialize series: {e}")),
-        };
-        if let Err(e) = write_creating_dirs(spath, &text) {
-            return flight_fail(e);
+
+        // Optional iteration series: an un-traced series run of the same
+        // faulted config must agree with the traced run bit-for-bit (both
+        // instrumentation layers are pure observers), and its downsampled
+        // totals must reconcile with the report at integer-ns exactness —
+        // the sixth leg of the chaos self-check.
+        if let Some(spath) = args.value("--series") {
+            let sr = series_run(&cfg, Some(&plan))
+                .map_err(|e| format!("chaos series run failed: {e}"))?;
+            if sr.run != run {
+                return Err(
+                    "chaos self-check failed: series engine disagrees with the traced run".into(),
+                );
+            }
+            let t = sr.series.totals();
+            let totals = [
+                t.compute_ns,
+                t.data_wait_ns,
+                t.comm_wait_ns,
+                t.recovery_ns,
+                t.straggler_ns,
+            ];
+            let factor = r.iterations as f64 / r.simulated_iterations as f64;
+            for ((what, engine), ns) in engine_accounts(r).into_iter().zip(totals) {
+                let ns = u64::try_from(ns)
+                    .map_err(|_| format!("chaos series {what} total is negative ({ns})"))?;
+                if SimDuration::from_nanos(ns).mul_f64(factor) != engine {
+                    return Err(format!(
+                        "chaos self-check failed: series {what} does not reconcile with the engine"
+                    ));
+                }
+            }
+            let text = serde_json::to_string_pretty(&series_doc(&sr))
+                .map_err(|e| format!("cannot serialize series: {e}"))?;
+            write_creating_dirs(spath, &text)?;
+            println!(
+                "  iteration series ({} buckets, {} fault windows) written to {spath}",
+                sr.series.samples.len(),
+                sr.series.annotations.len()
+            );
         }
-        println!(
-            "  iteration series ({} buckets, {} fault windows) written to {spath}",
-            sr.series.samples.len(),
-            sr.series.annotations.len()
-        );
-    }
+        Ok((base, plan, run))
+    };
+    let (base, plan, run) = checked_run().inspect_err(|_| {
+        if let Some(path) = flight_path {
+            if let Some(dump) = flight_dump() {
+                match write_creating_dirs(path, &dump) {
+                    Ok(()) => eprintln!("flight recording written to {path}"),
+                    Err(e) => eprintln!("{e}"),
+                }
+            }
+        }
+    })?;
+    let r = &run.report;
 
     let slowdown = r.epoch_time.as_secs_f64() / base.epoch_time.as_secs_f64().max(1e-12);
     println!(
@@ -1249,9 +1077,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
         r.model,
         r.per_gpu_batch,
         base.world,
-        plan_file
-            .as_deref()
-            .map_or_else(|| format!("seed {seed}"), str::to_string)
+        plan_file.map_or_else(|| format!("seed {seed}"), str::to_string)
     );
     println!(
         "  baseline epoch {:>12}   faulted epoch {:>12}   slowdown {slowdown:.2}x",
@@ -1308,46 +1134,34 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
         "goodput_fraction": r.throughput / base.throughput.max(1e-12),
         "faults": &run.faults,
     });
-    let text = match serde_json::to_string_pretty(&doc) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize resilience report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = write_creating_dirs(&out_path, &text) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let text = serde_json::to_string_pretty(&doc)
+        .map_err(|e| format!("cannot serialize resilience report: {e}"))?;
+    write_creating_dirs(&out_path, &text)?;
     println!("\nresilience report written to {out_path}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_dash(args: &[String]) -> ExitCode {
+/// A validated, self-contained fleet stall dashboard over the
+/// stash-series-v1 documents in a directory, simulating the default grid
+/// into it when it has none.
+fn cmd_dash(args: &Args) -> Result<ExitCode, String> {
     use stash::trace::dash::{DashCell, Dashboard};
 
-    let Some(dir) = args.first() else {
-        eprintln!("usage: stash dash <results-dir> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
-    };
+    let dir = &args.pos[0];
     let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{dir}/dashboard.html"));
+        .value(OUT)
+        .map_or_else(|| format!("{dir}/dashboard.html"), str::to_string);
 
     // A result store is not a series directory: refuse loudly instead of
     // simulating a default sweep into it (which would bury series JSON
     // between the records) or silently skipping its binary files.
-    let dir_path = std::path::Path::new(dir);
+    let dir_path = Path::new(dir);
     if dir_path.join("records").is_dir() || dir_path.join("journal.log").is_file() {
-        eprintln!(
+        return Err(format!(
             "{dir}: this is a stash result store (records/ + journal.log), not a series \
              results directory — inspect it with `stash fsck {dir}` or point dash at a \
              directory of stash-series-v1 JSON documents"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     // Load every stash-series-v1 document already in the directory
@@ -1357,13 +1171,8 @@ fn cmd_dash(args: &[String]) -> ExitCode {
     // document is skipped with an explicit note.
     let mut cells: Vec<DashCell> = Vec::new();
     if dir_path.is_dir() {
-        let entries = match std::fs::read_dir(dir_path) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("cannot read directory {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let entries =
+            std::fs::read_dir(dir_path).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
         let mut paths: Vec<std::path::PathBuf> = entries
             .filter_map(Result::ok)
             .map(|e| e.path())
@@ -1371,34 +1180,17 @@ fn cmd_dash(args: &[String]) -> ExitCode {
             .collect();
         paths.sort();
         for path in paths {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let doc = match serde_json::from_str::<serde_json::Value>(&text) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("{}: invalid JSON: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let doc = serde_json::from_str::<serde_json::Value>(&text)
+                .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
             if !stash::telemetry::series::is_series_doc(&doc) {
                 println!("skipped (not a series document): {}", path.display());
                 continue;
             }
-            match DashCell::from_doc(&doc) {
-                Ok(cell) => {
-                    println!("loaded series: {}", path.display());
-                    cells.push(cell);
-                }
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+            let cell = DashCell::from_doc(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
+            println!("loaded series: {}", path.display());
+            cells.push(cell);
         }
     }
 
@@ -1406,24 +1198,10 @@ fn cmd_dash(args: &[String]) -> ExitCode {
     // series documents behind so the next `stash dash` is a pure load.
     if cells.is_empty() {
         println!("no series documents in {dir} — simulating the default sweep");
-        let grid_clusters = ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"];
-        let grid_models = ["ShuffleNet", "ResNet18", "BERT-Large"];
-        for cluster_spec in grid_clusters {
-            let cluster = match parse_cluster(cluster_spec) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for model_name in grid_models {
-                let model = match lookup_model(model_name) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+        for cluster_spec in DEFAULT_CLUSTERS {
+            let cluster = parse_cluster(cluster_spec)?;
+            for model_name in ["ShuffleNet", "ResNet18", "BERT-Large"] {
+                let model = lookup_model(model_name)?;
                 let batch = if model.name.starts_with("BERT") {
                     4
                 } else {
@@ -1431,71 +1209,32 @@ fn cmd_dash(args: &[String]) -> ExitCode {
                 };
                 let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * 64);
                 cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
-                let doc = match run_series(&cfg, None) {
-                    Ok(Some(doc)) => doc,
-                    Ok(None) => {
-                        eprintln!("{cluster_spec} {model_name}: empty series");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("{cluster_spec} {model_name}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let cell = match DashCell::from_doc(&doc) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("{cluster_spec} {model_name}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let text = match serde_json::to_string_pretty(&doc) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot serialize series: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let spath = format!(
-                    "{dir}/series_{}_{}.json",
-                    model_name.to_lowercase(),
-                    cluster_spec.replace('*', "x")
-                );
-                if let Err(e) = write_creating_dirs(&spath, &text) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
+                let cell_err = |e: String| format!("{cluster_spec} {model_name}: {e}");
+                let sr = series_run(&cfg, None).map_err(|e| cell_err(e.to_string()))?;
+                if sr.series.is_empty() {
+                    return Err(cell_err("empty series".into()));
                 }
+                let doc = series_doc(&sr);
+                let cell = DashCell::from_doc(&doc).map_err(cell_err)?;
+                let text = serde_json::to_string_pretty(&doc)
+                    .map_err(|e| format!("cannot serialize series: {e}"))?;
+                let spath = format!("{dir}/series_{}.json", slug(model_name, cluster_spec));
+                write_creating_dirs(&spath, &text)?;
                 println!("simulated {cluster_spec} x {model_name} -> {spath}");
                 cells.push(cell);
             }
         }
     }
 
-    let dash = Dashboard::new(cells);
-    let html = dash.to_html();
-    let validated = match Dashboard::validate(&html) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("dashboard failed self-validation: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = write_creating_dirs(&out_path, &html) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let html = Dashboard::new(cells).to_html();
+    let validated =
+        Dashboard::validate(&html).map_err(|e| format!("dashboard failed self-validation: {e}"))?;
+    write_creating_dirs(&out_path, &html)?;
     println!(
         "dashboard validated ({validated} cell{}) and written to {out_path}",
         if validated == 1 { "" } else { "s" }
     );
-    ExitCode::SUCCESS
-}
-
-/// The value following `name`, if the flag is present.
-fn flag_val<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Reconstructs a sweep cell from its journal `plan` descriptor (the
@@ -1541,107 +1280,74 @@ fn job_from_descriptor(detail: &str) -> Result<ProfileJob, String> {
 
 /// The record key a quarantine file holds the corpse of, from its
 /// `<32 hex>.rec.qN` name.
-fn quarantined_record_key(path: &std::path::Path) -> Option<String> {
+fn quarantined_record_key(path: &Path) -> Option<String> {
     let name = path.file_name()?.to_str()?;
     let (stem, _) = name.split_once(".rec")?;
     (stem.len() == 32 && stem.chars().all(|c| c.is_ascii_hexdigit())).then(|| stem.to_string())
 }
 
-/// The default sweep grid (matches the dash simulation grid's clusters,
-/// with CNN-family models so every cell profiles quickly).
-const SWEEP_CLUSTERS: [&str; 3] = ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"];
+/// The default grid of `sweep` and of `dash`'s simulated sweep; `sweep`
+/// pairs it with CNN-family models so every cell profiles quickly.
+const DEFAULT_CLUSTERS: [&str; 3] = ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"];
 const SWEEP_MODELS: [&str; 3] = ["ShuffleNet", "ResNet18", "AlexNet"];
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let usage = "usage: stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] \
-                 [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] \
-                 [--io-fault-seed N] [--retries N] [--deadline-secs S]";
-    let store_dir = flag_val(args, "--store").cloned();
-    let resume = args.iter().any(|a| a == "--resume");
+/// A durable characterization sweep: consult-first cells against a
+/// checksummed result store with a write-ahead journal, optional
+/// deterministic I/O fault injection, and exit 2 when cells failed but
+/// the sweep finished.
+fn cmd_sweep(args: &Args) -> Result<ExitCode, String> {
+    let with_usage = |e: String| format!("{e}\n{}", args.usage());
+    let store_dir = args.value("--store");
+    let resume = args.has("--resume");
     if resume && store_dir.is_none() {
-        eprintln!("--resume requires --store DIR\n{usage}");
-        return ExitCode::FAILURE;
+        return Err(with_usage("--resume requires --store DIR".into()));
     }
 
     // Sampled iterations per cell. A cell's key covers this (it is part
     // of the descriptor), so records computed at different budgets never
     // collide, and resume replays each cell at its journaled budget.
-    let sampled_iterations = match flag_val(args, "--iters") {
-        None => 6,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--iters wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    let Some(batch) = parse_batch(args) else {
-        return ExitCode::FAILURE;
-    };
-
+    let sampled_iterations = args.positive("--iters").map_err(with_usage)?.unwrap_or(6);
+    let batch = args.batch()?;
     let mut policy = RetryPolicy::default();
-    if let Some(v) = flag_val(args, "--retries") {
-        match v.parse::<u32>() {
-            Ok(n) if n >= 1 => policy.max_attempts = n,
-            _ => {
-                eprintln!("--retries wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(n) = args.positive("--retries").map_err(with_usage)? {
+        policy.max_attempts = n;
     }
-    if let Some(v) = flag_val(args, "--deadline-secs") {
-        match v.parse::<u64>() {
-            Ok(s) if s >= 1 => policy.deadline_ms = s.saturating_mul(1000),
-            _ => {
-                eprintln!("--deadline-secs wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(s) = args
+        .positive::<u64>("--deadline-secs")
+        .map_err(with_usage)?
+    {
+        policy.deadline_ms = s.saturating_mul(1000);
     }
 
     // The I/O backend: production StdFs, or deterministic fault
     // injection when a plan (file or seed) is given.
-    let fault_plan = match (
-        flag_val(args, "--io-fault-plan"),
-        flag_val(args, "--io-fault-seed"),
-    ) {
+    let fault_plan = match (args.value("--io-fault-plan"), args.value("--io-fault-seed")) {
         (Some(_), Some(_)) => {
-            eprintln!("--io-fault-plan and --io-fault-seed are mutually exclusive\n{usage}");
-            return ExitCode::FAILURE;
+            return Err(with_usage(
+                "--io-fault-plan and --io-fault-seed are mutually exclusive".into(),
+            ))
         }
         (Some(path), None) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match IoFaultPlan::from_json(&text) {
-                Ok(plan) => Some((plan, format!("plan file {path}"))),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let plan = IoFaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+            Some((plan, format!("plan file {path}")))
         }
-        (None, Some(seed)) => match seed.parse::<u64>() {
-            Ok(seed) => Some((IoFaultPlan::seeded(seed), format!("seed {seed}"))),
-            Err(_) => {
-                eprintln!("--io-fault-seed wants an integer, got '{seed}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        },
+        (None, Some(seed)) => {
+            let seed: u64 = seed.parse().map_err(|_| {
+                with_usage(format!("--io-fault-seed wants an integer, got '{seed}'"))
+            })?;
+            Some((IoFaultPlan::seeded(seed), format!("seed {seed}")))
+        }
         (None, None) => None,
     };
     if fault_plan.is_some() && store_dir.is_none() {
-        eprintln!("I/O fault injection only touches store I/O — add --store DIR\n{usage}");
-        return ExitCode::FAILURE;
+        return Err(with_usage(
+            "I/O fault injection only touches store I/O — add --store DIR".into(),
+        ));
     }
 
-    let store = match &store_dir {
+    let store = match store_dir {
         Some(dir) => {
             let io: Box<dyn StoreIo> = match fault_plan {
                 Some((plan, origin)) => {
@@ -1653,13 +1359,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                 }
                 None => Box::new(StdFs::new()),
             };
-            match ResultStore::open(std::path::Path::new(dir), io) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            Some(ResultStore::open(Path::new(dir), io).map_err(|e| e.to_string())?)
         }
         None => None,
     };
@@ -1668,43 +1368,30 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     // lines (what the interrupted sweep intended); otherwise build the
     // flag-selected (or default) cluster x model grid.
     let mut jobs: Vec<ProfileJob> = Vec::new();
-    let mut resumed_from_journal = false;
-    if resume {
-        let Some(store) = &store else {
-            unreachable!("--resume checked above")
-        };
-        let replay = match store.journal().replay(store.io()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot replay {}: {e}", store.journal().path().display());
-                return ExitCode::FAILURE;
-            }
-        };
+    if let (true, Some(store)) = (resume, &store) {
+        let replay = store
+            .journal()
+            .replay(store.io())
+            .map_err(|e| format!("cannot replay {}: {e}", store.journal().path().display()))?;
         if replay.torn_tail {
             println!(
                 "sweep: journal has a torn tail (crash mid-append) — trusting the intact prefix"
             );
         }
-        let planned = replay.planned_cells();
-        for (key, detail) in &planned {
-            match job_from_descriptor(detail) {
-                Ok(job) => jobs.push(job),
-                Err(e) => {
-                    eprintln!("journal plan for cell {key}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        for (key, detail) in &replay.planned_cells() {
+            let job = job_from_descriptor(detail)
+                .map_err(|e| format!("journal plan for cell {key}: {e}"))?;
+            jobs.push(job);
         }
-        if !jobs.is_empty() {
-            resumed_from_journal = true;
-            println!("sweep: resuming {} journaled cell(s)", jobs.len());
-        } else {
+        if jobs.is_empty() {
             println!("sweep: journal is empty — running a fresh sweep");
+        } else {
+            println!("sweep: resuming {} journaled cell(s)", jobs.len());
         }
     }
-    if !resumed_from_journal {
-        let split = |v: Option<&String>, defaults: &[&str]| -> Vec<String> {
-            v.map_or_else(
+    if jobs.is_empty() {
+        let list = |flag: &str, defaults: &[&str]| -> Vec<String> {
+            args.value(flag).map_or_else(
                 || defaults.iter().map(|s| (*s).to_string()).collect(),
                 |s| {
                     s.split(',')
@@ -1715,30 +1402,16 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                 },
             )
         };
-        let cluster_specs = split(flag_val(args, "--clusters"), &SWEEP_CLUSTERS);
-        let model_names = split(flag_val(args, "--models"), &SWEEP_MODELS);
+        let cluster_specs = list("--clusters", &DEFAULT_CLUSTERS);
+        let model_names = list("--models", &SWEEP_MODELS);
         if cluster_specs.is_empty() || model_names.is_empty() {
-            eprintln!("empty --clusters/--models list\n{usage}");
-            return ExitCode::FAILURE;
+            return Err(with_usage("empty --clusters/--models list".into()));
         }
         for cluster_spec in &cluster_specs {
-            let cluster = match parse_cluster(cluster_spec) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let cluster = parse_cluster(cluster_spec)?;
             for model_name in &model_names {
-                let model = match lookup_model(model_name) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
                 jobs.push(ProfileJob {
-                    stash: stash_for(model, batch)
+                    stash: stash_for(lookup_model(model_name)?, batch)
                         .with_sampled_iterations(sampled_iterations)
                         .with_epoch_samples(20_000),
                     cluster: cluster.clone(),
@@ -1768,16 +1441,16 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         outcome.failed()
     );
 
-    let out_path = flag_val(args, "--out").cloned().unwrap_or_else(|| {
-        store_dir.as_ref().map_or_else(
-            || "results/sweep.csv".to_string(),
-            |dir| format!("{dir}/results.csv"),
-        )
-    });
-    if let Err(e) = write_creating_dirs(&out_path, &outcome.results_csv()) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let out_path = args.value("--out").map_or_else(
+        || {
+            store_dir.map_or_else(
+                || "results/sweep.csv".into(),
+                |dir| format!("{dir}/results.csv"),
+            )
+        },
+        str::to_string,
+    );
+    write_creating_dirs(&out_path, &outcome.results_csv())?;
     println!("results written to {out_path}");
 
     if outcome.failed() > 0 {
@@ -1785,36 +1458,24 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             "sweep finished with {} failed cell(s) — see the status column in {out_path}",
             outcome.failed()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_fsck(args: &[String]) -> ExitCode {
-    let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: stash fsck <store-dir> [--repair]");
-        return ExitCode::FAILURE;
-    };
-    let repair = args.iter().any(|a| a == "--repair");
-
-    if !std::path::Path::new(dir).is_dir() {
-        eprintln!("{dir}: not a directory (fsck wants an existing stash result store)");
-        return ExitCode::FAILURE;
+/// Verifies every store record's frame and quarantines corrupt ones;
+/// `--repair` rebuilds them from the journal. Exit 2 when corruption
+/// remains.
+fn cmd_fsck(args: &Args) -> Result<ExitCode, String> {
+    let dir = &args.pos[0];
+    if !Path::new(dir).is_dir() {
+        return Err(format!(
+            "{dir}: not a directory (fsck wants an existing stash result store)"
+        ));
     }
-    let store = match ResultStore::open(std::path::Path::new(dir), Box::new(StdFs::new())) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match store.fsck() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store =
+        ResultStore::open(Path::new(dir), Box::new(StdFs::new())).map_err(|e| e.to_string())?;
+    let report = store.fsck().map_err(|e| e.to_string())?;
     println!(
         "fsck {dir}: {} record(s) scanned, {} ok, {} issue(s)",
         report.scanned,
@@ -1829,45 +1490,34 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     // and their record is gone), minus anything that verifies clean now.
     let mut needs_rebuild: std::collections::BTreeSet<String> =
         report.quarantined_keys().into_iter().collect();
-    match store.io().list(&store.quarantine_dir()) {
-        Ok(files) => {
-            for file in files {
-                if let Some(key) = quarantined_record_key(&file) {
-                    needs_rebuild.insert(key);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot list {}: {e}", store.quarantine_dir().display());
-            return ExitCode::FAILURE;
-        }
-    }
+    let quarantined = store
+        .io()
+        .list(&store.quarantine_dir())
+        .map_err(|e| format!("cannot list {}: {e}", store.quarantine_dir().display()))?;
+    needs_rebuild.extend(quarantined.iter().filter_map(|f| quarantined_record_key(f)));
     needs_rebuild.retain(|key| {
         stash::store::parse_key_hex(key).is_none_or(|k| !matches!(store.get(k), Ok(Fetch::Hit(_))))
     });
     if needs_rebuild.is_empty() {
         println!("store verifies clean");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if !repair {
+    if !args.has("--repair") {
         eprintln!(
             "{} corrupt record(s) in quarantine — re-run with --repair to rebuild them \
              from the journal",
             needs_rebuild.len()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
 
     // Repair: re-run the quarantined cells from their journal plans; the
     // engine is deterministic, so a rebuilt record is byte-identical to
     // the one the corruption destroyed.
-    let replay = match store.journal().replay(store.io()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot replay {}: {e}", store.journal().path().display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let replay = store
+        .journal()
+        .replay(store.io())
+        .map_err(|e| format!("cannot replay {}: {e}", store.journal().path().display()))?;
     let mut jobs: Vec<ProfileJob> = Vec::new();
     for key in &needs_rebuild {
         let Some(detail) = replay.plan_for(key) else {
@@ -1897,65 +1547,44 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     // is the sole arbiter of repair success.
     let mut unrepaired = 0usize;
     for key in &needs_rebuild {
-        let Some(parsed) = stash::store::parse_key_hex(key) else {
-            eprintln!("rebuild of {key} failed: not a valid record key");
-            unrepaired += 1;
-            continue;
+        let failure = match stash::store::parse_key_hex(key).map(|k| store.get(k)) {
+            Some(Ok(Fetch::Hit(_))) => continue,
+            Some(Ok(_)) => format!("rebuild of {key} did not verify"),
+            Some(Err(e)) => e.to_string(),
+            None => format!("rebuild of {key} failed: not a valid record key"),
         };
-        match store.get(parsed) {
-            Ok(Fetch::Hit(_)) => {}
-            Ok(_) => {
-                eprintln!("rebuild of {key} did not verify");
-                unrepaired += 1;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                unrepaired += 1;
-            }
-        }
+        eprintln!("{failure}");
+        unrepaired += 1;
     }
     if unrepaired > 0 {
         eprintln!("{unrepaired} record(s) remain unrepaired");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     println!("repair complete: store verifies clean");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The top-level help: every command's usage line.
+fn help() -> String {
+    let lines: Vec<&str> = COMMANDS.iter().map(|c| c.usage).collect();
+    format!(
+        "stash — DDL stall profiler (ICDCS'23 reproduction)\n\nusage:\n  {}\n\n\
+         clusters: p3.16xlarge, p3.8xlarge*2, ...",
+        lines.join("\n  ")
+    )
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("catalog") => cmd_catalog(),
-        Some("models") => cmd_models(),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("advise") => cmd_advise(&args[1..]),
-        Some("probe") => cmd_probe(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("perf") => cmd_perf(&args[1..]),
-        Some("dash") => cmd_dash(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
-        _ => {
-            eprintln!(
-                "stash — DDL stall profiler (ICDCS'23 reproduction)\n\n\
-                 usage:\n  stash catalog\n  stash models\n  \
-                 stash profile <model> <cluster> [-b batch]\n  \
-                 stash advise <model> [-b batch] [--cost|--time]\n  \
-                 stash probe <instance>\n  \
-                 stash trace <instance> <model> [--out PATH] [-b batch]\n  \
-                 stash report <instance> <model> [--out PATH] [-b batch]\n  \
-                 stash diff <baseline.json> <current.json> [--threshold FRAC]\n  \
-                 stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--flight PATH] [--series PATH] [-b batch]\n  \
-                 stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]\n  \
-                 stash dash <results-dir> [--out PATH]\n  \
-                 stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] [--io-fault-seed N] [--retries N] [--deadline-secs S]\n  \
-                 stash fsck <store-dir> [--repair]\n\n\
-                 clusters: p3.16xlarge, p3.8xlarge*2, ..."
-            );
-            ExitCode::FAILURE
-        }
-    }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let result = match raw
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name() == name))
+    {
+        Some(cmd) => Args::parse(cmd, &raw[1..]).and_then(|args| (cmd.run)(&args)),
+        None => Err(help()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }

@@ -567,3 +567,130 @@ fn chaos_writes_deterministic_resilience_report() {
     assert!(stderr.contains("does not fit"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cli_error_paths_exit_with_their_messages() {
+    let usage_rows: [(&str, &str); 10] = [
+        (
+            "profile",
+            "usage: stash profile <model> <cluster> [-b batch]\n",
+        ),
+        (
+            "advise",
+            "usage: stash advise <model> [-b batch] [--cost|--time]\n",
+        ),
+        ("probe", "usage: stash probe <instance>\n"),
+        (
+            "trace",
+            "usage: stash trace <instance> <model> [--out PATH] [-b batch]\n",
+        ),
+        (
+            "report",
+            "usage: stash report <instance> <model> [--out PATH] [-b batch]\n",
+        ),
+        (
+            "diff",
+            "usage: stash diff <baseline.json> <current.json> [--threshold FRAC]\n",
+        ),
+        (
+            "chaos",
+            "usage: stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] \
+             [--flight PATH] [--series PATH] [-b batch]\n",
+        ),
+        (
+            "perf",
+            "usage: stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]\n",
+        ),
+        ("dash", "usage: stash dash <results-dir> [--out PATH]\n"),
+        ("fsck", "usage: stash fsck <store-dir> [--repair]\n"),
+    ];
+    let mut rows: Vec<(Vec<&str>, i32, &str)> = usage_rows
+        .iter()
+        .map(|&(cmd, usage)| (vec![cmd], 1, usage))
+        .collect();
+    rows.extend([
+        (
+            vec!["perf", "p3.2xlarge", "shufflenet", "--format", "xml"],
+            1,
+            "--format expects 'csv' or 'table', got 'xml'",
+        ),
+        (
+            vec!["chaos", "p3.2xlarge", "alexnet", "--seed", "abc"],
+            1,
+            "--seed expects an unsigned integer, got 'abc'",
+        ),
+        (
+            vec!["sweep", "--iters", "0"],
+            1,
+            "--iters wants a positive integer, got '0'",
+        ),
+        (
+            vec!["sweep", "--retries", "0"],
+            1,
+            "--retries wants a positive integer, got '0'",
+        ),
+        (
+            vec!["sweep", "--deadline-secs", "0"],
+            1,
+            "--deadline-secs wants a positive integer, got '0'",
+        ),
+        (
+            vec!["sweep", "--io-fault-plan", "F", "--io-fault-seed", "1"],
+            1,
+            "--io-fault-plan and --io-fault-seed are mutually exclusive",
+        ),
+        (
+            vec!["sweep", "--clusters", ","],
+            1,
+            "empty --clusters/--models list",
+        ),
+        // A flag with its value missing, or misspelt, is a usage error,
+        // never a run without it.
+        (
+            vec!["sweep", "--store", "st", "--io-fault-seed"],
+            1,
+            "--io-fault-seed needs a value",
+        ),
+        (vec!["sweep", "--stor", "st"], 1, "unknown flag '--stor'"),
+        (
+            vec!["sweep", "--store", "--resume"],
+            1,
+            "--store needs a value",
+        ),
+        (
+            vec!["chaos", "p3.2xlarge", "alexnet", "--plan"],
+            1,
+            "--plan needs a value",
+        ),
+        (
+            vec!["trace", "p3.2xlarge", "resnet18", "--out"],
+            1,
+            "--out needs a value",
+        ),
+    ]);
+
+    for (i, (args, code, fragment)) in rows.iter().enumerate() {
+        // A fresh working directory per row: a flag value mistaken for a
+        // path must not leak between rows (or into the repository).
+        let dir = std::env::temp_dir().join(format!("stash_cli_err_{}_{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_stash"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run stash binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "stash {args:?}: {stderr}");
+        assert!(
+            stderr.contains(fragment),
+            "stash {args:?}: want {fragment:?} in {stderr:?}"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(
+            left.is_empty(),
+            "stash {args:?} left files behind: {left:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
