@@ -19,8 +19,6 @@
 //!   probing bill (the §VI-B cost comparison);
 //! * [`qos`] — network-stall distributions under bandwidth variance
 //!   (the §III QoS discussion, made quantitative);
-//! * [`db`] — the persistent characterization database users query
-//!   instead of re-running experiments (the paper's cost pitch);
 //! * [`pipeline`] — a GPipe-style pipeline-parallel estimator for the
 //!   models the paper's data-parallel profiler must exclude;
 //! * [`sweep`] — the durable, crash-resumable sweep runner: consult-first
@@ -52,12 +50,10 @@ pub mod advisor;
 pub mod analytic;
 pub mod cache;
 pub mod cost;
-pub mod db;
 pub mod error;
 pub mod pipeline;
 pub mod profiler;
 pub mod qos;
-pub mod render;
 pub mod report;
 pub mod srifty;
 pub mod sweep;
@@ -68,12 +64,10 @@ pub mod prelude {
     pub use crate::analytic::{comm_estimate, link_parameters, CommEstimate, LinkParameters};
     pub use crate::cache::{CacheStats, MeasurementCache};
     pub use crate::cost::{epoch_cost, training_cost, CostReport};
-    pub use crate::db::CharacterizationDb;
     pub use crate::error::ProfileError;
     pub use crate::pipeline::{plan as pipeline_plan, PipelinePlan};
     pub use crate::profiler::{par_profile_many, profile_threads, DsAnalyzer, ProfileJob, Stash};
     pub use crate::qos::{network_stall_distribution, QosDistribution};
-    pub use crate::render::{comparison_markdown, report_markdown};
     pub use crate::report::{StallReport, StepTimes};
     pub use crate::srifty::{compare as srifty_compare, grid_probe, SriftyPredictor};
     pub use crate::sweep::{

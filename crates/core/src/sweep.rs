@@ -544,10 +544,43 @@ mod tests {
 
     #[test]
     fn cell_keys_are_stable_and_distinct() {
+        use stash_collectives::{bucket::Bucketing, schedule::Algorithm};
+        use stash_dnn::dataset::DatasetSpec;
+        use stash_gpucompute::precision::Precision;
+
         let jobs = jobs();
         assert_eq!(cell_key(&jobs[0]), cell_key(&jobs[0]));
         assert_ne!(cell_key(&jobs[0]), cell_key(&jobs[1]));
         assert_ne!(cell_key(&jobs[1]), cell_key(&jobs[2]));
+
+        // Each profiler setting changed on its own, and the base job on a
+        // second cluster, must get a key of its own: a key of cluster,
+        // model and batch alone would serve an fp32 record to AMP.
+        let base = &jobs[0];
+        let vary = |with: fn(Stash) -> Stash| ProfileJob {
+            stash: with(base.stash.clone()),
+            cluster: base.cluster.clone(),
+        };
+        let variants = [
+            base.clone(),
+            vary(|s| s.with_batch(64)),
+            vary(|s| s.with_dataset(DatasetSpec::squad2())),
+            vary(|s| s.with_epoch_samples(40_000)),
+            vary(|s| s.with_sampled_iterations(6)),
+            vary(|s| s.with_bucketing(Bucketing::pytorch_default())),
+            vary(|s| s.with_algorithm(Algorithm::Tree)),
+            vary(|s| s.with_precision(Precision::Amp)),
+            ProfileJob {
+                stash: base.stash.clone(),
+                cluster: ClusterSpec::single(p3_8xlarge()),
+            },
+        ];
+        let keys: Vec<u128> = variants.iter().map(cell_key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share a cell key");
+            }
+        }
     }
 
     #[test]

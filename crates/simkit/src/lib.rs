@@ -12,8 +12,7 @@
 //! * [`queue`] — deterministic priority queue with FIFO tie-breaking and
 //!   cancellation;
 //! * [`rng`] — seedable `xoshiro256**` PRNG with stream forking;
-//! * [`stats`] — online counters, Welford summaries and time-weighted means;
-//! * [`histogram`] — log-bucketed duration histograms with quantiles.
+//! * [`stats`] — Welford summaries and time-weighted means.
 //!
 //! # Examples
 //!
@@ -44,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod histogram;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -52,9 +50,8 @@ pub mod time;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::histogram::LogHistogram;
     pub use crate::queue::{EventKey, EventQueue};
     pub use crate::rng::DetRng;
-    pub use crate::stats::{Counter, Summary, TimeWeighted};
+    pub use crate::stats::{Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -1,8 +1,7 @@
 //! Online statistics used by the simulator's instrumentation.
 //!
-//! Three small accumulators cover the profiler's needs:
+//! Two small accumulators cover the profiler's needs:
 //!
-//! * [`Counter`] — monotonically increasing event counts;
 //! * [`Summary`] — scalar samples (mean / min / max / variance via Welford);
 //! * [`TimeWeighted`] — piecewise-constant signals integrated over simulated
 //!   time (e.g. "how many flows were active, on average").
@@ -10,34 +9,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// New counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Welford online summary of scalar samples.
 ///
@@ -201,14 +172,6 @@ impl TimeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn summary_matches_closed_form() {

@@ -40,8 +40,9 @@
 //! A disabled tracer ([`recorder::Tracer::disabled`], the default
 //! everywhere) short-circuits before event construction: no allocation,
 //! no sink call, one predictable branch. Enabled tracers forward to a
-//! [`sink::TraceSink`] — [`sink::RingSink`] for bounded flight
-//! recording, [`sink::JsonSink`] for full capture, or a custom impl.
+//! [`sink::TraceSink`] — [`sink::JsonSink`] for full capture, or a
+//! custom impl. Always-on flight recording of the engine's last events
+//! is `stash_telemetry::flight`'s job, not a trace sink's.
 //!
 //! ```
 //! use stash_trace::chrome;
@@ -89,11 +90,11 @@ pub mod prelude {
     pub use crate::recorder::{shared, SharedTracer, Tracer};
     pub use crate::report::{diff, InsightReport, Regression, WhatIfRow};
     pub use crate::rollup::StallRollup;
-    pub use crate::sink::{CountingSink, JsonSink, NullSink, RingSink, TraceSink};
+    pub use crate::sink::{CountingSink, JsonSink, NullSink, TraceSink};
     pub use crate::span::{Category, TraceEvent, Track, TrackKind};
     pub use crate::whatif::{project, WhatIfResource, PROJECTION_TOLERANCE};
 }
 
 pub use recorder::{shared, SharedTracer, Tracer};
-pub use sink::{CountingSink, JsonSink, NullSink, RingSink, TraceSink};
+pub use sink::{CountingSink, JsonSink, NullSink, TraceSink};
 pub use span::{Category, TraceEvent, Track, TrackKind};

@@ -1,13 +1,11 @@
 //! Trace sinks: where recorded events go.
 //!
 //! A [`crate::recorder::Tracer`] forwards every event to exactly one
-//! [`TraceSink`]. Three production sinks are provided:
+//! [`TraceSink`]. Two production sinks are provided:
 //!
 //! * [`NullSink`] — drops everything; the default. A tracer built over it
 //!   (or [`crate::recorder::Tracer::disabled`], which short-circuits even
 //!   earlier) is the zero-cost-when-disabled path.
-//! * [`RingSink`] — keeps the most recent `capacity` events in a bounded
-//!   ring; for always-on flight recording.
 //! * [`JsonSink`] — keeps every event and renders Chrome-trace JSON or
 //!   feeds rollups/metrics; for explicit `stash trace` runs.
 //!
@@ -15,7 +13,6 @@
 //! runs emit nothing and enabled runs emit deterministically.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::span::TraceEvent;
@@ -47,65 +44,6 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     #[inline]
     fn record(&mut self, _process: u32, _event: &TraceEvent) {}
-}
-
-/// Bounded in-memory recorder: keeps the latest `capacity` events.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<(u32, TraceEvent)>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<(u32, TraceEvent)> {
-        self.buf.iter().copied().collect()
-    }
-
-    /// Number of events evicted to respect the bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of events currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing has been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, process: u32, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back((process, *event));
-    }
 }
 
 /// Unbounded recorder backing the JSON exporters.
@@ -213,22 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_drops_oldest() {
-        let mut ring = RingSink::new(3);
-        for n in 0..5 {
-            ring.record(0, &ev(n));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let kept: Vec<u64> = ring
-            .events()
-            .iter()
-            .map(|(_, e)| e.at().as_nanos())
-            .collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn json_sink_preserves_order_and_process() {
         let mut sink = JsonSink::new();
         sink.record(2, &ev(7));
@@ -275,11 +197,5 @@ mod tests {
         let mut handle = shared.clone();
         handle.record(0, &ev(3));
         assert_eq!(shared.borrow().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_ring_rejected() {
-        let _ = RingSink::new(0);
     }
 }

@@ -1,48 +1,78 @@
-//! Build and query the characterization database — the artifact the
-//! paper's economics rest on: the authors pay for the characterization
-//! once, tenants consume it for free.
+//! Publish and query a characterization store — the artifact the paper's
+//! economics rest on: the authors pay for the characterization once,
+//! tenants consume it for free.
 //!
 //! ```sh
 //! cargo run --release --example characterization_db
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
-use std::path::PathBuf;
+use std::error::Error;
+use std::path::Path;
 
 use stash::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Phase 1 (the paper's role): characterize a model across the catalog
-    // and publish the database.
-    let mut db = CharacterizationDb::new();
+fn main() -> Result<(), Box<dyn Error>> {
+    let dir =
+        std::env::temp_dir().join(format!("stash_characterization_db_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = publish(&dir).and_then(|()| consume(&dir));
+    let cleaned = std::fs::remove_dir_all(&dir);
+    result?;
+    Ok(cleaned?)
+}
+
+/// Phase 1 (the paper's role): characterize a model across the catalog
+/// into a durable result store.
+fn publish(dir: &Path) -> Result<(), Box<dyn Error>> {
     let stash = Stash::new(zoo::resnet18())
         .with_batch(32)
         .with_sampled_iterations(6);
-    for cluster in default_candidates() {
-        match stash.profile(&cluster) {
-            Ok(report) => {
-                db.insert(report);
-            }
-            Err(e) => println!("skipping {}: {e}", cluster.display_name()),
+    let jobs: Vec<ProfileJob> = default_candidates()
+        .into_iter()
+        .map(|cluster| ProfileJob {
+            stash: stash.clone(),
+            cluster,
+        })
+        .collect();
+    let store = ResultStore::open(dir, Box::new(StdFs::new()))?;
+    let outcome = run_sweep(
+        &jobs,
+        Some(&store),
+        &RetryPolicy::default(),
+        &MeasurementCache::new(),
+    );
+    for cell in &outcome.cells {
+        if let CellStatus::Failed(reason) = &cell.status {
+            println!("skipping {}: {reason}", cell.cluster);
         }
     }
-    let path = PathBuf::from("results/characterization_db.json");
-    db.save(&path)?;
     println!(
         "published {} characterizations to {}\n",
-        db.len(),
-        path.display()
+        outcome.computed(),
+        dir.display()
     );
+    Ok(())
+}
 
-    // Phase 2 (the tenant's role): load the published database and make a
-    // decision without renting a single VM.
-    let published = CharacterizationDb::load(&path)?;
+/// Phase 2 (the tenant's role): read the published store back — verified
+/// records only, no simulation — and make a decision without renting a
+/// single VM.
+fn consume(dir: &Path) -> Result<(), Box<dyn Error>> {
+    let store = ResultStore::open(dir, Box::new(StdFs::new()))?;
+    let mut published = Vec::new();
+    for key in store.keys()? {
+        match store.get(key)? {
+            Fetch::Hit(payload) => published.push(decode_cell_record(&payload)?),
+            _ => println!("skipping unverified record {}", key_hex(key)),
+        }
+    }
+    published.sort_by(|a, b| a.cluster.cmp(&b.cluster));
+
     println!(
         "{:<16} {:>8} {:>8} {:>8} {:>8}",
         "cluster", "I/C %", "N/W %", "CPU %", "disk %"
     );
-    for r in published.for_model("ResNet18") {
+    for r in &published {
         let p = |v: Option<f64>| v.map_or("-".into(), |x| format!("{x:.1}"));
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8}",
@@ -53,11 +83,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p(r.disk_stall_pct()),
         );
     }
-    let best = published.fastest_for("ResNet18").expect("db has entries");
+    let (epoch, best) = published
+        .iter()
+        .filter_map(|r| r.training_epoch_time().map(|t| (t, r)))
+        .min_by_key(|(t, _)| *t)
+        .ok_or("the store holds no timed characterization")?;
     println!(
-        "\n=> fastest published configuration: {} ({} per warm epoch) — zero profiling cost to you",
-        best.cluster,
-        best.training_epoch_time().expect("timed")
+        "\n=> fastest published configuration: {} ({epoch} per warm epoch) — zero profiling cost to you",
+        best.cluster
     );
     Ok(())
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, full test suite, the benchmark
 # package's build, unit tests and smoke run, lint-clean under clippy
-# (every target), warning-free rustdoc, CLI smoke tests for
-# the trace, report, diff, chaos, perf, dash, flight-recorder, sweep and
-# fsck subcommand surface, the durable-sweep resume gate, and a
-# figure-regeneration gate at one and two sweep workers.
+# (every target), warning-free rustdoc, the pay-once characterization
+# example, CLI smoke tests for the trace, report, diff, chaos, perf, dash,
+# flight-recorder, sweep and fsck subcommand surface, the durable-sweep
+# resume gate, and a figure-regeneration gate at one and two sweep
+# workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +28,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # gate visible and catches regressions even if the workspace line changes.
 cargo clippy -p stash-faults -p stash-hwtopo -p stash-datapipe -p stash-collectives -p stash-telemetry -p stash-trace -p stash-simkit -p stash-flowsim -p stash-ddl -p stash-core -p stash-store -p stash-dnn -p stash-gpucompute -p stash-bench -p stash --lib -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+# Pay-once characterization example: publish nine ResNet18 profiles into
+# a fresh result store, then answer the tenant's question from its
+# verified records alone.
+example_out=$(cargo run --release --offline -q --example characterization_db)
+grep -q "published 9 characterizations" <<<"$example_out"
+grep -q "fastest published configuration: p3.24xlarge" <<<"$example_out"
 
 # Trace CLI smoke test. The `trace validated` line only prints after the
 # written file round-trips through `stash_trace::chrome::validate` — the
