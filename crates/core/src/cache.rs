@@ -27,7 +27,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use serde::Serialize;
 use stash_ddl::config::TrainConfig;
-use stash_ddl::engine::{run_epoch_in, EngineArena};
+use stash_ddl::engine::{EngineArena, Run};
 use stash_simkit::time::SimDuration;
 use stash_store::fnv128;
 
@@ -211,7 +211,13 @@ impl MeasurementCache {
         let claim = Claim { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
         stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run_epoch_in(cfg, arena)?.epoch_time;
+        let t = Run {
+            arena: Some(arena),
+            ..Run::default()
+        }
+        .epoch(cfg)?
+        .report
+        .epoch_time;
         self.locked().done.insert(key, t);
         drop(claim);
         Ok(t)

@@ -19,7 +19,7 @@ use stash_collectives::bucket::Bucketing;
 use stash_collectives::schedule::Algorithm;
 use stash_datapipe::cache::CacheState;
 use stash_ddl::config::{ActiveGpus, DataMode, EpochMode, TrainConfig};
-use stash_ddl::engine::{run_epoch_in, EngineArena};
+use stash_ddl::engine::{EngineArena, Run};
 use stash_dnn::dataset::DatasetSpec;
 use stash_dnn::model::Model;
 use stash_gpucompute::precision::Precision;
@@ -382,7 +382,13 @@ fn measure_in(
     let t0 = stash_telemetry::enabled().then(std::time::Instant::now);
     let out = match cache {
         Some(c) => c.epoch_time(cfg, arena),
-        None => Ok(run_epoch_in(cfg, arena)?.epoch_time),
+        None => Ok(Run {
+            arena: Some(arena),
+            ..Run::default()
+        }
+        .epoch(cfg)?
+        .report
+        .epoch_time),
     };
     if let Some(t0) = t0 {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -169,11 +169,12 @@ impl Default for EngineOptions {
 /// Reusable simulation state: the flow network, the event queue and the
 /// engine's pooled scratch buffers.
 ///
-/// [`run_epoch_in`] borrows an arena for the duration of one epoch and
-/// returns it with all capacity intact, so a sweep that simulates
-/// thousands of configurations allocates its arenas once per worker
-/// instead of once per epoch. A reused arena is observationally identical
-/// to a fresh one — reports are bit-identical either way.
+/// `Run { arena: Some(&mut arena), .. }` ([`Run::arena`]) borrows an
+/// arena for the duration of one epoch and returns it with all capacity
+/// intact, so a sweep that simulates thousands of configurations
+/// allocates its arenas once per worker instead of once per epoch. A
+/// reused arena is observationally identical to a fresh one — reports
+/// are bit-identical either way.
 #[derive(Debug, Default)]
 pub struct EngineArena {
     net: FlowNet,
@@ -238,9 +239,9 @@ struct SeriesMark {
 }
 
 /// Live iteration-series recording state: the bounded exact-sum recorder
-/// plus the delta baseline. Constructed only when a series entry point
-/// was used **and** the telemetry switch is on; `None` otherwise, so the
-/// default path records nothing and allocates nothing.
+/// plus the delta baseline. Constructed only when the run asked for a
+/// series ([`Run::series`]); `None` otherwise, so the default path
+/// records nothing and allocates nothing.
 #[derive(Debug)]
 struct SeriesState {
     rec: SeriesRecorder,
@@ -310,224 +311,167 @@ struct FaultRuntime {
     replayed_iterations: u64,
 }
 
-/// Runs one training epoch under `cfg` and reports the timing breakdown.
+/// Runs one training epoch under `cfg` and reports the timing breakdown:
+/// the report of `Run::default().epoch(cfg)`.
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::InvalidConfig`] for contradictory settings and
-/// [`TrainError::OutOfMemory`] when the model + batch exceeds any
-/// participating GPU's memory.
+/// As for [`Run::epoch`].
 pub fn run_epoch(cfg: &TrainConfig) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, &EngineOptions::default(), None, None, false).map(|(r, _)| r.report)
+    Run::default().epoch(cfg).map(|run| run.report)
 }
 
-/// [`run_epoch`] with explicit [`EngineOptions`]. The report is
-/// bit-identical for every option combination.
+/// The report of `Run { options, .. }`. Kept because the repository
+/// benchmark (`examples/benchmark`) imports it by name.
 ///
 /// # Errors
 ///
-/// As for [`run_epoch`].
+/// As for [`Run::epoch`].
 pub fn run_epoch_with(
     cfg: &TrainConfig,
     options: &EngineOptions,
 ) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, options, None, None, false).map(|(r, _)| r.report)
+    Run {
+        options: options.clone(),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .map(|run| run.report)
 }
 
-/// [`run_epoch`] reusing a caller-owned [`EngineArena`] for the flow
-/// network, event queue and scratch buffers: repeated measurements stop
-/// paying per-epoch allocation and deallocation. The report is
-/// bit-identical to a fresh-arena run.
+/// The report of `Run { options, arena, .. }`. Kept because the
+/// repository benchmark imports it by name.
 ///
 /// # Errors
 ///
-/// As for [`run_epoch`].
-pub fn run_epoch_in(cfg: &TrainConfig, arena: &mut EngineArena) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(
-        cfg,
-        None,
-        &EngineOptions::default(),
-        None,
-        Some(arena),
-        false,
-    )
-    .map(|(r, _)| r.report)
-}
-
-/// [`run_epoch_in`] with explicit [`EngineOptions`].
-///
-/// # Errors
-///
-/// As for [`run_epoch`].
+/// As for [`Run::epoch`].
 pub fn run_epoch_in_with(
     cfg: &TrainConfig,
     options: &EngineOptions,
     arena: &mut EngineArena,
 ) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, options, None, Some(arena), false).map(|(r, _)| r.report)
+    Run {
+        options: options.clone(),
+        arena: Some(arena),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .map(|run| run.report)
 }
 
-/// [`run_epoch`] with a trace recorder attached: compute, stall-wait,
-/// all-reduce-bucket and loader-pipeline spans are emitted through
-/// `tracer` as the simulation executes.
-///
-/// The report is bit-identical to the untraced run — tracing observes the
-/// engine, it never perturbs it. With a disabled tracer
-/// ([`stash_trace::Tracer::disabled`]) this *is* the untraced run: no
-/// event is constructed and nothing is allocated.
+/// `Run { options, plan, .. }`. Kept because the repository benchmark
+/// imports it by name.
 ///
 /// # Errors
 ///
-/// As for [`run_epoch`].
-pub fn run_epoch_traced(
-    cfg: &TrainConfig,
-    tracer: &SharedTracer,
-) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(
-        cfg,
-        Some(tracer),
-        &EngineOptions::default(),
-        None,
-        None,
-        false,
-    )
-    .map(|(r, _)| r.report)
-}
-
-/// Runs one epoch with `plan`'s faults injected through the event queue
-/// and the engine's recovery machinery (checkpoint/restart replay,
-/// elastic re-formation, bounded-timeout straggler detection) engaged.
-///
-/// An **empty** plan is bit-identical to [`run_epoch`] — fault handling
-/// is only constructed for plans that schedule at least one event.
-///
-/// # Errors
-///
-/// As for [`run_epoch`], plus [`TrainError::InvalidFaultPlan`] when the
-/// plan does not fit the cluster.
-pub fn run_epoch_faulted(cfg: &TrainConfig, plan: &FaultPlan) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(
-        cfg,
-        None,
-        &EngineOptions::default(),
-        Some(plan),
-        None,
-        false,
-    )
-    .map(|(r, _)| r)
-}
-
-/// [`run_epoch_faulted`] with explicit [`EngineOptions`]. Steady-state
-/// fast-forward disengages while any fault is pending or being recovered
-/// from and re-engages once the plan is quiescent, so the report is
-/// bit-identical across option combinations.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`].
+/// As for [`Run::epoch`].
 pub fn run_epoch_faulted_with(
     cfg: &TrainConfig,
     plan: &FaultPlan,
     options: &EngineOptions,
 ) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(cfg, None, options, Some(plan), None, false).map(|(r, _)| r)
-}
-
-/// [`run_epoch_faulted`] with a trace recorder attached: recovery and
-/// straggler stall flow into the trace as first-class span categories
-/// ([`Category::Recovery`], [`Category::Straggler`]) so critical-path
-/// attribution and `stash report` work on chaos runs unchanged.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`].
-pub fn run_epoch_faulted_traced(
-    cfg: &TrainConfig,
-    plan: &FaultPlan,
-    tracer: &SharedTracer,
-) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(
-        cfg,
-        Some(tracer),
-        &EngineOptions::default(),
-        Some(plan),
-        None,
-        false,
-    )
-    .map(|(r, _)| r)
-}
-
-/// An epoch result paired with its iteration-resolved time series.
-#[derive(Debug)]
-pub struct SeriesRun {
-    /// The report and fault outcome, bit-identical to the same epoch run
-    /// through any other entry point.
-    pub run: FaultedRun,
-    /// The recorded series. Empty when the telemetry switch
-    /// ([`stash_telemetry::enabled`]) was off.
-    pub series: IterSeries,
-}
-
-/// Runs one epoch recording the iteration-resolved time series: one
-/// sample per iteration of the reporting rank (wall ns, the five stall
-/// categories, solver recomputes, queue-depth high-water), fast-forwarded
-/// spans as explicitly-marked compressed regions, fault windows as
-/// annotations. Recording rides behind the process-wide telemetry switch
-/// — with [`stash_telemetry::enabled`] off the series comes back empty —
-/// and never perturbs the simulation: the report is bit-identical to
-/// [`run_epoch`] / [`run_epoch_faulted`] with the same inputs, and the
-/// series category totals reconcile against the report's stall
-/// accumulators at integer-ns exactness (extrapolation factor included).
-///
-/// Unlike `record_trace`, series recording does **not** disable
-/// steady-state fast-forward: compressed regions are first-class samples.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`] (or [`run_epoch`] when `plan` is `None`).
-pub fn run_epoch_series(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-) -> Result<SeriesRun, TrainError> {
-    run_epoch_inner(cfg, None, options, plan, None, true)
-        .map(|(run, series)| SeriesRun { run, series })
-}
-
-fn run_epoch_inner(
-    cfg: &TrainConfig,
-    tracer: Option<&SharedTracer>,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-    arena: Option<&mut EngineArena>,
-    record_series: bool,
-) -> Result<(FaultedRun, IterSeries), TrainError> {
-    cfg.validate()?;
-    if let Some(p) = plan {
-        p.validate(cfg.cluster.world_size(), cfg.cluster.node_count())
-            .map_err(|e| TrainError::InvalidFaultPlan(e.to_string()))?;
+    Run {
+        options: options.clone(),
+        plan: Some(plan),
+        ..Run::default()
     }
-    for inst in &cfg.cluster.instances {
-        let spec = inst.gpu.spec();
-        let est = memory::estimate_with(&cfg.model, cfg.per_gpu_batch, cfg.precision);
-        if est.total() > spec.mem_bytes {
-            return Err(TrainError::OutOfMemory {
-                gpu: spec.name.to_string(),
-                required_bytes: est.total(),
-                capacity_bytes: spec.mem_bytes,
-            });
+    .epoch(cfg)
+}
+
+/// How one epoch is run: the engine options, an optional fault plan, an
+/// optional caller-owned arena, and the observers the caller attaches.
+/// `Run::default()` is the plain run.
+///
+/// Only a non-empty `plan` changes the simulation. The options, the
+/// arena and both observers trade simulation effort or record what
+/// happens; none of them changes a bit of the [`FaultedRun`].
+///
+/// ```
+/// use stash_ddl::prelude::*;
+/// use stash_dnn::zoo;
+/// use stash_hwtopo::prelude::*;
+/// use stash_telemetry::series::IterSeries;
+///
+/// let mut cfg = TrainConfig::synthetic(ClusterSpec::single(p3_2xlarge()), zoo::resnet18(), 32, 320);
+/// cfg.epoch_mode = EpochMode::Sampled { iterations: 6 };
+/// let mut arena = EngineArena::new();
+/// let mut series = IterSeries::default();
+/// let run = Run { arena: Some(&mut arena), series: Some(&mut series), ..Run::default() }
+///     .epoch(&cfg)?;
+/// assert_eq!(run.report, run_epoch(&cfg)?);
+/// assert_eq!(series.totals().iterations, run.report.simulated_iterations);
+/// # Ok::<(), TrainError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct Run<'a> {
+    /// How the epoch is simulated.
+    pub options: EngineOptions,
+    /// Faults injected through the event queue, with checkpoint/restart
+    /// replay, elastic re-formation and straggler detection engaged. An
+    /// empty plan is the fault-free run. Fast-forward pauses while a fault
+    /// is pending or being recovered from.
+    pub plan: Option<&'a FaultPlan>,
+    /// Simulation state to reuse, returned with its capacity intact; a
+    /// fresh arena when `None`.
+    pub arena: Option<&'a mut EngineArena>,
+    /// Receives the engine's and the flow network's spans as the
+    /// simulation executes. An enabled tracer turns fast-forward off (it
+    /// would skip the spans); a disabled one
+    /// ([`stash_trace::Tracer::disabled`]) is dropped, so nothing is
+    /// emitted or allocated for it.
+    pub tracer: Option<&'a SharedTracer>,
+    /// Receives the iteration-resolved series: one sample per iteration of
+    /// the reporting rank, fast-forwarded spans as marked compressed
+    /// regions and fault windows as annotations. Its totals reconcile with
+    /// the report's stall accumulators to the nanosecond. Recording keeps
+    /// fast-forward on.
+    pub series: Option<&'a mut IterSeries>,
+}
+
+impl Run<'_> {
+    /// Runs one training epoch under `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError::InvalidConfig`] for contradictory settings,
+    /// [`TrainError::OutOfMemory`] when the model + batch exceeds any
+    /// participating GPU's memory, and [`TrainError::InvalidFaultPlan`]
+    /// when the plan does not fit the cluster.
+    pub fn epoch(self, cfg: &TrainConfig) -> Result<FaultedRun, TrainError> {
+        cfg.validate()?;
+        if let Some(p) = self.plan {
+            p.validate(cfg.cluster.world_size(), cfg.cluster.node_count())
+                .map_err(|e| TrainError::InvalidFaultPlan(e.to_string()))?;
         }
+        for inst in &cfg.cluster.instances {
+            let spec = inst.gpu.spec();
+            let est = memory::estimate_with(&cfg.model, cfg.per_gpu_batch, cfg.precision);
+            if est.total() > spec.mem_bytes {
+                return Err(TrainError::OutOfMemory {
+                    gpu: spec.name.to_string(),
+                    required_bytes: est.total(),
+                    capacity_bytes: spec.mem_bytes,
+                });
+            }
+        }
+        let tracer = self.tracer.filter(|t| t.borrow().is_enabled());
+        let mut local = EngineArena::default();
+        let arena = self.arena.unwrap_or(&mut local);
+        let mut engine = Engine::new(
+            cfg,
+            &self.options,
+            self.plan,
+            arena,
+            tracer,
+            self.series.is_some(),
+        );
+        let run = engine.run();
+        if let Some(series) = self.series {
+            *series = engine.take_series();
+        }
+        engine.into_arena(arena);
+        Ok(run)
     }
-    let mut local = EngineArena::default();
-    let arena = arena.unwrap_or(&mut local);
-    let mut engine = Engine::new(cfg, options, plan, arena, record_series)?;
-    if let Some(t) = tracer {
-        engine.attach_tracer(t);
-    }
-    let result = engine.run();
-    let series = engine.take_series();
-    engine.into_arena(arena);
-    result.map(|run| (run, series))
 }
 
 struct Engine<'a> {
@@ -557,12 +501,10 @@ struct Engine<'a> {
     /// so in practice (and in the paper's P2 measurements) communication
     /// serializes with compute.
     overlap: bool,
-    /// Optional span recorder shared with the flow network. `None` for
-    /// untraced runs.
+    /// Span recorder shared with the flow network. `Some` only for an
+    /// enabled tracer ([`Run::epoch`] drops a disabled one), so it alone
+    /// gates every emission site and all trace-only bookkeeping.
     tracer: Option<SharedTracer>,
-    /// Cached `tracer.is_enabled()`: gates every emission site and all
-    /// trace-only bookkeeping with one predictable branch.
-    trace_on: bool,
     /// Stall class of gradient synchronisation on this cluster: `Network`
     /// when ranks span instances, `Interconnect` within one.
     comm_cat: Category,
@@ -594,9 +536,8 @@ struct Engine<'a> {
     /// Iterations skipped by fast-forward (diagnostic only; flushed to
     /// the telemetry registry, never reported in the [`EpochReport`]).
     ff_iterations: u64,
-    /// Iteration-series recorder; `None` unless a series entry point was
-    /// used with the telemetry switch on. Pure observation — never
-    /// perturbs the simulation.
+    /// Iteration-series recorder; `None` unless the run asked for a
+    /// series. Pure observation — never perturbs the simulation.
     series: Option<SeriesState>,
 }
 
@@ -615,8 +556,9 @@ impl<'a> Engine<'a> {
         options: &EngineOptions,
         fault_plan: Option<&FaultPlan>,
         arena: &mut EngineArena,
+        tracer: Option<&SharedTracer>,
         record_series: bool,
-    ) -> Result<Engine<'a>, TrainError> {
+    ) -> Engine<'a> {
         let mut net = std::mem::take(&mut arena.net);
         if net.link_count() > 0 {
             // A non-empty network means this arena already ran an epoch:
@@ -716,9 +658,11 @@ impl<'a> Engine<'a> {
         // (loader pipelines have their own long-period state), no
         // per-iteration trace samples, and enough iterations for the
         // detector to confirm a cycle and still have something to skip.
+        // It would also skip the very spans a tracer exists to record.
         let ff = (options.fast_forward
             && cfg.data.is_synthetic()
             && !cfg.record_trace
+            && tracer.is_none()
             && sim_iters > u64::from(FF_CONFIRM) + 2)
             .then(|| FfState {
                 ranks: vec![FfRank::default(); topo.world_size()],
@@ -731,6 +675,11 @@ impl<'a> Engine<'a> {
             // Record the host bus — the one lane whose utilization the
             // report reads — so skipped cycles can be replayed exactly.
             net.set_load_probe(topo.host_bus(0));
+        }
+        // The flow network gets the same handle, so network events
+        // interleave with engine spans.
+        if let Some(t) = tracer {
+            net.set_tracer(t.clone());
         }
 
         // Fault machinery exists only for non-empty plans: the empty-plan
@@ -820,7 +769,7 @@ impl<'a> Engine<'a> {
                 .collect(),
         };
 
-        Ok(Engine {
+        Engine {
             cfg,
             q,
             net,
@@ -836,8 +785,7 @@ impl<'a> Engine<'a> {
             trace: Vec::new(),
             iter_mark: IterMark::default(),
             overlap,
-            tracer: None,
-            trace_on: false,
+            tracer: tracer.cloned(),
             comm_cat: if cfg.cluster.node_count() > 1 {
                 Category::Network
             } else {
@@ -851,17 +799,14 @@ impl<'a> Engine<'a> {
             ff,
             faults,
             ff_iterations: 0,
-            // Behind the telemetry switch like every other self-observation
-            // layer: a series entry point with the switch off records
-            // nothing (and allocates nothing).
-            series: (record_series && stash_telemetry::enabled()).then(|| SeriesState {
+            series: record_series.then(|| SeriesState {
                 rec: SeriesRecorder::new(),
                 mark: SeriesMark {
                     recomputes: recomputes0,
                     ..SeriesMark::default()
                 },
             }),
-        })
+        }
     }
 
     /// Returns the reusable state to `arena`, capacity intact.
@@ -870,20 +815,6 @@ impl<'a> Engine<'a> {
         arena.q = self.q;
         arena.completed = self.completed_buf;
         arena.loader_work = self.loader_work;
-    }
-
-    /// Attaches a shared tracer; when it is enabled, the flow network gets
-    /// the same handle so network events interleave with engine spans.
-    fn attach_tracer(&mut self, tracer: &SharedTracer) {
-        self.trace_on = tracer.borrow().is_enabled();
-        self.tracer = Some(tracer.clone());
-        if self.trace_on {
-            self.net.set_tracer(tracer.clone());
-            // Fast-forward would skip the very spans the tracer exists to
-            // record; an enabled tracer always sees the full simulation.
-            self.ff = None;
-            self.net.clear_load_probe();
-        }
     }
 
     /// Records a complete span; a no-op unless tracing is enabled.
@@ -895,12 +826,8 @@ impl<'a> Engine<'a> {
         start: SimTime,
         end: SimTime,
     ) {
-        if self.trace_on {
-            self.tracer
-                .as_ref()
-                .req("trace_on implies tracer")
-                .borrow_mut()
-                .span(track, category, name, start, end);
+        if let Some(t) = &self.tracer {
+            t.borrow_mut().span(track, category, name, start, end);
         }
     }
 
@@ -916,23 +843,16 @@ impl<'a> Engine<'a> {
         start: SimTime,
         end: SimTime,
     ) {
-        if self.trace_on {
-            self.tracer
-                .as_ref()
-                .req("trace_on implies tracer")
-                .borrow_mut()
+        if let Some(t) = &self.tracer {
+            t.borrow_mut()
                 .span_arg(track, category, name, arg, start, end);
         }
     }
 
     /// Records an instant marker; a no-op unless tracing is enabled.
     fn emit_instant(&self, track: Track, category: Category, name: &'static str, at: SimTime) {
-        if self.trace_on {
-            self.tracer
-                .as_ref()
-                .req("trace_on implies tracer")
-                .borrow_mut()
-                .instant(track, category, name, at);
+        if let Some(t) = &self.tracer {
+            t.borrow_mut().instant(track, category, name, at);
         }
     }
 
@@ -1024,7 +944,7 @@ impl<'a> Engine<'a> {
         s.rec.finish(end.as_nanos())
     }
 
-    fn run(&mut self) -> Result<FaultedRun, TrainError> {
+    fn run(&mut self) -> FaultedRun {
         // Kick loaders and ranks.
         for node in 0..self.loaders.len() {
             if self.loaders[node].is_some() {
@@ -1102,7 +1022,7 @@ impl<'a> Engine<'a> {
         }
         let report = self.build_report();
         let faults = self.fault_outcome();
-        Ok(FaultedRun { report, faults })
+        FaultedRun { report, faults }
     }
 
     fn all_done(&self) -> bool {
@@ -1182,7 +1102,7 @@ impl<'a> Engine<'a> {
             self.ranks[rank].straggler += extra;
             self.blame_straggler(rank, extra);
         }
-        if self.trace_on {
+        if self.tracer.is_some() {
             let now = self.q.now();
             let cat = self.rank_cat(rank, Category::Compute);
             match arg {
@@ -1270,7 +1190,7 @@ impl<'a> Engine<'a> {
                 if self.ranks[rank].first_iter_done.is_none() {
                     self.ranks[rank].first_iter_done = Some(self.q.now());
                 }
-                if self.trace_on {
+                if self.tracer.is_some() {
                     self.emit_instant(
                         self.gpu_track(rank),
                         Category::Compute,
@@ -1545,7 +1465,7 @@ impl<'a> Engine<'a> {
         }
         comm.completed += 1;
         let bucket_start = self.bucket_open.take();
-        if self.trace_on {
+        if self.tracer.is_some() {
             let (start, bucket) = bucket_start.req("bucket completion without an open bucket");
             self.emit_span_arg(
                 Track::comm(),
@@ -1575,7 +1495,7 @@ impl<'a> Engine<'a> {
                 released += 1;
                 let start = self.ranks[rank].wait_start.take().req("wait start");
                 self.ranks[rank].comm_wait += now.duration_since(start);
-                if self.trace_on {
+                if self.tracer.is_some() {
                     self.emit_span(
                         self.gpu_track(rank),
                         self.rank_cat(rank, self.comm_cat),
@@ -2118,7 +2038,7 @@ impl<'a> Engine<'a> {
                     extra_latency,
                     purpose,
                 } => {
-                    if self.trace_on {
+                    if self.tracer.is_some() {
                         let now = self.q.now();
                         let track = Track::loader(n, worker);
                         match purpose {
@@ -2131,7 +2051,7 @@ impl<'a> Engine<'a> {
                             TransferPurpose::Upload => {}
                         }
                     }
-                    if self.trace_on || stash_telemetry::enabled() {
+                    if self.tracer.is_some() || stash_telemetry::enabled() {
                         // Transfer timing is emergent (flow-based), so the
                         // service-time histogram and fetch spans both key
                         // off this open-transfer table.
@@ -2148,7 +2068,7 @@ impl<'a> Engine<'a> {
                     );
                 }
                 LoaderAction::StartPrep { worker, duration } => {
-                    if self.trace_on {
+                    if self.tracer.is_some() {
                         let now = self.q.now();
                         self.emit_span(
                             Track::loader(n, worker),
@@ -2169,7 +2089,7 @@ impl<'a> Engine<'a> {
                         let now = self.q.now();
                         let start = self.ranks[rank].wait_start.take().req("wait start");
                         self.ranks[rank].data_wait += now.duration_since(start);
-                        if self.trace_on {
+                        if self.tracer.is_some() {
                             self.emit_span(
                                 self.gpu_track(rank),
                                 self.rank_cat(rank, Category::Fetch),
@@ -2220,7 +2140,7 @@ impl<'a> Engine<'a> {
                     if let Some((start, purpose)) = self.xfer_open.remove(&(node, worker)) {
                         stash_telemetry::metrics::DATA_FETCH_SERVICE_NS
                             .record(self.q.now().duration_since(start).as_nanos());
-                        if self.trace_on {
+                        if self.tracer.is_some() {
                             let name = match purpose {
                                 TransferPurpose::FetchHit => "fetch_dram",
                                 TransferPurpose::FetchMiss => "fetch_disk",
@@ -2501,7 +2421,13 @@ mod tests {
         let untraced = run_epoch(&cfg).unwrap();
         let sink = Rc::new(RefCell::new(JsonSink::new()));
         let tracer = shared(Tracer::new(sink.clone()));
-        let traced = run_epoch_traced(&cfg, &tracer).unwrap();
+        let traced = Run {
+            tracer: Some(&tracer),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .unwrap()
+        .report;
         assert_eq!(untraced.epoch_time, traced.epoch_time);
         assert_eq!(untraced.compute_time, traced.compute_time);
         assert_eq!(untraced.data_wait, traced.data_wait);
@@ -2540,7 +2466,13 @@ mod tests {
         cfg.epoch_mode = EpochMode::Sampled { iterations: 3 };
         let baseline = run_epoch(&cfg).unwrap();
         let tracer = shared(Tracer::disabled());
-        let traced = run_epoch_traced(&cfg, &tracer).unwrap();
+        let traced = Run {
+            tracer: Some(&tracer),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .unwrap()
+        .report;
         assert_eq!(baseline.epoch_time, traced.epoch_time);
         assert_eq!(baseline.compute_time, traced.compute_time);
         assert_eq!(baseline.comm_wait, traced.comm_wait);
@@ -2590,6 +2522,14 @@ mod tests {
         cfg
     }
 
+    fn faulted(cfg: &TrainConfig, plan: &FaultPlan) -> Result<FaultedRun, TrainError> {
+        Run {
+            plan: Some(plan),
+            ..Run::default()
+        }
+        .epoch(cfg)
+    }
+
     fn assert_tiles(r: &EpochReport) {
         let accounted =
             r.compute_time + r.data_wait + r.comm_wait + r.recovery_time + r.straggler_time;
@@ -2604,7 +2544,7 @@ mod tests {
     fn empty_plan_is_bit_identical_to_fault_free() {
         let cfg = full_cfg(ClusterSpec::single(p3_16xlarge()), 6);
         let plain = run_epoch(&cfg).expect("plain");
-        let faulted = run_epoch_faulted(&cfg, &FaultPlan::empty()).expect("faulted");
+        let faulted = faulted(&cfg, &FaultPlan::empty()).expect("faulted");
         assert_eq!(plain, faulted.report);
         assert_eq!(faulted.faults, crate::recovery::FaultOutcome::default());
     }
@@ -2622,7 +2562,7 @@ mod tests {
                 slowdown: 1.8,
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan).expect("faulted");
         assert!(run.report.epoch_time > base.epoch_time);
         assert!(run.report.straggler_time > SimDuration::ZERO);
         assert_eq!(run.report.recovery_time, SimDuration::ZERO);
@@ -2646,7 +2586,7 @@ mod tests {
                 restart_after: Some(base.epoch_time.mul_f64(0.1)),
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan).expect("faulted");
         assert!(run.report.epoch_time > base.epoch_time);
         assert!(run.report.recovery_time > SimDuration::ZERO);
         assert!(run.faults.replayed_iterations > 0);
@@ -2670,7 +2610,7 @@ mod tests {
                 restart_after: None,
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan).expect("faulted");
         assert_eq!(run.faults.dead_nodes, vec![1]);
         assert_eq!(run.report.world, 4, "survivor world after re-formation");
         assert!(run.report.recovery_time > SimDuration::ZERO);
@@ -2686,16 +2626,17 @@ mod tests {
         let cfg = full_cfg(ClusterSpec::single(p3_16xlarge()), 10);
         let base = run_epoch(&cfg).expect("baseline");
         let plan = FaultPlan::seeded(11, 8, 1, base.epoch_time);
-        let a = run_epoch_faulted(&cfg, &plan).expect("a");
-        let b = run_epoch_faulted(&cfg, &plan).expect("b");
+        let a = faulted(&cfg, &plan).expect("a");
+        let b = faulted(&cfg, &plan).expect("b");
         assert_eq!(a, b);
-        let no_ff = run_epoch_faulted_with(
-            &cfg,
-            &plan,
-            &EngineOptions {
+        let no_ff = Run {
+            options: EngineOptions {
                 fast_forward: false,
             },
-        )
+            plan: Some(&plan),
+            ..Run::default()
+        }
+        .epoch(&cfg)
         .expect("no ff");
         assert_eq!(a, no_ff, "fast-forward must not change faulted results");
     }

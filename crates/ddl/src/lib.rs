@@ -38,11 +38,7 @@ pub mod report;
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::config::{ActiveGpus, DataMode, EpochMode, Straggler, TrainConfig};
-    pub use crate::engine::{
-        run_epoch, run_epoch_faulted, run_epoch_faulted_traced, run_epoch_faulted_with,
-        run_epoch_in, run_epoch_series, run_epoch_traced, run_epoch_with, EngineArena,
-        EngineOptions, SeriesRun,
-    };
+    pub use crate::engine::{run_epoch, EngineArena, EngineOptions, Run};
     pub use crate::error::TrainError;
     pub use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};
     pub use crate::report::EpochReport;

@@ -61,8 +61,8 @@ pub struct FaultOutcome {
     pub dead_nodes: Vec<usize>,
 }
 
-/// Result of [`run_epoch_faulted`](crate::engine::run_epoch_faulted): the
-/// ordinary timing report plus the fault outcome.
+/// Result of [`Run::epoch`](crate::engine::Run::epoch): the ordinary
+/// timing report plus the fault outcome (empty without a fault plan).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultedRun {
     /// The epoch's timing breakdown (recovery and straggler stall

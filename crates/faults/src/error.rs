@@ -32,6 +32,14 @@ pub enum FaultError {
         /// Which fault kind carried the empty window.
         what: &'static str,
     },
+    /// A firing time, window, restart delay or re-formation delay exceeded
+    /// [`MAX_FAULT_TIME`](crate::plan::MAX_FAULT_TIME).
+    TimeOutOfRange {
+        /// Which value was too large.
+        what: &'static str,
+        /// The value, in nanoseconds.
+        ns: u64,
+    },
     /// The plan's JSON encoding could not be parsed.
     Parse(String),
     /// The plan is structurally impossible to execute (e.g. every node
@@ -60,6 +68,11 @@ impl fmt::Display for FaultError {
             FaultError::EmptyWindow { what } => {
                 write!(f, "{what} window has zero duration")
             }
+            FaultError::TimeOutOfRange { what, ns } => write!(
+                f,
+                "{what} of {ns} ns exceeds the one-year cap ({} ns)",
+                crate::plan::MAX_FAULT_TIME.as_nanos()
+            ),
             FaultError::Parse(msg) => write!(f, "invalid fault plan JSON: {msg}"),
             FaultError::Unrecoverable(msg) => write!(f, "unrecoverable fault plan: {msg}"),
         }

@@ -81,6 +81,12 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// The latest a fault may fire, and the longest a window, restart delay or
+/// re-formation delay may last: one simulated year. The engine adds these
+/// values to its clock; capping each one keeps every sum it forms far
+/// below `u64::MAX` nanoseconds (about 584 years).
+pub const MAX_FAULT_TIME: SimDuration = SimDuration::from_secs(365 * 24 * 3600);
+
 /// How the engine reacts to faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
@@ -226,8 +232,9 @@ impl FaultPlan {
     ///
     /// Returns the first [`FaultError`] found: out-of-range rank/node,
     /// non-finite or out-of-range multipliers, zero-length windows, a
-    /// node preempted twice, all nodes permanently preempted, or a
-    /// malformed recovery policy.
+    /// firing time or delay beyond [`MAX_FAULT_TIME`], a node preempted
+    /// twice, all nodes permanently preempted, or a malformed recovery
+    /// policy.
     pub fn validate(&self, world: usize, nodes: usize) -> Result<(), FaultError> {
         let policy = &self.recovery;
         if policy.checkpoint_every == 0 {
@@ -242,9 +249,11 @@ impl FaultPlan {
                 value: policy.straggler_backoff,
             });
         }
+        check_time("reform_delay", policy.reform_delay)?;
         let mut preempted = vec![false; nodes];
         let mut permanent = 0usize;
         for ev in &self.events {
+            check_time("fault time", ev.at.duration_since(SimTime::ZERO))?;
             match &ev.kind {
                 FaultKind::Preemption {
                     node,
@@ -259,8 +268,9 @@ impl FaultPlan {
                         )));
                     }
                     preempted[*node] = true;
-                    if restart_after.is_none() {
-                        permanent += 1;
+                    match restart_after {
+                        Some(delay) => check_time("restart_after", *delay)?,
+                        None => permanent += 1,
                     }
                 }
                 FaultKind::StragglerWindow {
@@ -274,6 +284,7 @@ impl FaultPlan {
                     if duration.is_zero() {
                         return Err(FaultError::EmptyWindow { what: "straggler" });
                     }
+                    check_time("straggler window", *duration)?;
                     if !slowdown.is_finite() || *slowdown < 1.0 {
                         return Err(FaultError::InvalidValue {
                             what: "straggler slowdown",
@@ -294,6 +305,7 @@ impl FaultPlan {
                             what: "link degradation",
                         });
                     }
+                    check_time("link degradation window", *duration)?;
                     check_factor("link degradation factor", *factor)?;
                 }
                 FaultKind::DiskBrownout {
@@ -309,6 +321,7 @@ impl FaultPlan {
                             what: "disk brownout",
                         });
                     }
+                    check_time("disk brownout window", *duration)?;
                     check_factor("disk brownout factor", *factor)?;
                 }
             }
@@ -335,6 +348,16 @@ impl FaultPlan {
     pub fn from_json(s: &str) -> Result<FaultPlan, FaultError> {
         serde_json::from_str(s).map_err(|e| FaultError::Parse(e.to_string()))
     }
+}
+
+fn check_time(what: &'static str, t: SimDuration) -> Result<(), FaultError> {
+    if t > MAX_FAULT_TIME {
+        return Err(FaultError::TimeOutOfRange {
+            what,
+            ns: t.as_nanos(),
+        });
+    }
+    Ok(())
 }
 
 fn check_factor(what: &'static str, factor: f64) -> Result<(), FaultError> {
@@ -481,6 +504,62 @@ mod tests {
             .validate(8, 2),
             Err(FaultError::NodeOutOfRange { node: 9, nodes: 2 })
         ));
+    }
+
+    #[test]
+    fn times_beyond_the_cap_are_rejected() {
+        let (cap, over) = (MAX_FAULT_TIME, MAX_FAULT_TIME + SimDuration::from_nanos(1));
+        let one = |at: SimDuration, kind| FaultPlan {
+            events: vec![FaultEvent {
+                at: SimTime::ZERO + at,
+                kind,
+            }],
+            recovery: RecoveryPolicy::default(),
+        };
+        let straggler = |duration| FaultKind::StragglerWindow {
+            rank: 0,
+            duration,
+            slowdown: 1.5,
+        };
+        let link = |duration| FaultKind::LinkDegradation {
+            node: 0,
+            duration,
+            factor: 0.5,
+        };
+        let disk = |duration| FaultKind::DiskBrownout {
+            node: 0,
+            duration,
+            factor: 0.5,
+        };
+        let preempt = |delay| FaultKind::Preemption {
+            node: 0,
+            restart_after: Some(delay),
+        };
+        let mut reform = FaultPlan::empty();
+        reform.recovery.reform_delay = cap;
+        reform
+            .validate(8, 2)
+            .expect("a reform delay at the cap is valid");
+        for kind in [straggler(cap), link(cap), disk(cap), preempt(cap)] {
+            one(cap, kind)
+                .validate(8, 2)
+                .expect("times at the cap are valid");
+        }
+        reform.recovery.reform_delay = over;
+        let cases = [
+            (one(over, straggler(cap)), "fault time"),
+            (one(cap, straggler(over)), "straggler window"),
+            (one(cap, link(over)), "link degradation window"),
+            (one(cap, disk(over)), "disk brownout window"),
+            (one(cap, preempt(over)), "restart_after"),
+            (reform, "reform_delay"),
+        ];
+        for (plan, what) in cases {
+            match plan.validate(8, 2) {
+                Err(FaultError::TimeOutOfRange { what: w, .. }) => assert_eq!(w, what),
+                other => panic!("{what}: expected TimeOutOfRange, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! thresholds — the floor absorbs bucket quantization and tiny-run
 //! noise, the ratio catches the real walls:
 //!
-//! * **solver p99** — the recompute-latency histogram is the ROADMAP
-//!   item-2 scaling wall; a p99 blow-up is exactly the regression the
-//!   `flownet_recompute` microbenchmark guards, now visible from any
-//!   sweep.
+//! * **solver p99** — the recompute-latency histogram tracks the
+//!   max-min solver's scaling wall from any profile or sweep (the
+//!   repository benchmark's traced mode reports the same solver's share
+//!   of host time per workload).
 //! * **events per epoch** — queue traffic per simulated epoch; growth
 //!   means the engine started scheduling redundant work.
 //! * **full solver recomputes per epoch** — shortcut coverage decay;
 //!   growth means flow events stopped being absorbed cheaply.
+//!
+//! Every field a gate reads must be present and a u64: a document that
+//! cannot be read is an error naming the field's JSON path, never a pass.
 
 use serde_json::Value;
 
@@ -55,18 +58,20 @@ pub fn is_telemetry_doc(doc: &Value) -> bool {
     doc.get("schema").and_then(Value::as_str) == Some(crate::snapshot::SCHEMA)
 }
 
-fn counter(doc: &Value, name: &str) -> u64 {
-    doc["counters"][name].as_u64().unwrap_or(0)
-}
-
-fn hist_p99(doc: &Value, name: &str) -> u64 {
-    doc["histograms"][name]["p99"].as_u64().unwrap_or(0)
+/// The u64 at `path` in `doc` (the `which` document), or an error naming
+/// the path.
+fn u64_at(which: &str, doc: &Value, path: &[&str]) -> Result<u64, String> {
+    path.iter()
+        .try_fold(doc, |v, key| v.get(key))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{which}: {} is missing or not a u64", path.join(".")))
 }
 
 /// Compares two telemetry documents and applies the health gates.
 ///
 /// # Errors
-/// When either document is not schema-tagged `stash-telemetry-v1`.
+/// When either document is not schema-tagged `stash-telemetry-v1`, or a
+/// field a gate reads is missing or not a u64.
 pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, String> {
     for (which, doc) in [("baseline", baseline), ("current", current)] {
         if !is_telemetry_doc(doc) {
@@ -80,8 +85,9 @@ pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, Str
     let mut out = TelemetryDiff::default();
 
     // Solver recompute-latency p99.
-    let base_p99 = hist_p99(baseline, "stash_sim_solver_recompute_latency_ns");
-    let cur_p99 = hist_p99(current, "stash_sim_solver_recompute_latency_ns");
+    let p99 = ["histograms", "stash_sim_solver_recompute_latency_ns", "p99"];
+    let base_p99 = u64_at("baseline", baseline, &p99)?;
+    let cur_p99 = u64_at("current", current, &p99)?;
     let p99_limit = (base_p99 as f64 * SOLVER_P99_RATIO) + SOLVER_P99_FLOOR_NS as f64;
     let line = format!("solver recompute p99: {base_p99} ns -> {cur_p99} ns");
     if cur_p99 as f64 > p99_limit {
@@ -93,8 +99,9 @@ pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, Str
 
     // Per-epoch rates. Epoch counts may legitimately differ between the
     // two runs (different iteration budgets), so both sides normalize.
-    let base_epochs = counter(baseline, "stash_sim_epochs_total");
-    let cur_epochs = counter(current, "stash_sim_epochs_total");
+    let epochs = ["counters", "stash_sim_epochs_total"];
+    let base_epochs = u64_at("baseline", baseline, &epochs)?;
+    let cur_epochs = u64_at("current", current, &epochs)?;
     if base_epochs == 0 || cur_epochs == 0 {
         out.notes.push(format!(
             "events/epoch: skipped (epochs {base_epochs} -> {cur_epochs})"
@@ -102,7 +109,6 @@ pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, Str
         return Ok(out);
     }
 
-    let rate = |doc: &Value, name: &str, epochs: u64| counter(doc, name) as f64 / epochs as f64;
     let gates: [(&str, &str, f64, f64); 2] = [
         (
             "events/epoch",
@@ -118,8 +124,9 @@ pub fn diff_docs(baseline: &Value, current: &Value) -> Result<TelemetryDiff, Str
         ),
     ];
     for (label, metric, ratio, floor) in gates {
-        let base = rate(baseline, metric, base_epochs);
-        let cur = rate(current, metric, cur_epochs);
+        let count = ["counters", metric];
+        let base = u64_at("baseline", baseline, &count)? as f64 / base_epochs as f64;
+        let cur = u64_at("current", current, &count)? as f64 / cur_epochs as f64;
         let limit = base * ratio + floor;
         let line = format!("{label}: {base:.1} -> {cur:.1}");
         if cur > limit {
@@ -196,6 +203,38 @@ mod tests {
         let out = diff_docs(&base, &base).unwrap();
         assert!(out.is_clean());
         assert!(out.notes.iter().any(|n| n.contains("skipped")));
+    }
+
+    #[test]
+    fn unreadable_gate_fields_are_errors_naming_their_path() {
+        let good = doc(17, 10, 1000, 50);
+        let counters = r#"{"stash_sim_epochs_total":10,"stash_sim_queue_events_popped_total":1000,
+            "stash_sim_solver_full_recomputes_total":50}"#;
+        let hists = r#"{"stash_sim_solver_recompute_latency_ns":{"p99":1000}}"#;
+        let tele = |counters: &str, histograms: &str| -> Value {
+            let schema = crate::snapshot::SCHEMA;
+            serde_json::from_str(&format!(
+                r#"{{"schema":"{schema}","counters":{counters},"histograms":{histograms}}}"#
+            ))
+            .unwrap()
+        };
+        assert!(diff_docs(&good, &tele(counters, hists)).unwrap().is_clean());
+        let p99 = "histograms.stash_sim_solver_recompute_latency_ns.p99";
+        let cases = [
+            (tele(counters, &hists.replace("1000", "null")), p99),
+            (
+                tele(&counters.replace(":1000", ":-1"), hists),
+                "counters.stash_sim_queue_events_popped_total",
+            ),
+            (tele(counters, "{}"), p99),
+            (tele("{}", hists), "counters.stash_sim_epochs_total"),
+        ];
+        for (bad, path) in &cases {
+            let err = diff_docs(&good, bad).unwrap_err();
+            assert_eq!(err, format!("current: {path} is missing or not a u64"));
+            let err = diff_docs(bad, &good).unwrap_err();
+            assert_eq!(err, format!("baseline: {path} is missing or not a u64"));
+        }
     }
 
     #[test]

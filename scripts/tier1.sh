@@ -2,10 +2,10 @@
 # Tier-1 gate: formatting, release build, full test suite, the benchmark
 # package's build, unit tests and smoke run, lint-clean under clippy
 # (every target), warning-free rustdoc, the pay-once characterization
-# example, CLI smoke tests for the trace, report, diff, chaos, perf, dash,
-# flight-recorder, sweep and fsck subcommand surface, the durable-sweep
-# resume gate, and a figure-regeneration gate at one and two sweep
-# workers.
+# example and the other root examples, CLI smoke tests for the trace,
+# report, diff, chaos, perf, dash, flight-recorder, sweep and fsck
+# subcommand surface, the durable-sweep resume gate, and a
+# figure-regeneration gate at one and two sweep workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,6 +35,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 example_out=$(cargo run --release --offline -q --example characterization_db)
 grep -q "published 9 characterizations" <<<"$example_out"
 grep -q "fastest published configuration: p3.24xlarge" <<<"$example_out"
+
+# Every other root example must run to completion.
+for example in quickstart cloud_bill dump_reports instance_advisor model_architect qos_lottery; do
+    cargo run --release --offline -q --example "$example" >/dev/null
+done
 
 # Trace CLI smoke test. The `trace validated` line only prints after the
 # written file round-trips through `stash_trace::chrome::validate` — the

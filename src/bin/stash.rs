@@ -17,6 +17,7 @@ use std::process::ExitCode;
 
 use stash::prelude::*;
 use stash::telemetry::diff::TelemetryDiff;
+use stash::telemetry::series::IterSeries;
 
 /// The flags several commands share, as `Args` keys.
 const OUT: &str = "-o/--out";
@@ -342,25 +343,35 @@ fn write_creating_dirs(path: &str, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Runs `run` with a recording tracer and returns its result together
-/// with every event the tracer saw.
-fn with_tracer<T>(
-    run: impl FnOnce(&SharedTracer) -> Result<T, TrainError>,
-) -> Result<(T, Vec<(u32, TraceEvent)>), TrainError> {
+/// Runs `cfg` (under `plan`, if any) with a recording tracer and returns
+/// the run together with every event the tracer saw.
+fn traced_epoch(
+    cfg: &TrainConfig,
+    plan: Option<&FaultPlan>,
+) -> Result<(FaultedRun, Vec<(u32, TraceEvent)>), TrainError> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
     let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let out = run(&shared(Tracer::new(sink.clone())))?;
+    let tracer = shared(Tracer::new(sink.clone()));
+    let run = Run {
+        plan,
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(cfg)?;
     let events = sink.borrow().events().to_vec();
-    Ok((out, events))
+    Ok((run, events))
 }
 
 /// Runs one traced window of `cfg` and returns the epoch report plus the
 /// rank-0 critical-path decomposition of the raw trace.
 fn traced_critical_path(cfg: &TrainConfig) -> Result<(EpochReport, CriticalPath), TrainError> {
-    let (r, events) = with_tracer(|tracer| run_epoch_traced(cfg, tracer))?;
-    Ok((r, CriticalPath::from_events(&events, 0, Track::gpu(0, 0))))
+    let (run, events) = traced_epoch(cfg, None)?;
+    Ok((
+        run.report,
+        CriticalPath::from_events(&events, 0, Track::gpu(0, 0)),
+    ))
 }
 
 /// The engine's stall accumulators, labelled, in the order every
@@ -391,23 +402,27 @@ fn path_accounts(path: &CriticalPath) -> [SimDuration; 5] {
     .map(|cats| SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum()))
 }
 
-/// Runs one iteration-series pass of `cfg` with telemetry switched on
-/// for the duration. The series engine is a pure observer, so this never
-/// disagrees with a plain run of the same config — the zoo-wide
-/// differential test proves bit-identity.
-fn series_run(cfg: &TrainConfig, plan: Option<&FaultPlan>) -> Result<SeriesRun, TrainError> {
-    let was_enabled = stash::telemetry::enabled();
-    stash::telemetry::enable();
-    let out = run_epoch_series(cfg, &EngineOptions { fast_forward: true }, plan);
-    if !was_enabled {
-        stash::telemetry::disable();
+/// Runs `cfg` (under `plan`, if any) recording its iteration series. The
+/// series is a pure observer, so the run never disagrees with a plain run
+/// of the same config — the zoo-wide differential test proves
+/// bit-identity.
+fn series_epoch(
+    cfg: &TrainConfig,
+    plan: Option<&FaultPlan>,
+) -> Result<(FaultedRun, IterSeries), TrainError> {
+    let mut series = IterSeries::default();
+    let run = Run {
+        plan,
+        series: Some(&mut series),
+        ..Run::default()
     }
-    out
+    .epoch(cfg)?;
+    Ok((run, series))
 }
 
-/// A series run's `stash-series-v1` document.
-fn series_doc(sr: &SeriesRun) -> serde_json::Value {
-    let r = &sr.run.report;
+/// The `stash-series-v1` document of `series`, recorded by the run that
+/// produced `r`.
+fn series_doc(r: &EpochReport, series: &IterSeries) -> serde_json::Value {
     let meta = stash::telemetry::series::SeriesMeta {
         cluster: r.cluster.clone(),
         model: r.model.clone(),
@@ -416,7 +431,7 @@ fn series_doc(sr: &SeriesRun) -> serde_json::Value {
         iterations: r.iterations,
         simulated_iterations: r.simulated_iterations,
     };
-    sr.series.to_json(&meta)
+    series.to_json(&meta)
 }
 
 fn cmd_catalog(_: &Args) -> Result<ExitCode, String> {
@@ -525,8 +540,8 @@ fn cmd_trace(args: &Args) -> Result<ExitCode, String> {
         str::to_string,
     );
     let cfg = traced_window(cluster, model, args.batch()?);
-    let (r, events) = with_tracer(|tracer| run_epoch_traced(&cfg, tracer))
-        .map_err(|e| format!("trace failed: {e}"))?;
+    let (FaultedRun { report: r, .. }, events) =
+        traced_epoch(&cfg, None).map_err(|e| format!("trace failed: {e}"))?;
 
     println!(
         "{} | {} | batch {} x {} GPUs — per-iteration timeline",
@@ -627,8 +642,8 @@ fn cmd_report(args: &Args) -> Result<ExitCode, String> {
     report.engine_compute_ns = r.compute_time.as_nanos();
     report.engine_data_wait_ns = r.data_wait.as_nanos();
     report.engine_comm_wait_ns = r.comm_wait.as_nanos();
-    let sr = series_run(&cfg, None).map_err(|e| format!("report failed: {e}"))?;
-    report.series = (!sr.series.is_empty()).then(|| series_doc(&sr));
+    let (run, series) = series_epoch(&cfg, None).map_err(|e| format!("report failed: {e}"))?;
+    report.series = (!series.is_empty()).then(|| series_doc(&run.report, &series));
     report.blame = path
         .top_blamed(10)
         .into_iter()
@@ -1001,8 +1016,8 @@ fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
         plan.validate(world, nodes)
             .map_err(|e| format!("fault plan does not fit {cluster_spec}: {e}"))?;
 
-        let (run, events) = with_tracer(|tracer| run_epoch_faulted_traced(&cfg, &plan, tracer))
-            .map_err(|e| format!("chaos run failed: {e}"))?;
+        let (run, events) =
+            traced_epoch(&cfg, Some(&plan)).map_err(|e| format!("chaos run failed: {e}"))?;
         let r = &run.report;
 
         // Self-check: the rank-0 trace lane must reconcile with the engine's
@@ -1022,14 +1037,14 @@ fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
         // totals must reconcile with the report at integer-ns exactness —
         // the sixth leg of the chaos self-check.
         if let Some(spath) = args.value("--series") {
-            let sr = series_run(&cfg, Some(&plan))
+            let (series_run, series) = series_epoch(&cfg, Some(&plan))
                 .map_err(|e| format!("chaos series run failed: {e}"))?;
-            if sr.run != run {
+            if series_run != run {
                 return Err(
                     "chaos self-check failed: series engine disagrees with the traced run".into(),
                 );
             }
-            let t = sr.series.totals();
+            let t = series.totals();
             let totals = [
                 t.compute_ns,
                 t.data_wait_ns,
@@ -1047,13 +1062,13 @@ fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
                     ));
                 }
             }
-            let text = serde_json::to_string_pretty(&series_doc(&sr))
+            let text = serde_json::to_string_pretty(&series_doc(r, &series))
                 .map_err(|e| format!("cannot serialize series: {e}"))?;
             write_creating_dirs(spath, &text)?;
             println!(
                 "  iteration series ({} buckets, {} fault windows) written to {spath}",
-                sr.series.samples.len(),
-                sr.series.annotations.len()
+                series.samples.len(),
+                series.annotations.len()
             );
         }
         Ok((base, plan, run))
@@ -1210,11 +1225,12 @@ fn cmd_dash(args: &Args) -> Result<ExitCode, String> {
                 let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * 64);
                 cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
                 let cell_err = |e: String| format!("{cluster_spec} {model_name}: {e}");
-                let sr = series_run(&cfg, None).map_err(|e| cell_err(e.to_string()))?;
-                if sr.series.is_empty() {
+                let (run, series) =
+                    series_epoch(&cfg, None).map_err(|e| cell_err(e.to_string()))?;
+                if series.is_empty() {
                     return Err(cell_err("empty series".into()));
                 }
-                let doc = series_doc(&sr);
+                let doc = series_doc(&run.report, &series);
                 let cell = DashCell::from_doc(&doc).map_err(cell_err)?;
                 let text = serde_json::to_string_pretty(&doc)
                     .map_err(|e| format!("cannot serialize series: {e}"))?;

@@ -76,7 +76,14 @@ fn steady_state_iterations_allocate_exactly_nothing() {
     let run = |arena: &mut EngineArena, iters: u64| {
         let cfg = mk(iters);
         allocations_during(|| {
-            stash::ddl::engine::run_epoch_in_with(&cfg, &options, arena).expect("epoch")
+            Run {
+                options: options.clone(),
+                arena: Some(arena),
+                ..Run::default()
+            }
+            .epoch(&cfg)
+            .expect("epoch")
+            .report
         })
     };
 

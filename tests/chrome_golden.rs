@@ -24,7 +24,12 @@ fn golden_events() -> Vec<(u32, TraceEvent)> {
 
     let sink = Rc::new(RefCell::new(JsonSink::new()));
     let tracer = shared(Tracer::new(sink.clone()));
-    run_epoch_traced(&cfg, &tracer).expect("golden run");
+    Run {
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("golden run");
     let events = sink.borrow().events().to_vec();
     events
 }

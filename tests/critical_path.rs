@@ -30,7 +30,13 @@ fn traced_cfg(cluster: ClusterSpec, model: Model, batch: u64) -> TrainConfig {
 fn run_traced(cfg: &TrainConfig) -> (EpochReport, CriticalPath) {
     let sink = Rc::new(RefCell::new(JsonSink::new()));
     let tracer = shared(Tracer::new(sink.clone()));
-    let report = run_epoch_traced(cfg, &tracer).expect("traced run");
+    let report = Run {
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("traced run")
+    .report;
     let events = sink.borrow().events().to_vec();
     let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
     (report, path)

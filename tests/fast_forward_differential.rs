@@ -6,10 +6,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{
-    run_epoch_in, run_epoch_series, run_epoch_with, EngineArena, EngineOptions,
-};
 use stash::prelude::*;
+use stash::telemetry::series::IterSeries;
 
 fn clusters() -> Vec<ClusterSpec> {
     vec![
@@ -21,7 +19,13 @@ fn clusters() -> Vec<ClusterSpec> {
 }
 
 fn run(cfg: &TrainConfig, fast_forward: bool) -> EpochReport {
-    run_epoch_with(cfg, &EngineOptions { fast_forward }).expect("epoch")
+    Run {
+        options: EngineOptions { fast_forward },
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("epoch")
+    .report
 }
 
 #[test]
@@ -66,13 +70,18 @@ fn fast_forward_engages_on_long_synthetic_runs() {
         32 * 200,
     );
     cfg.epoch_mode = EpochMode::Full;
-    // Count this run's own skips through its iteration series (recorded
-    // only with the telemetry switch on, which changes no report bit), not
-    // a process-wide counter the other tests in this binary also advance.
-    stash::telemetry::enable();
+    // Count this run's own skips through its iteration series, not a
+    // process-wide counter the other tests in this binary also advance.
     let skipped = |fast_forward| {
-        let sr = run_epoch_series(&cfg, &EngineOptions { fast_forward }, None).expect("series");
-        (sr.series.totals().ff_iterations, sr.run.report)
+        let mut series = IterSeries::default();
+        let run = Run {
+            options: EngineOptions { fast_forward },
+            series: Some(&mut series),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .expect("series");
+        (series.totals().ff_iterations, run.report)
     };
     let (skipped_on, on) = skipped(true);
     assert!(
@@ -94,7 +103,13 @@ fn reused_arena_is_bit_identical_to_fresh_state() {
             let mut cfg = TrainConfig::synthetic(cluster.clone(), model, 32, 32 * 40);
             cfg.epoch_mode = EpochMode::Sampled { iterations: 8 };
             let fresh = run_epoch(&cfg).expect("fresh");
-            let reused = run_epoch_in(&cfg, &mut arena).expect("reused");
+            let reused = Run {
+                arena: Some(&mut arena),
+                ..Run::default()
+            }
+            .epoch(&cfg)
+            .expect("reused")
+            .report;
             assert_eq!(
                 fresh,
                 reused,

@@ -10,9 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use stash::ddl::engine::{
-    run_epoch_faulted_traced, run_epoch_faulted_with, run_epoch_with, EngineOptions,
-};
 use stash::prelude::*;
 
 fn clusters() -> Vec<ClusterSpec> {
@@ -27,9 +24,20 @@ fn clusters() -> Vec<ClusterSpec> {
 fn assert_identical(cfg: &TrainConfig, what: &str) {
     for fast_forward in [false, true] {
         let options = EngineOptions { fast_forward };
-        let plain = run_epoch_with(cfg, &options).expect("plain epoch");
-        let faulted =
-            run_epoch_faulted_with(cfg, &FaultPlan::empty(), &options).expect("faulted epoch");
+        let plain = Run {
+            options: options.clone(),
+            ..Run::default()
+        }
+        .epoch(cfg)
+        .expect("plain epoch")
+        .report;
+        let faulted = Run {
+            options,
+            plan: Some(&FaultPlan::empty()),
+            ..Run::default()
+        }
+        .epoch(cfg)
+        .expect("faulted epoch");
         assert_eq!(
             plain, faulted.report,
             "empty plan drifted for {what} (fast_forward={fast_forward})"
@@ -95,16 +103,20 @@ fn seeded_plans_are_deterministic_across_runs_and_fast_forward() {
     let base = run_epoch(&cfg).expect("baseline");
     for seed in [1, 7, 23] {
         let plan = FaultPlan::seeded(seed, cfg.cluster.world_size(), 2, base.epoch_time);
-        let a = run_epoch_faulted(&cfg, &plan).expect("a");
-        let b = run_epoch_faulted(&cfg, &plan).expect("b");
+        let faulted = || Run {
+            plan: Some(&plan),
+            ..Run::default()
+        };
+        let a = faulted().epoch(&cfg).expect("a");
+        let b = faulted().epoch(&cfg).expect("b");
         assert_eq!(a, b, "seed {seed} not deterministic");
-        let no_ff = run_epoch_faulted_with(
-            &cfg,
-            &plan,
-            &EngineOptions {
+        let no_ff = Run {
+            options: EngineOptions {
                 fast_forward: false,
             },
-        )
+            ..faulted()
+        }
+        .epoch(&cfg)
         .expect("no ff");
         assert_eq!(a, no_ff, "seed {seed} drifted across fast-forward");
     }
@@ -146,7 +158,13 @@ fn faulted_accumulators_tile_and_reconcile_with_the_trace() {
 
     let sink = Rc::new(RefCell::new(JsonSink::new()));
     let tracer = shared(Tracer::new(sink.clone()));
-    let run = run_epoch_faulted_traced(&cfg, &plan, &tracer).expect("faulted");
+    let run = Run {
+        plan: Some(&plan),
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("faulted");
     let r = &run.report;
     assert!(r.recovery_time > SimDuration::ZERO);
     assert!(r.straggler_time > SimDuration::ZERO);
@@ -214,11 +232,49 @@ fn elastic_reformation_conserves_survivor_time() {
             restart_after: None,
         },
     });
-    let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+    let run = Run {
+        plan: Some(&plan),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("faulted");
     let r = &run.report;
     assert_eq!(run.faults.dead_nodes, vec![1]);
     assert_eq!(r.world, base.world / 2);
     assert!(r.samples < base.samples);
     let accounted = r.compute_time + r.data_wait + r.comm_wait + r.recovery_time + r.straggler_time;
     assert_eq!(accounted.as_nanos(), r.epoch_time.as_nanos());
+}
+
+/// A firing time, window or delay beyond the one-year cap is a typed
+/// error: unchecked, the engine's `at + duration` and `now + restart_after`
+/// overflow the simulated clock (a panic in debug builds, wrapped times
+/// and wrong results in release builds).
+#[test]
+fn oversized_fault_times_are_rejected_before_the_clock_overflows() {
+    let mut cfg = TrainConfig::synthetic(
+        ClusterSpec::single(p3_2xlarge()),
+        zoo::resnet18(),
+        32,
+        32 * 16,
+    );
+    cfg.epoch_mode = EpochMode::Full;
+    let recovery = r#"{"checkpoint_every":4,"straggler_timeout":20000000,
+        "straggler_backoff":2.0,"reform_delay":500000000}"#;
+    for kind in [
+        r#"{"StragglerWindow":{"rank":0,"duration":18446744073709551615,"slowdown":1.5}}"#,
+        r#"{"Preemption":{"node":0,"restart_after":18446744073709551615}}"#,
+    ] {
+        let json = format!(r#"{{"events":[{{"at":1000,"kind":{kind}}}],"recovery":{recovery}}}"#);
+        let plan = FaultPlan::from_json(&json).expect("plan parses");
+        let run = Run {
+            plan: Some(&plan),
+            ..Run::default()
+        }
+        .epoch(&cfg);
+        assert!(
+            matches!(run, Err(TrainError::InvalidFaultPlan(_))),
+            "{kind}: expected InvalidFaultPlan, got {run:?}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use serde_json::{Number, Value};
+use serde_json::{Map, Number, Value};
 
 fn stash(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_stash"))
@@ -25,6 +25,23 @@ fn tmp(name: &str) -> String {
 fn read_json(path: &str) -> Value {
     let text = std::fs::read_to_string(path).expect("read artifact");
     serde_json::from_str(&text).expect("parse artifact")
+}
+
+/// `doc` with the value at `path` replaced by `v`. The vendored `Value`
+/// has no `IndexMut`; `Map::insert` replaces in place, preserving key
+/// order, so only the one cell differs from `doc`.
+fn with(doc: &Value, path: &[&str], v: Value) -> Value {
+    match path.split_first() {
+        None => v,
+        Some((key, rest)) => {
+            let mut m = doc.as_object().cloned().unwrap_or_default();
+            m.insert(
+                (*key).to_string(),
+                with(doc.get(key).unwrap_or(&Value::Null), rest, v),
+            );
+            Value::Object(m)
+        }
+    }
 }
 
 /// One `stash perf` instance run; returns the parsed JSON document.
@@ -105,21 +122,13 @@ fn diff_gates_on_simulator_health() {
     assert!(stdout.contains("no simulator-health regressions"));
     assert!(stdout.contains("solver recompute p99"));
 
-    // A doctored solver p99 fails with a non-zero exit. The vendored
-    // Value has no IndexMut; Map::insert replaces in place, preserving
-    // key order, so only the one cell differs from the baseline.
-    let object = |v: &Value| match v {
-        Value::Object(m) => m.clone(),
-        other => panic!("expected object, got {other:?}"),
-    };
+    // A doctored solver p99 fails with a non-zero exit.
     let hist_name = "stash_sim_solver_recompute_latency_ns";
-    let mut root = object(&doc);
-    let mut hists = object(root.get("histograms").expect("histograms"));
-    let mut solver = object(hists.get(hist_name).expect("solver histogram"));
-    solver.insert("p99".to_string(), Value::Number(Number::U(10_000_000_000)));
-    hists.insert(hist_name.to_string(), Value::Object(solver));
-    root.insert("histograms".to_string(), Value::Object(hists));
-    let bad = Value::Object(root);
+    let bad = with(
+        &doc,
+        &["histograms", hist_name, "p99"],
+        Value::Number(Number::U(10_000_000_000)),
+    );
     let bad_path = tmp("stash_perf_diff_bad.json");
     std::fs::write(&bad_path, serde_json::to_string_pretty(&bad).expect("ser"))
         .expect("write doctored doc");
@@ -130,6 +139,31 @@ fn diff_gates_on_simulator_health() {
         stderr.contains("solver recompute p99"),
         "wrong failure:\n{stderr}"
     );
+
+    // So does a document the gates cannot read, naming the field: a null
+    // p99, a negative counter, no histograms at all.
+    let p99 = "histograms.stash_sim_solver_recompute_latency_ns.p99";
+    let popped = "stash_sim_queue_events_popped_total";
+    let unreadable = [
+        (
+            with(&doc, &["histograms", hist_name, "p99"], Value::Null),
+            p99,
+        ),
+        (
+            with(&doc, &["counters", popped], Value::Number(Number::I(-1))),
+            "counters.stash_sim_queue_events_popped_total",
+        ),
+        (with(&doc, &["histograms"], Value::Object(Map::new())), p99),
+    ];
+    for (i, (bad, field)) in unreadable.iter().enumerate() {
+        let bad_path = tmp(&format!("stash_perf_diff_unreadable_{i}.json"));
+        std::fs::write(&bad_path, serde_json::to_string_pretty(bad).expect("ser"))
+            .expect("write unreadable doc");
+        let out = stash(&["diff", &base_json, &bad_path]);
+        assert!(!out.status.success(), "unreadable {field} passed the gate");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains(field), "wrong failure:\n{stderr}");
+    }
 
     // Mixing a telemetry doc with a stall report is an error, not a pass.
     let other_path = tmp("stash_perf_diff_other.json");

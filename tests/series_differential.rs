@@ -13,7 +13,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_faulted_with, run_epoch_series, run_epoch_with, EngineOptions};
 use stash::prelude::*;
 use stash::telemetry::series::IterSeries;
 
@@ -24,6 +23,25 @@ fn clusters() -> Vec<ClusterSpec> {
         ClusterSpec::single(p2_16xlarge()),
         ClusterSpec::homogeneous(p3_8xlarge(), 2),
     ]
+}
+
+/// One epoch of `cfg` under `options` (and `plan`, if any), recording its
+/// iteration series.
+fn series_run(
+    cfg: &TrainConfig,
+    options: &EngineOptions,
+    plan: Option<&FaultPlan>,
+) -> (FaultedRun, IterSeries) {
+    let mut series = IterSeries::default();
+    let run = Run {
+        options: options.clone(),
+        plan,
+        series: Some(&mut series),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("series epoch");
+    (run, series)
 }
 
 /// The series' running sums must equal the report's accumulators exactly:
@@ -99,17 +117,23 @@ fn series_reconciles_exactly_and_never_perturbs() {
                     model.name
                 );
                 let options = EngineOptions { fast_forward };
-                let plain = run_epoch_with(&cfg, &options).expect("plain epoch");
-                let sr = run_epoch_series(&cfg, &options, None).expect("series epoch");
-                assert_eq!(plain, sr.run.report, "{what}: series perturbed the report");
-                assert!(!sr.series.is_empty(), "{what}: empty series");
-                let t = sr.series.totals();
+                let plain = Run {
+                    options: options.clone(),
+                    ..Run::default()
+                }
+                .epoch(&cfg)
+                .expect("plain epoch")
+                .report;
+                let (run, series) = series_run(&cfg, &options, None);
+                assert_eq!(plain, run.report, "{what}: series perturbed the report");
+                assert!(!series.is_empty(), "{what}: empty series");
+                let t = series.totals();
                 assert_eq!(
                     t.iterations, plain.simulated_iterations,
                     "{what}: iteration count drift"
                 );
-                assert_reconciles(&plain, &sr.series, &what);
-                assert_contiguous(&sr.series, &what);
+                assert_reconciles(&plain, &series, &what);
+                assert_contiguous(&series, &what);
             }
         }
     }
@@ -123,27 +147,30 @@ fn series_reconciles_exactly_and_never_perturbs() {
         32 * 200,
     );
     long.epoch_mode = EpochMode::Full;
-    let plain = run_epoch_with(&long, &EngineOptions { fast_forward: true }).expect("plain");
-    let sr = run_epoch_series(&long, &EngineOptions { fast_forward: true }, None).expect("series");
-    assert_eq!(
-        plain, sr.run.report,
-        "long run: series perturbed the report"
-    );
-    let t = sr.series.totals();
+    let plain = Run {
+        options: EngineOptions { fast_forward: true },
+        ..Run::default()
+    }
+    .epoch(&long)
+    .expect("plain")
+    .report;
+    let (run, series) = series_run(&long, &EngineOptions { fast_forward: true }, None);
+    assert_eq!(plain, run.report, "long run: series perturbed the report");
+    let t = series.totals();
     assert!(
         t.ff_iterations > 0,
         "long run: fast-forward never engaged (ff_iterations=0)"
     );
     assert!(
-        sr.series.samples.iter().any(|s| s.ff_iterations > 0),
+        series.samples.iter().any(|s| s.ff_iterations > 0),
         "long run: no compressed-region sample"
     );
     assert_eq!(
         t.iterations, plain.simulated_iterations,
         "long run: count drift"
     );
-    assert_reconciles(&plain, &sr.series, "long run");
-    assert_contiguous(&sr.series, "long run");
+    assert_reconciles(&plain, &series, "long run");
+    assert_contiguous(&series, "long run");
 
     // --- seeded fault plans: the faulted run is bit-identical with the
     // series on, reconciliation survives checkpoint-replay rebilling and
@@ -161,17 +188,23 @@ fn series_reconciles_exactly_and_never_perturbs() {
         for fast_forward in [false, true] {
             let what = format!("seed {seed} ff={fast_forward}");
             let options = EngineOptions { fast_forward };
-            let faulted = run_epoch_faulted_with(&faulty, &plan, &options).expect("faulted epoch");
-            let sr = run_epoch_series(&faulty, &options, Some(&plan)).expect("series epoch");
-            assert_eq!(faulted, sr.run, "{what}: series perturbed the faulted run");
-            assert_reconciles(&sr.run.report, &sr.series, &what);
-            let fired = sr.run.faults.events.iter().filter(|e| e.fired).count();
+            let faulted = Run {
+                options: options.clone(),
+                plan: Some(&plan),
+                ..Run::default()
+            }
+            .epoch(&faulty)
+            .expect("faulted epoch");
+            let (run, series) = series_run(&faulty, &options, Some(&plan));
+            assert_eq!(faulted, run, "{what}: series perturbed the faulted run");
+            assert_reconciles(&run.report, &series, &what);
+            let fired = run.faults.events.iter().filter(|e| e.fired).count();
             assert!(
-                sr.series.annotations.len() >= fired,
+                series.annotations.len() >= fired,
                 "{what}: {fired} fired events but only {} annotations",
-                sr.series.annotations.len()
+                series.annotations.len()
             );
-            for a in &sr.series.annotations {
+            for a in &series.annotations {
                 assert!(
                     a.end_ns >= a.start_ns,
                     "{what}: inverted annotation {:?}",
@@ -181,8 +214,9 @@ fn series_reconciles_exactly_and_never_perturbs() {
         }
     }
 
-    // --- switch off: the same entry point degrades to a plain run with an
-    // empty series.
+    // --- switch off: a requested series is recorded all the same (the
+    // switch gates only the process-wide registry) and still leaves the
+    // report unchanged.
     stash::telemetry::disable();
     let mut cfg = TrainConfig::synthetic(
         ClusterSpec::single(p3_2xlarge()),
@@ -192,8 +226,14 @@ fn series_reconciles_exactly_and_never_perturbs() {
     );
     cfg.epoch_mode = EpochMode::Sampled { iterations: 8 };
     let plain = run_epoch(&cfg).expect("plain epoch");
-    let sr =
-        run_epoch_series(&cfg, &EngineOptions { fast_forward: true }, None).expect("series epoch");
-    assert_eq!(plain, sr.run.report, "disabled: report drift");
-    assert!(sr.series.is_empty(), "disabled: series not empty");
+    let (run, series) = series_run(&cfg, &EngineOptions { fast_forward: true }, None);
+    assert_eq!(plain, run.report, "disabled: report drift");
+    assert!(!series.is_empty(), "disabled: series not recorded");
+    assert_eq!(
+        series.totals().iterations,
+        plain.simulated_iterations,
+        "disabled: iteration count drift"
+    );
+    assert_reconciles(&plain, &series, "disabled");
+    assert_contiguous(&series, "disabled");
 }

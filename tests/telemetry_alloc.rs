@@ -98,7 +98,14 @@ fn telemetry_records_allocate_exactly_nothing() {
     let run = |arena: &mut EngineArena, iters: u64| {
         let cfg = mk(iters);
         allocations_during(|| {
-            stash::ddl::engine::run_epoch_in_with(&cfg, &options, arena).expect("epoch")
+            Run {
+                options: options.clone(),
+                arena: Some(arena),
+                ..Run::default()
+            }
+            .epoch(&cfg)
+            .expect("epoch")
+            .report
         })
     };
 

@@ -12,7 +12,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_with, EngineOptions};
 use stash::prelude::*;
 
 fn configs() -> Vec<TrainConfig> {
@@ -66,7 +65,15 @@ fn epoch_reports_are_bit_identical_with_telemetry_on() {
     let mut baseline = Vec::new();
     for cfg in &configs {
         for options in &modes {
-            baseline.push(run_epoch_with(cfg, options).expect("disabled run"));
+            baseline.push(
+                Run {
+                    options: options.clone(),
+                    ..Run::default()
+                }
+                .epoch(cfg)
+                .expect("disabled run")
+                .report,
+            );
         }
     }
 
@@ -74,7 +81,13 @@ fn epoch_reports_are_bit_identical_with_telemetry_on() {
     let mut i = 0;
     for cfg in &configs {
         for options in &modes {
-            let report = run_epoch_with(cfg, options).expect("enabled run");
+            let report = Run {
+                options: options.clone(),
+                ..Run::default()
+            }
+            .epoch(cfg)
+            .expect("enabled run")
+            .report;
             assert_eq!(
                 report,
                 baseline[i],

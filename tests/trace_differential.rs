@@ -39,8 +39,13 @@ fn traced_run_is_bit_identical_for_every_zoo_model() {
             let plain = run_epoch(&cfg).unwrap_or_else(|e| panic!("{name}: untraced: {e}"));
             let sink = Rc::new(RefCell::new(CountingSink::new()));
             let tracer = shared(Tracer::new(sink.clone()));
-            let traced =
-                run_epoch_traced(&cfg, &tracer).unwrap_or_else(|e| panic!("{name}: traced: {e}"));
+            let traced = Run {
+                tracer: Some(&tracer),
+                ..Run::default()
+            }
+            .epoch(&cfg)
+            .unwrap_or_else(|e| panic!("{name}: traced: {e}"))
+            .report;
 
             assert_eq!(
                 plain.to_json_value(),
@@ -64,7 +69,13 @@ fn null_sink_changes_no_report_bits() {
     let plain = run_epoch(&cfg).expect("untraced run");
 
     let tracer = shared(Tracer::new(NullSink));
-    let traced = run_epoch_traced(&cfg, &tracer).expect("null-sink run");
+    let traced = Run {
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("null-sink run")
+    .report;
     assert!(
         tracer.borrow().events_emitted() > 0,
         "NullSink tracer is live"

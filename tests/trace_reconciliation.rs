@@ -39,7 +39,13 @@ fn span_totals_reconcile_with_stall_breakdown_for_every_zoo_model() {
 
             let sink = Rc::new(RefCell::new(JsonSink::new()));
             let tracer = shared(Tracer::new(sink.clone()));
-            let report = run_epoch_traced(&cfg, &tracer).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let report = Run {
+                tracer: Some(&tracer),
+                ..Run::default()
+            }
+            .epoch(&cfg)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .report;
 
             let events = sink.borrow().events().to_vec();
             let rollup = StallRollup::from_events(&events);
@@ -86,7 +92,13 @@ fn reconciliation_holds_on_a_multi_node_cluster() {
 
     let sink = Rc::new(RefCell::new(JsonSink::new()));
     let tracer = shared(Tracer::new(sink.clone()));
-    let report = run_epoch_traced(&cfg, &tracer).expect("multi-node traced run");
+    let report = Run {
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("multi-node traced run")
+    .report;
 
     let events = sink.borrow().events().to_vec();
     let rollup = StallRollup::from_events(&events);

@@ -58,13 +58,25 @@ fn disabled_tracer_allocates_exactly_nothing_extra() {
     // Warm up both code paths once (lazy one-time allocations).
     let warm_tracer = shared(Tracer::disabled());
     run_epoch(&cfg).expect("warmup untraced");
-    run_epoch_traced(&cfg, &warm_tracer).expect("warmup traced-disabled");
+    Run {
+        tracer: Some(&warm_tracer),
+        ..Run::default()
+    }
+    .epoch(&cfg)
+    .expect("warmup traced-disabled");
 
     let (plain, plain_allocs) = allocations_during(|| run_epoch(&cfg).expect("untraced"));
 
     let tracer = shared(Tracer::disabled());
-    let (traced, traced_allocs) =
-        allocations_during(|| run_epoch_traced(&cfg, &tracer).expect("traced-disabled"));
+    let (traced, traced_allocs) = allocations_during(|| {
+        Run {
+            tracer: Some(&tracer),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .expect("traced-disabled")
+        .report
+    });
 
     assert_eq!(
         plain_allocs, traced_allocs,
