@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_collectives::schedule::Algorithm;
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
@@ -24,7 +24,7 @@ fn main() {
             let stash = Stash::new(model.clone())
                 .with_batch(32)
                 .with_algorithm(algo)
-                .with_sampled_iterations(bench_iters());
+                .with_sampled_iterations(BENCH_ITERS);
             let r = stash.profile(&cluster).expect("profile");
             let secs = r.times.t5.unwrap().as_secs_f64();
             times.insert(algo.label(), secs);

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, pct, Table};
+use stash_bench::{pct, Table, BENCH_ITERS};
 use stash_collectives::bucket::Bucketing;
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
@@ -30,7 +30,7 @@ fn main() {
             let stash = Stash::new(model.clone())
                 .with_batch(32)
                 .with_bucketing(bucketing)
-                .with_sampled_iterations(bench_iters());
+                .with_sampled_iterations(BENCH_ITERS);
             let r = stash.profile(&cluster).expect("profile");
             let ic = r.interconnect_stall_pct().unwrap_or(0.0);
             if label == "per-layer" {

@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_ddl::config::{EpochMode, TrainConfig};
 use stash_ddl::engine::run_epoch;
 use stash_dnn::zoo;
@@ -31,7 +31,7 @@ fn main() {
             );
             cfg.grad_accumulation = accum;
             cfg.epoch_mode = EpochMode::Sampled {
-                iterations: bench_iters(),
+                iterations: BENCH_ITERS,
             };
             let r = run_epoch(&cfg).expect("run");
             tps.push(r.throughput);

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_ddl::config::{EpochMode, TrainConfig};
 use stash_ddl::engine::run_epoch;
 use stash_dnn::zoo;
@@ -30,7 +30,7 @@ fn main() {
             );
             cfg.overlap = overlap;
             cfg.epoch_mode = EpochMode::Sampled {
-                iterations: bench_iters(),
+                iterations: BENCH_ITERS,
             };
             let r = run_epoch(&cfg).expect("run");
             let secs = r.epoch_time.as_secs_f64();

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, pct, Table};
+use stash_bench::{pct, Table, BENCH_ITERS};
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
@@ -22,7 +22,7 @@ fn main() {
         let stash = |m: &stash_dnn::model::Model| {
             Stash::new(m.clone())
                 .with_batch(32)
-                .with_sampled_iterations(bench_iters())
+                .with_sampled_iterations(BENCH_ITERS)
         };
         let ic = |cluster: &ClusterSpec| {
             stash(&model)

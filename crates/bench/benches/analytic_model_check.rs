@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_collectives::bucket::Bucketing;
 use stash_core::analytic::{comm_estimate, comm_simulated, link_parameters};
 use stash_core::profiler::Stash;
@@ -51,7 +51,7 @@ fn main() {
             // hide communication, never add any.
             let report = Stash::new(model.clone())
                 .with_batch(32)
-                .with_sampled_iterations(bench_iters())
+                .with_sampled_iterations(BENCH_ITERS)
                 .profile(cluster)
                 .expect("profile");
             let iters = 1_281_167.0 / (cluster.world_size() as f64 * 32.0);

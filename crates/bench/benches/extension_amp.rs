@@ -9,7 +9,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
 use stash_gpucompute::precision::Precision;
@@ -34,7 +34,7 @@ fn main() {
                 let stash = Stash::new(model.clone())
                     .with_batch(32)
                     .with_precision(precision)
-                    .with_sampled_iterations(bench_iters());
+                    .with_sampled_iterations(BENCH_ITERS);
                 let r = stash.profile(cluster).expect("profile");
                 let secs = r.training_epoch_time().unwrap().as_secs_f64();
                 times.insert(precision.label(), secs);

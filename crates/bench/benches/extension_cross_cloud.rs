@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, pct, Table};
+use stash_bench::{pct, Table, BENCH_ITERS};
 use stash_core::cost::epoch_cost;
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
@@ -43,7 +43,7 @@ fn main() {
     for model in [zoo::resnet18()] {
         let stash = Stash::new(model.clone())
             .with_batch(32)
-            .with_sampled_iterations(bench_iters());
+            .with_sampled_iterations(BENCH_ITERS);
         for (cloud, cluster) in &configs {
             let r = stash.profile(cluster).expect("profile");
             let ic = r.interconnect_stall_pct().unwrap_or(0.0);

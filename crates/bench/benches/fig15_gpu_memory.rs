@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, rollup_from_reports, Table};
+use stash_bench::{rollup_from_reports, Table, BENCH_ITERS};
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
 use stash_gpucompute::memory::utilization_pct;
@@ -50,7 +50,7 @@ fn main() {
         for instance in [p2_xlarge(), p3_2xlarge()] {
             let stash = Stash::new(model.clone())
                 .with_batch(32)
-                .with_sampled_iterations(bench_iters());
+                .with_sampled_iterations(BENCH_ITERS);
             let cluster = ClusterSpec::single(instance);
             reports.push(stash.profile(&cluster).expect("profile"));
         }

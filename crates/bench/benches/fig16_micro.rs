@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, pct, rollup_from_reports, Table};
+use stash_bench::{pct, rollup_from_reports, Table, BENCH_ITERS};
 use stash_core::profiler::Stash;
 use stash_dnn::synth::{resnet, resnet_with, vgg, ResNetOptions};
 use stash_hwtopo::cluster::ClusterSpec;
@@ -58,7 +58,7 @@ fn main() {
     for model in &models {
         let stash = Stash::new(model.clone())
             .with_batch(32)
-            .with_sampled_iterations(bench_iters());
+            .with_sampled_iterations(BENCH_ITERS);
         let r = stash.profile(&cluster).expect("profile");
         let ic_pct = r.interconnect_stall_pct().unwrap_or(0.0);
         let nw_pct = r.network_stall_pct().unwrap_or(0.0);

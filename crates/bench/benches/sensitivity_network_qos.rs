@@ -9,7 +9,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::{Table, BENCH_ITERS};
 use stash_core::profiler::Stash;
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
@@ -28,7 +28,7 @@ fn main() {
         let cluster = ClusterSpec::homogeneous(inst, 2);
         let r = Stash::new(zoo::resnet50())
             .with_batch(32)
-            .with_sampled_iterations(bench_iters())
+            .with_sampled_iterations(BENCH_ITERS)
             .profile(&cluster)
             .expect("profile");
         let nw = r.network_stall_pct().unwrap();

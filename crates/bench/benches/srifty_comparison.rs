@@ -8,14 +8,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, Table};
+use stash_bench::Table;
 use stash_core::srifty::{compare, grid_probe, standard_buffer_grid, SriftyPredictor};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{p2_16xlarge, p2_8xlarge, p3_16xlarge, p3_8xlarge};
 
 fn main() {
-    let _ = bench_iters();
     let clusters = vec![
         ClusterSpec::single(p2_8xlarge()),
         ClusterSpec::single(p2_16xlarge()),

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash_bench::{bench_iters, bench_stash, Table};
+use stash_bench::{bench_stash, Table, BENCH_ITERS};
 use stash_core::cost::epoch_cost;
 use stash_core::profiler::Stash;
 use stash_dnn::dataset::DatasetSpec;
@@ -61,7 +61,7 @@ fn main() {
         Stash::new(zoo::bert_large())
             .with_batch(batch)
             .with_dataset(DatasetSpec::squad2())
-            .with_sampled_iterations(bench_iters())
+            .with_sampled_iterations(BENCH_ITERS)
     };
     let c16 = ClusterSpec::single(p3_16xlarge());
     let c24 = ClusterSpec::single(p3_24xlarge());

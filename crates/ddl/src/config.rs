@@ -6,6 +6,7 @@ use stash_collectives::schedule::Algorithm;
 use stash_datapipe::cache::CacheState;
 use stash_dnn::dataset::DatasetSpec;
 use stash_dnn::model::Model;
+use stash_faults::plan::MAX_SLOWDOWN;
 use stash_gpucompute::precision::Precision;
 use stash_hwtopo::cluster::ClusterSpec;
 
@@ -101,7 +102,8 @@ pub struct TrainConfig {
 pub struct Straggler {
     /// Global rank to slow down.
     pub rank: usize,
-    /// Compute-time multiplier (> 1 slows the rank).
+    /// Compute-time multiplier (> 1 slows the rank), at most
+    /// [`MAX_SLOWDOWN`].
     pub slowdown: f64,
 }
 
@@ -178,10 +180,11 @@ impl TrainConfig {
             ));
         }
         if let Some(s) = self.straggler {
-            if !(s.slowdown.is_finite() && s.slowdown >= 1.0) {
-                return Err(TrainError::InvalidConfig(
-                    "straggler slowdown must be a finite factor >= 1".into(),
-                ));
+            if !(1.0..=MAX_SLOWDOWN).contains(&s.slowdown) {
+                return Err(TrainError::InvalidConfig(format!(
+                    "straggler slowdown must be a factor from 1 to {MAX_SLOWDOWN}, got {}",
+                    s.slowdown
+                )));
             }
             if s.rank >= self.cluster.world_size() {
                 return Err(TrainError::InvalidConfig(format!(

@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::model::Model;
+
 /// A training dataset as seen by the storage/preprocessing pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetSpec {
@@ -55,6 +57,17 @@ impl DatasetSpec {
         }
     }
 
+    /// The dataset `model` trains on in the paper: SQuAD 2.0 for BERT
+    /// models, ImageNet-1k for every other model.
+    #[must_use]
+    pub fn for_model(model: &Model) -> DatasetSpec {
+        if model.name.starts_with("BERT") {
+            DatasetSpec::squad2()
+        } else {
+            DatasetSpec::imagenet1k()
+        }
+    }
+
     /// A deterministic scaled-down dataset for fast tests: `fraction` of
     /// ImageNet's samples and bytes.
     ///
@@ -94,6 +107,18 @@ mod tests {
         let d = DatasetSpec::squad2();
         assert!(d.total_bytes < 100e6);
         assert!(d.prep_cost_factor < 0.5);
+    }
+
+    #[test]
+    fn bert_streams_squad_and_the_rest_imagenet() {
+        for (model, _) in crate::zoo::all_models() {
+            let expected = if model.name == "BERT-large" {
+                DatasetSpec::squad2()
+            } else {
+                DatasetSpec::imagenet1k()
+            };
+            assert_eq!(DatasetSpec::for_model(&model), expected, "{}", model.name);
+        }
     }
 
     #[test]

@@ -40,6 +40,18 @@ pub enum FaultError {
         /// The value, in nanoseconds.
         ns: u64,
     },
+    /// Windows open at once compound past
+    /// [`MAX_SLOWDOWN`](crate::plan::MAX_SLOWDOWN): a rank's straggler
+    /// slowdowns multiply to more than it, or a node's link or disk
+    /// factors to less than its inverse.
+    CompoundOutOfRange {
+        /// Which product, and of what kind of target.
+        what: &'static str,
+        /// The rank or node the windows target.
+        target: usize,
+        /// The product of the open windows' multipliers.
+        value: f64,
+    },
     /// The plan's JSON encoding could not be parsed.
     Parse(String),
     /// The plan is structurally impossible to execute (e.g. every node
@@ -72,6 +84,16 @@ impl fmt::Display for FaultError {
                 f,
                 "{what} of {ns} ns exceeds the one-year cap ({} ns)",
                 crate::plan::MAX_FAULT_TIME.as_nanos()
+            ),
+            FaultError::CompoundOutOfRange {
+                what,
+                target,
+                value,
+            } => write!(
+                f,
+                "{what} {target} compounds to {value:e} over the windows open at once, \
+                 past the {}x bound",
+                crate::plan::MAX_SLOWDOWN
             ),
             FaultError::Parse(msg) => write!(f, "invalid fault plan JSON: {msg}"),
             FaultError::Unrecoverable(msg) => write!(f, "unrecoverable fault plan: {msg}"),

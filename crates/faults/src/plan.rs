@@ -87,6 +87,15 @@ pub struct FaultEvent {
 /// below `u64::MAX` nanoseconds (about 584 years).
 pub const MAX_FAULT_TIME: SimDuration = SimDuration::from_secs(365 * 24 * 3600);
 
+/// The most a rank may be slowed, and a link or disk throttled, counting
+/// every window open at once: straggler slowdowns on one rank multiply
+/// to at most this, link or disk factors on one node to at least its
+/// inverse. A compute interval stretched further, or a transfer slowed
+/// further, can outlast the nanosecond clock or the engine's event
+/// budget; seeded plans stay far inside it (slowdowns 1.3–2.5, factors
+/// 0.2–0.6).
+pub const MAX_SLOWDOWN: f64 = 1000.0;
+
 /// How the engine reacts to faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
@@ -232,9 +241,9 @@ impl FaultPlan {
     ///
     /// Returns the first [`FaultError`] found: out-of-range rank/node,
     /// non-finite or out-of-range multipliers, zero-length windows, a
-    /// firing time or delay beyond [`MAX_FAULT_TIME`], a node preempted
-    /// twice, all nodes permanently preempted, or a malformed recovery
-    /// policy.
+    /// firing time or delay beyond [`MAX_FAULT_TIME`], windows open at
+    /// once that compound past [`MAX_SLOWDOWN`], a node preempted twice,
+    /// all nodes permanently preempted, or a malformed recovery policy.
     pub fn validate(&self, world: usize, nodes: usize) -> Result<(), FaultError> {
         let policy = &self.recovery;
         if policy.checkpoint_every == 0 {
@@ -326,6 +335,7 @@ impl FaultPlan {
                 }
             }
         }
+        check_compound_windows(&self.events)?;
         if permanent >= nodes && permanent > 0 {
             return Err(FaultError::Unrecoverable(
                 "every node is permanently preempted; no survivors remain".to_string(),
@@ -358,6 +368,57 @@ fn check_time(what: &'static str, t: SimDuration) -> Result<(), FaultError> {
         });
     }
     Ok(())
+}
+
+/// Checks, at each window's start, the product of the same-kind windows
+/// open then on the same rank or node against [`MAX_SLOWDOWN`]. A
+/// product only moves away from 1 when a window opens, so the starts
+/// are the only instants to check. Expects every window already
+/// validated alone: slowdowns are at least 1 and factors at most 1, so
+/// one range bounds both.
+fn check_compound_windows(events: &[FaultEvent]) -> Result<(), FaultError> {
+    let windows: Vec<_> = events.iter().filter_map(window).collect();
+    for &(what, target, start, _, _) in &windows {
+        let combined: f64 = windows
+            .iter()
+            .filter(|&&(w, t, from, until, _)| {
+                w == what && t == target && from <= start && start < until
+            })
+            .map(|&(.., multiplier)| multiplier)
+            .product();
+        if !(1.0 / MAX_SLOWDOWN..=MAX_SLOWDOWN).contains(&combined) {
+            return Err(FaultError::CompoundOutOfRange {
+                what,
+                target,
+                value: combined,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A window event's compounding quantity and target, its half-open span
+/// `[start, end)` and its multiplier; `None` for preemptions.
+fn window(ev: &FaultEvent) -> Option<(&'static str, usize, SimTime, SimTime, f64)> {
+    let (what, target, duration, multiplier) = match ev.kind {
+        FaultKind::Preemption { .. } => return None,
+        FaultKind::StragglerWindow {
+            rank,
+            duration,
+            slowdown,
+        } => ("straggler slowdown of rank", rank, duration, slowdown),
+        FaultKind::LinkDegradation {
+            node,
+            duration,
+            factor,
+        } => ("link degradation factor of node", node, duration, factor),
+        FaultKind::DiskBrownout {
+            node,
+            duration,
+            factor,
+        } => ("disk brownout factor of node", node, duration, factor),
+    };
+    Some((what, target, ev.at, ev.at + duration, multiplier))
 }
 
 fn check_factor(what: &'static str, factor: f64) -> Result<(), FaultError> {
@@ -558,6 +619,106 @@ mod tests {
             match plan.validate(8, 2) {
                 Err(FaultError::TimeOutOfRange { what: w, .. }) => assert_eq!(w, what),
                 other => panic!("{what}: expected TimeOutOfRange, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn windows_compounding_past_the_slowdown_bound_are_rejected() {
+        let window = |at_s: u64, kind| FaultEvent {
+            at: SimTime::ZERO + SimDuration::from_secs(at_s),
+            kind,
+        };
+        let ten_s = SimDuration::from_secs(10);
+        let straggler = |rank, slowdown| FaultKind::StragglerWindow {
+            rank,
+            duration: ten_s,
+            slowdown,
+        };
+        let link = |node, factor| FaultKind::LinkDegradation {
+            node,
+            duration: ten_s,
+            factor,
+        };
+        let disk = |node, factor| FaultKind::DiskBrownout {
+            node,
+            duration: ten_s,
+            factor,
+        };
+        let plan = |events| FaultPlan {
+            events,
+            recovery: RecoveryPolicy::default(),
+        };
+        let floor = 1.0 / MAX_SLOWDOWN;
+        let past = f64::from_bits(MAX_SLOWDOWN.to_bits() + 1);
+        let below = f64::from_bits(floor.to_bits() - 1);
+        let at_the_bound = [
+            vec![
+                window(0, straggler(0, MAX_SLOWDOWN)),
+                window(0, link(0, floor)),
+                window(0, disk(0, floor)),
+            ],
+            vec![
+                window(0, straggler(0, 10.0)),
+                window(5, straggler(0, 100.0)),
+            ],
+            // Half-open windows: back to back, they never overlap.
+            vec![
+                window(0, straggler(0, MAX_SLOWDOWN)),
+                window(10, straggler(0, MAX_SLOWDOWN)),
+            ],
+            // Different targets do not compound.
+            vec![
+                window(0, straggler(0, MAX_SLOWDOWN)),
+                window(0, straggler(1, MAX_SLOWDOWN)),
+                window(0, link(0, floor)),
+                window(0, link(1, floor)),
+            ],
+        ];
+        for events in at_the_bound {
+            plan(events.clone())
+                .validate(8, 2)
+                .unwrap_or_else(|e| panic!("{events:?} is at the bound: {e}"));
+        }
+        let past_the_bound = [
+            (
+                window(0, straggler(0, past)),
+                None,
+                "straggler slowdown of rank",
+                0,
+            ),
+            (
+                window(0, link(1, below)),
+                None,
+                "link degradation factor of node",
+                1,
+            ),
+            (
+                window(0, disk(1, below)),
+                None,
+                "disk brownout factor of node",
+                1,
+            ),
+            (
+                window(0, straggler(3, 10.0)),
+                Some(window(9, straggler(3, 100.1))),
+                "straggler slowdown of rank",
+                3,
+            ),
+            (
+                window(0, link(0, 0.1)),
+                Some(window(3, link(0, 0.009))),
+                "link degradation factor of node",
+                0,
+            ),
+        ];
+        for (first, second, what, target) in past_the_bound {
+            let events: Vec<_> = std::iter::once(first).chain(second).collect();
+            match plan(events.clone()).validate(8, 2) {
+                Err(FaultError::CompoundOutOfRange {
+                    what: w, target: t, ..
+                }) => assert_eq!((w, t), (what, target)),
+                other => panic!("{events:?}: expected CompoundOutOfRange, got {other:?}"),
             }
         }
     }

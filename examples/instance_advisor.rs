@@ -18,11 +18,7 @@ fn main() -> Result<(), ProfileError> {
         eprintln!("unknown model '{model_name}', using ResNet18");
         zoo::resnet18()
     });
-    let dataset = if model.name == "BERT-large" {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
+    let dataset = DatasetSpec::for_model(&model);
 
     println!("advising for {} at per-GPU batch {batch}\n", model.name);
     let stash = Stash::new(model)

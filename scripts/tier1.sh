@@ -4,8 +4,8 @@
 # (every target), warning-free rustdoc, the pay-once characterization
 # example and the other root examples, CLI smoke tests for the trace,
 # report, diff, chaos, perf, dash, flight-recorder, sweep and fsck
-# subcommand surface, the durable-sweep resume gate, and a
-# figure-regeneration gate at one and two sweep workers.
+# subcommand surface, the durable-sweep resume gate, and a gate that
+# regenerates every bench output at one and two sweep workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -270,16 +270,22 @@ if ((cold_ns < 5 * resumed_ns)); then
     exit 1
 fi
 
-# Figure-regeneration gate: two figure sweeps at the default iteration
-# budget, on one sweep worker and on two, must rewrite their committed
-# CSV, JSON and rollup files byte for byte (`git diff` compares with the
-# index, so a deliberate figure change passes once it is staged).
-fig_files=()
-for fig in fig04_p2_cpu_disk fig11_p3_ic; do
-    fig_files+=("results/$fig.csv" "results/$fig.json" "results/${fig}_rollup.json")
-done
-for threads in 1 2; do
-    env -u STASH_BENCH_ITERS STASH_BENCH_THREADS="$threads" \
-        cargo bench -q -p stash-bench --bench fig04_p2_cpu_disk --bench fig11_p3_ic >/dev/null
-    git diff --exit-code --stat -- "${fig_files[@]}"
-done
+# Regeneration gate: every bench target rewrites its committed results/
+# files byte for byte — all targets on two sweep workers, then the ten
+# figure sweeps (the only outputs that depend on the worker count) on
+# one. `git diff` catches a changed file and `git status` a new or
+# renamed one, so a deliberate change to an output passes only once it
+# is committed.
+results_match_commit() {
+    git diff --exit-code --stat -- results/
+    local stray
+    stray=$(git status --porcelain -- results/)
+    if [[ -n "$stray" ]]; then
+        printf 'bench outputs differ from the committed results/:\n%s\n' "$stray" >&2
+        exit 1
+    fi
+}
+STASH_BENCH_THREADS=2 cargo bench -q -p stash-bench --benches >/dev/null
+results_match_commit
+STASH_BENCH_THREADS=1 cargo bench -q -p stash-bench --bench figures >/dev/null
+results_match_commit

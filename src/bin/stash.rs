@@ -303,18 +303,8 @@ fn slug(model_name: &str, cluster_spec: &str) -> String {
     )
 }
 
-/// The dataset a model streams: SQuAD for BERT models, ImageNet for the
-/// rest.
-fn dataset_for(model: &Model) -> DatasetSpec {
-    if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    }
-}
-
 fn stash_for(model: Model, batch: u64) -> Stash {
-    let dataset = dataset_for(&model);
+    let dataset = DatasetSpec::for_model(&model);
     Stash::new(model).with_batch(batch).with_dataset(dataset)
 }
 
@@ -322,7 +312,7 @@ fn stash_for(model: Model, batch: u64) -> Stash {
 /// real, warm-cache data, so the trace shows the full pipeline — fetch,
 /// prep, H2D upload, compute and all-reduce on their own tracks.
 fn traced_window(cluster: ClusterSpec, model: Model, batch: u64) -> TrainConfig {
-    let dataset = dataset_for(&model);
+    let dataset = DatasetSpec::for_model(&model);
     let mut cfg = TrainConfig::synthetic(cluster, model, batch, batch * 12);
     cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
     cfg.record_trace = true;

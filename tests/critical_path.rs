@@ -12,11 +12,7 @@ use std::rc::Rc;
 use stash::prelude::*;
 
 fn traced_cfg(cluster: ClusterSpec, model: Model, batch: u64) -> TrainConfig {
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
+    let dataset = DatasetSpec::for_model(&model);
     let mut cfg = TrainConfig::synthetic(cluster, model, batch, batch * 12);
     cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
     cfg.record_trace = true;

@@ -4,6 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use stash::faults::plan::MAX_SLOWDOWN;
 use stash::prelude::*;
 
 fn base(cluster: ClusterSpec, model: Model) -> TrainConfig {
@@ -178,6 +179,20 @@ fn straggler_validation() {
         slowdown: 0.5,
     });
     assert!(matches!(run_epoch(&cfg), Err(TrainError::InvalidConfig(_))));
+    // Past the bound a stretched compute interval can overflow the clock.
+    let past = f64::from_bits(MAX_SLOWDOWN.to_bits() + 1);
+    for slowdown in [past, 1e30, f64::INFINITY, f64::NAN] {
+        cfg.straggler = Some(Straggler { rank: 0, slowdown });
+        assert!(
+            matches!(run_epoch(&cfg), Err(TrainError::InvalidConfig(_))),
+            "slowdown {slowdown} must be rejected"
+        );
+    }
+    cfg.straggler = Some(Straggler {
+        rank: 0,
+        slowdown: MAX_SLOWDOWN,
+    });
+    run_epoch(&cfg).expect("a straggler at the bound runs");
 }
 
 #[test]

@@ -246,24 +246,40 @@ fn elastic_reformation_conserves_survivor_time() {
     assert_eq!(accounted.as_nanos(), r.epoch_time.as_nanos());
 }
 
-/// A firing time, window or delay beyond the one-year cap is a typed
-/// error: unchecked, the engine's `at + duration` and `now + restart_after`
-/// overflow the simulated clock (a panic in debug builds, wrapped times
-/// and wrong results in release builds).
+/// A firing time, window or delay beyond the one-year cap, or a
+/// slowdown or bandwidth factor past `MAX_SLOWDOWN`, is a typed error:
+/// unchecked, the engine's `at + duration`, `now + restart_after` and
+/// stretched compute intervals overflow the simulated clock (a panic in
+/// debug builds, wrapped times and wrong results in release builds), and
+/// a link throttled to almost nothing stalls the run until the engine's
+/// event budget panics.
 #[test]
 fn oversized_fault_times_are_rejected_before_the_clock_overflows() {
-    let mut cfg = TrainConfig::synthetic(
-        ClusterSpec::single(p3_2xlarge()),
-        zoo::resnet18(),
-        32,
-        32 * 16,
-    );
-    cfg.epoch_mode = EpochMode::Full;
+    let full_epoch = |cluster| {
+        let mut cfg = TrainConfig::synthetic(cluster, zoo::resnet18(), 32, 32 * 16);
+        cfg.epoch_mode = EpochMode::Full;
+        cfg
+    };
+    let single = || ClusterSpec::single(p3_2xlarge());
     let recovery = r#"{"checkpoint_every":4,"straggler_timeout":20000000,
         "straggler_backoff":2.0,"reform_delay":500000000}"#;
-    for kind in [
-        r#"{"StragglerWindow":{"rank":0,"duration":18446744073709551615,"slowdown":1.5}}"#,
-        r#"{"Preemption":{"node":0,"restart_after":18446744073709551615}}"#,
+    for (cluster, kind) in [
+        (
+            single(),
+            r#"{"StragglerWindow":{"rank":0,"duration":18446744073709551615,"slowdown":1.5}}"#,
+        ),
+        (
+            single(),
+            r#"{"Preemption":{"node":0,"restart_after":18446744073709551615}}"#,
+        ),
+        (
+            single(),
+            r#"{"StragglerWindow":{"rank":0,"duration":1000000000,"slowdown":1e30}}"#,
+        ),
+        (
+            ClusterSpec::homogeneous(p3_8xlarge(), 2),
+            r#"{"LinkDegradation":{"node":0,"duration":1000000000,"factor":1e-300}}"#,
+        ),
     ] {
         let json = format!(r#"{{"events":[{{"at":1000,"kind":{kind}}}],"recovery":{recovery}}}"#);
         let plan = FaultPlan::from_json(&json).expect("plan parses");
@@ -271,10 +287,20 @@ fn oversized_fault_times_are_rejected_before_the_clock_overflows() {
             plan: Some(&plan),
             ..Run::default()
         }
-        .epoch(&cfg);
+        .epoch(&full_epoch(cluster));
         assert!(
             matches!(run, Err(TrainError::InvalidFaultPlan(_))),
             "{kind}: expected InvalidFaultPlan, got {run:?}"
         );
     }
+    let mut straggling = full_epoch(single());
+    straggling.straggler = Some(Straggler {
+        rank: 0,
+        slowdown: 1e30,
+    });
+    let run = run_epoch(&straggling);
+    assert!(
+        matches!(run, Err(TrainError::InvalidConfig(_))),
+        "static 1e30 straggler: expected InvalidConfig, got {run:?}"
+    );
 }

@@ -16,11 +16,7 @@ use std::rc::Rc;
 use stash::prelude::*;
 
 fn traced_cfg(model: Model, inst: InstanceType) -> TrainConfig {
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
+    let dataset = DatasetSpec::for_model(&model);
     let mut cfg = TrainConfig::synthetic(ClusterSpec::single(inst), model, 4, 4 * 3);
     cfg.epoch_mode = EpochMode::Sampled { iterations: 3 };
     cfg.data = DataMode::Real {
