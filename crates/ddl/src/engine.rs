@@ -573,6 +573,7 @@ impl<'a> Engine<'a> {
         let mut loader_work = std::mem::take(&mut arena.loader_work);
         loader_work.clear();
         let topo = Topology::build(&cfg.cluster, &mut net);
+        net.track_utilization(topo.host_bus(0));
         let plan = CommPlan::new(&cfg.model, cfg.bucketing);
         let sim_iters = cfg.simulated_iterations();
 
@@ -2169,7 +2170,7 @@ impl<'a> Engine<'a> {
 
     fn schedule_wake(&mut self) {
         let now = self.q.now();
-        if let Some(t) = self.net.next_event_time(now) {
+        if let Some(t) = self.net.next_event_time() {
             let t = t.max(now + SimDuration::from_nanos(1));
             if self.next_wake.is_none_or(|(w, _)| t < w) {
                 // The earlier prediction wins; the superseded wake is

@@ -24,7 +24,7 @@
 //! // Two concurrent 1 GB transfers share the 1 GB/s bus → 2 s each.
 //! net.start_flow(SimTime::ZERO, FlowSpec::new(vec![bus], 1e9, 0));
 //! net.start_flow(SimTime::ZERO, FlowSpec::new(vec![bus], 1e9, 1));
-//! let done = net.next_event_time(SimTime::ZERO).unwrap();
+//! let done = net.next_event_time().unwrap();
 //! assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
 //! ```
 

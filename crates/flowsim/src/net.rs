@@ -5,13 +5,24 @@
 //! 1. mutate the network only at the current time (`start_flow`,
 //!    `cancel_flow`), after calling [`FlowNet::advance`] to that time;
 //! 2. after every mutation, ask [`FlowNet::next_event_time`] and schedule a
-//!    wake-up event then;
+//!    wake-up event then. The answer is predicted from the network's own
+//!    clock ([`FlowNet::last_advance`]) and memoized: asking again before
+//!    the next change (an advance that moves time, a flow start, a
+//!    successful cancel, a capacity change or a reset) returns the cached
+//!    answer without walking the flows, so a loop may ask after every
+//!    event, network or not;
 //! 3. on wake-up, call [`FlowNet::advance`] and drain
 //!    [`FlowNet::take_completed`] (or, allocation-free,
 //!    [`FlowNet::drain_completed_into`]).
 //!
 //! Stale wake-ups (scheduled before a topology change) are harmless: they
 //! simply find nothing completed.
+//!
+//! Utilisation (time-weighted load / capacity) is integrated only for
+//! links registered with [`FlowNet::track_utilization`]. Every solve or
+//! shortcut re-anchors each registered integral, so an unread link would
+//! cost work on every network event; an unregistered one costs none, and
+//! asking for its utilisation panics rather than report an idle 0.
 //!
 //! Flow state lives in a free-list slab (`Vec<FlowSlot>` + generation-tagged
 //! [`FlowId`]): start/complete/lookup are O(1) and a steady-state
@@ -33,6 +44,23 @@ use crate::link::{Link, LinkClass, LinkId};
 
 /// Sentinel for "no slot" in the intrusive creation-order list.
 const NIL: u32 = u32::MAX;
+
+/// Seconds until a transferring flow completes at its current rate.
+///
+/// Callers take the minimum over flows in f64 and convert that one value
+/// with [`SimDuration::from_secs_f64`], instead of converting (and
+/// rounding) once per flow. That is exact: the conversion is monotone on
+/// `[0, inf)`, so it maps the smallest ratio to the smallest duration. A
+/// non-finite ratio (a rate so small the division overflows) maps to 0,
+/// which converts to the same zero duration as the ratio itself would.
+fn ttc_secs(remaining_bytes: f64, rate: f64) -> f64 {
+    let ttc = remaining_bytes / rate;
+    if ttc.is_finite() {
+        ttc
+    } else {
+        0.0
+    }
+}
 
 /// Identifier of an in-flight flow.
 ///
@@ -121,6 +149,14 @@ impl FlowSlot {
     }
 }
 
+/// A link whose utilisation someone reads, with its integral.
+#[derive(Debug)]
+struct TrackedLink {
+    link: usize,
+    /// Instantaneous load / capacity, integrated over time.
+    load: TimeWeighted,
+}
+
 /// A set of links plus the flows currently crossing them.
 ///
 /// Rates are recomputed with max-min fairness at every state change; between
@@ -137,7 +173,7 @@ impl FlowSlot {
 /// let l = net.add_link(Link::new("bus", 100.0, SimDuration::ZERO, LinkClass::PcieHostBus));
 /// let t0 = SimTime::ZERO;
 /// net.start_flow(t0, FlowSpec::new(vec![l], 50.0, 1));
-/// let done = net.next_event_time(t0).unwrap();
+/// let done = net.next_event_time().unwrap();
 /// assert!((done.as_secs_f64() - 0.5).abs() < 1e-6); // 50 bytes at 100 B/s
 /// net.advance(done);
 /// assert_eq!(net.take_completed().len(), 1);
@@ -157,10 +193,12 @@ pub struct FlowNet {
     last_advance: SimTime,
     /// Total bytes delivered across all flows (diagnostics).
     delivered_bytes: f64,
-    /// Per-link instantaneous load / capacity, integrated over time.
-    link_load: Vec<TimeWeighted>,
-    /// Per-link bytes carried.
-    link_bytes: Vec<f64>,
+    /// Utilisation integrals of the links registered with
+    /// [`FlowNet::track_utilization`], in registration order.
+    tracked: Vec<TrackedLink>,
+    /// Memoized [`FlowNet::next_event_time`] answer; `None` once a change
+    /// may have moved it.
+    next_event: Option<Option<SimTime>>,
     /// Link capacities, mirrored from `links` so rate solves skip the
     /// per-event rebuild.
     caps: Vec<f64>,
@@ -210,8 +248,8 @@ impl Default for FlowNet {
             completed: Vec::new(),
             last_advance: SimTime::ZERO,
             delivered_bytes: 0.0,
-            link_load: Vec::new(),
-            link_bytes: Vec::new(),
+            tracked: Vec::new(),
+            next_event: None,
             caps: Vec::new(),
             link_users: Vec::new(),
             link_rate_load: Vec::new(),
@@ -241,7 +279,8 @@ impl FlowNet {
     /// Returns the network to its freshly-constructed state while keeping
     /// every buffer's capacity (slab slots, route vectors, solver scratch),
     /// so a reused network behaves bit-identically to a new one without
-    /// reallocating. The tracer and load probe are detached.
+    /// reallocating. The tracer, the load probe and every utilisation
+    /// registration are dropped.
     pub fn reset(&mut self) {
         let mut i = self.head;
         while i != NIL {
@@ -260,8 +299,8 @@ impl FlowNet {
         self.next_serial = 0;
         self.links.clear();
         self.caps.clear();
-        self.link_load.clear();
-        self.link_bytes.clear();
+        self.tracked.clear();
+        self.next_event = None;
         self.link_users.clear();
         self.link_rate_load.clear();
         self.completed.clear();
@@ -377,25 +416,58 @@ impl FlowNet {
         let id = LinkId(raw);
         self.caps.push(link.capacity_bps);
         self.links.push(link);
-        self.link_load
-            .push(TimeWeighted::new(0.0, self.last_advance));
-        self.link_bytes.push(0.0);
         self.link_users.push(0);
         self.link_rate_load.push(0.0);
         id
     }
 
-    /// Mean utilisation (load / capacity, time-weighted) of `id` since the
-    /// simulation started.
-    #[must_use]
-    pub fn link_utilization(&self, id: LinkId) -> f64 {
-        self.link_load[id.index()].mean_until(self.last_advance)
+    /// Starts integrating `id`'s utilisation (load / capacity,
+    /// time-weighted) from the current time and load, for
+    /// [`FlowNet::link_utilization`] and [`FlowNet::replay_probe_load`].
+    /// Registering a link twice keeps its first integral.
+    pub fn track_utilization(&mut self, id: LinkId) {
+        let link = id.index();
+        if self.tracked.iter().any(|t| t.link == link) {
+            return;
+        }
+        let load = self.link_rate_load[link] / self.caps[link];
+        self.tracked.push(TrackedLink {
+            link,
+            load: TimeWeighted::new(load, self.last_advance),
+        });
     }
 
-    /// Total bytes carried over `id`.
+    /// Position of `id` among the registered links.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, if `id` was never registered.
+    fn tracked_index(&self, id: LinkId) -> usize {
+        let link = id.index();
+        match self.tracked.iter().position(|t| t.link == link) {
+            Some(k) => k,
+            None => panic!(
+                "link {link} ({}) has no utilisation integral: register it with \
+                 FlowNet::track_utilization",
+                self.links
+                    .get(link)
+                    .map_or("not in this network", |l| &l.name)
+            ),
+        }
+    }
+
+    /// Mean utilisation (load / capacity, time-weighted) of `id` from its
+    /// [`FlowNet::track_utilization`] registration to the last advance.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, if `id` was never registered: it has no
+    /// integral, and a 0 would read as an idle link.
     #[must_use]
-    pub fn link_carried_bytes(&self, id: LinkId) -> f64 {
-        self.link_bytes[id.index()]
+    pub fn link_utilization(&self, id: LinkId) -> f64 {
+        self.tracked[self.tracked_index(id)]
+            .load
+            .mean_until(self.last_advance)
     }
 
     /// Immutable access to a link definition.
@@ -426,6 +498,7 @@ impl FlowNet {
             "link capacity must be finite and positive, got {capacity_bps}"
         );
         self.advance(now);
+        self.next_event = None;
         self.links[id.index()].capacity_bps = capacity_bps;
         self.caps[id.index()] = capacity_bps;
         self.recompute_rates();
@@ -482,6 +555,7 @@ impl FlowNet {
             "flow bytes must be non-negative"
         );
         self.advance(now);
+        self.next_event = None;
         let latency: SimDuration = route
             .iter()
             .map(|l| self.links[l.index()].latency)
@@ -555,6 +629,7 @@ impl FlowNet {
         let Some(idx) = self.lookup(id) else {
             return false;
         };
+        self.next_event = None;
         let counted = self.slots[idx as usize].counted;
         if counted {
             let mut contended = false;
@@ -598,6 +673,7 @@ impl FlowNet {
         if now <= self.last_advance {
             return;
         }
+        self.next_event = None;
         let mut dt = now.duration_since(self.last_advance);
         // Process the interval in segments bounded by latency expiries and
         // predicted flow completions, so that (a) a flow entering its
@@ -606,7 +682,7 @@ impl FlowNet {
         // the survivors for the rest of the interval.
         while !dt.is_zero() {
             let mut min_lat: Option<SimDuration> = None;
-            let mut min_ttc: Option<SimDuration> = None;
+            let mut min_ttc: Option<f64> = None;
             let mut i = self.head;
             while i != NIL {
                 let f = &self.slots[i as usize];
@@ -614,8 +690,7 @@ impl FlowNet {
                     min_lat =
                         Some(min_lat.map_or(f.remaining_latency, |m| m.min(f.remaining_latency)));
                 } else if f.remaining_bytes > 0.0 && f.rate > 0.0 && f.rate.is_finite() {
-                    let ttc = SimDuration::from_secs_f64(f.remaining_bytes / f.rate)
-                        .max(SimDuration::from_nanos(1));
+                    let ttc = ttc_secs(f.remaining_bytes, f.rate);
                     min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
                 }
                 i = f.next;
@@ -625,7 +700,7 @@ impl FlowNet {
                 seg = seg.min(l);
             }
             if let Some(c) = min_ttc {
-                seg = seg.min(c);
+                seg = seg.min(SimDuration::from_secs_f64(c).max(SimDuration::from_nanos(1)));
             }
             let mut boundary = false;
             let mut i = self.head;
@@ -650,9 +725,6 @@ impl FlowNet {
                     }
                 } else if f.remaining_bytes > 0.0 {
                     let moved = f.rate * seg.as_secs_f64();
-                    for &l in &f.route {
-                        self.link_bytes[l] += moved;
-                    }
                     f.remaining_bytes -= moved;
                     // Snap tiny residues (< 1 ns worth of transfer) to done
                     // so rounding cannot stall the loop.
@@ -689,12 +761,29 @@ impl FlowNet {
         std::mem::swap(&mut self.completed, out);
     }
 
-    /// Earliest future time at which the network's state changes by itself:
-    /// a latency expiry or a flow completion. `None` when nothing is in
-    /// flight.
+    /// Earliest time at which the network's state changes by itself: a
+    /// latency expiry or a flow completion, predicted from the network's
+    /// own clock ([`FlowNet::last_advance`]). `None` when nothing is in
+    /// flight, or when every live flow is starved until a topology change.
+    ///
+    /// The answer is memoized until something can move it: an
+    /// [`advance`](FlowNet::advance) that moves time, a flow start, a
+    /// cancel that finds its flow, a capacity change or a reset. Asking
+    /// after an event that left the network alone walks no flows.
     #[must_use]
-    pub fn next_event_time(&self, now: SimTime) -> Option<SimTime> {
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        if let Some(t) = self.next_event {
+            return t;
+        }
+        let t = self.predict_next_event();
+        self.next_event = Some(t);
+        t
+    }
+
+    fn predict_next_event(&self) -> Option<SimTime> {
+        let now = self.last_advance;
         let mut best: Option<SimTime> = None;
+        let mut min_ttc: Option<f64> = None;
         let mut i = self.head;
         while i != NIL {
             let f = &self.slots[i as usize];
@@ -704,13 +793,18 @@ impl FlowNet {
             } else if f.remaining_bytes <= 0.0 {
                 now
             } else if f.rate > 0.0 {
-                now + SimDuration::from_secs_f64(f.remaining_bytes / f.rate)
-                    + SimDuration::from_nanos(1)
+                let ttc = ttc_secs(f.remaining_bytes, f.rate);
+                min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
+                continue;
             } else if f.rate.is_infinite() || f.route.is_empty() {
                 now
             } else {
                 continue; // starved flow: waits for a topology change
             };
+            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
+        }
+        if let Some(ttc) = min_ttc {
+            let t = now + SimDuration::from_secs_f64(ttc) + SimDuration::from_nanos(1);
             best = Some(best.map_or(t, |b: SimTime| b.min(t)));
         }
         best
@@ -777,6 +871,11 @@ impl FlowNet {
     /// piecewise-constant and integrated over time *deltas*, a time-shifted
     /// replay of an identical cycle contributes bit-identical mass — this
     /// is the fast-forward's substitute for simulating the cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, if `link` is not registered with
+    /// [`FlowNet::track_utilization`]: there is no integral to extend.
     pub fn replay_probe_load(
         &mut self,
         link: LinkId,
@@ -784,7 +883,8 @@ impl FlowNet {
         period: SimDuration,
         periods: u64,
     ) {
-        let w = &mut self.link_load[link.index()];
+        let k = self.tracked_index(link);
+        let w = &mut self.tracked[k].load;
         for k in 1..=periods {
             let shift = SimDuration::from_nanos(period.as_nanos() * k);
             for &(t, v) in samples {
@@ -825,13 +925,18 @@ impl FlowNet {
         }
     }
 
-    /// Re-anchors every link's utilisation integral at the current time
-    /// with its (maintained) load sum. Full solves and shortcuts both end
-    /// with this, so the integrals see identical segment boundaries either
-    /// way.
+    /// Re-anchors every registered link's utilisation integral at the
+    /// current time with its (maintained) load sum, and feeds the load
+    /// probe. Full solves and shortcuts both end with this, so the
+    /// integrals see identical segment boundaries either way. It re-anchors
+    /// even an unchanged load: splitting a constant segment in two can
+    /// change the f64 sum.
     fn touch_loads(&mut self) {
-        for (l, w) in self.link_load.iter_mut().enumerate() {
-            w.set(self.last_advance, self.link_rate_load[l] / self.caps[l]);
+        for t in &mut self.tracked {
+            t.load.set(
+                self.last_advance,
+                self.link_rate_load[t.link] / self.caps[t.link],
+            );
         }
         if let Some(p) = self.probe_link {
             self.probe_buf
@@ -1067,7 +1172,7 @@ mod tests {
     fn single_flow_completes_on_schedule() {
         let (mut net, l) = mk_net(&[100.0]);
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 200.0, 7));
-        let t = net.next_event_time(SimTime::ZERO).unwrap();
+        let t = net.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-6);
         net.advance(t);
         let done = net.take_completed();
@@ -1084,7 +1189,7 @@ mod tests {
         // then browns out to 50 B/s, so the rest takes two more seconds.
         let mid = SimTime::ZERO + SimDuration::from_secs(1);
         net.set_link_capacity(mid, l[0], 50.0);
-        let t = net.next_event_time(mid).unwrap();
+        let t = net.next_event_time().unwrap();
         assert!(
             (t.as_secs_f64() - 3.0).abs() < 1e-6,
             "t={}",
@@ -1105,11 +1210,11 @@ mod tests {
         let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 50.0, 2));
         // Shared at 50 B/s each: B finishes at t=1; A then runs at 100 B/s
         // with 50 bytes left → finishes at t=1.5.
-        let t1 = net.next_event_time(SimTime::ZERO).unwrap();
+        let t1 = net.next_event_time().unwrap();
         assert!((t1.as_secs_f64() - 1.0).abs() < 1e-6);
         net.advance(t1);
         assert_eq!(net.take_completed(), vec![(b, 2)]);
-        let t2 = net.next_event_time(t1).unwrap();
+        let t2 = net.next_event_time().unwrap();
         assert!(
             (t2.as_secs_f64() - 1.5).abs() < 1e-6,
             "t2={}",
@@ -1130,11 +1235,11 @@ mod tests {
         ));
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 100.0, 0));
         // 1s latency + 1s transfer.
-        let t1 = net.next_event_time(SimTime::ZERO).unwrap();
+        let t1 = net.next_event_time().unwrap();
         assert_eq!(t1.as_secs_f64(), 1.0);
         net.advance(t1);
         assert!(net.take_completed().is_empty());
-        let t2 = net.next_event_time(t1).unwrap();
+        let t2 = net.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 2.0).abs() < 1e-6);
         net.advance(t2);
         assert_eq!(net.take_completed().len(), 1);
@@ -1171,7 +1276,7 @@ mod tests {
             LinkClass::Network,
         ));
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 0.0, 9));
-        let t = net.next_event_time(SimTime::ZERO).unwrap();
+        let t = net.next_event_time().unwrap();
         assert_eq!(t.as_secs_f64(), 0.003);
         net.advance(t);
         assert_eq!(net.take_completed().len(), 1);
@@ -1219,13 +1324,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_bytes_are_tracked() {
+    fn registered_utilization_is_tracked() {
         let (mut net, l) = mk_net(&[100.0]);
+        net.track_utilization(l[0]);
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
         // Fully busy for 1 s, idle for 1 s.
         net.advance(SimTime::from_nanos(2_000_000_000));
         let _ = net.take_completed();
-        assert!((net.link_carried_bytes(l[0]) - 100.0).abs() < 1e-6);
         let util = net.link_utilization(l[0]);
         assert!((util - 0.5).abs() < 1e-6, "util={util}");
     }
@@ -1233,23 +1338,128 @@ mod tests {
     #[test]
     fn idle_link_has_zero_utilization() {
         let (mut net, l) = mk_net(&[100.0, 50.0]);
+        net.track_utilization(l[0]);
+        net.track_utilization(l[1]);
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 10.0, 0));
         net.advance(SimTime::from_nanos(1_000_000_000));
         assert_eq!(net.link_utilization(l[1]), 0.0);
-        assert_eq!(net.link_carried_bytes(l[1]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1 (l1) has no utilisation integral")]
+    fn unregistered_link_has_no_utilization() {
+        let (mut net, l) = mk_net(&[100.0, 50.0]);
+        net.track_utilization(l[0]);
+        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[1]], 10.0, 0));
+        net.advance(SimTime::from_nanos(1_000_000_000));
+        let _ = net.link_utilization(l[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0 (l0) has no utilisation integral")]
+    fn replaying_onto_an_unregistered_link_panics() {
+        let (mut net, l) = mk_net(&[100.0]);
+        let samples = [(SimTime::ZERO, 1.0)];
+        net.replay_probe_load(l[0], &samples, SimDuration::from_secs(1), 1);
+    }
+
+    #[test]
+    fn registering_mid_run_integrates_from_then() {
+        // A link registered while a flow saturates it integrates from the
+        // registration instant and the load at that instant.
+        let (mut net, l) = mk_net(&[100.0]);
+        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
+        net.advance(SimTime::from_nanos(500_000_000));
+        net.track_utilization(l[0]);
+        // A second registration keeps the first integral.
+        net.track_utilization(l[0]);
+        // Busy for the remaining 0.5 s, then idle for 0.5 s.
+        net.advance(SimTime::from_nanos(1_500_000_000));
+        let util = net.link_utilization(l[0]);
+        assert!((util - 0.5).abs() < 1e-6, "util={util}");
+    }
+
+    #[test]
+    fn next_event_memo_matches_a_fresh_network_after_every_change() {
+        // After each step, the answer of a network that asked after every
+        // earlier step (so holds a memo) must equal the first answer of a
+        // fresh network that replays the same steps.
+        type Step = fn(&mut FlowNet, &mut Vec<FlowId>);
+        fn at(ms: u64) -> SimTime {
+            SimTime::ZERO + SimDuration::from_millis(ms)
+        }
+        fn links(net: &mut FlowNet) {
+            for (name, cap) in [("a", 100.0), ("b", 40.0)] {
+                net.add_link(Link::new(name, cap, SimDuration::ZERO, LinkClass::Other));
+            }
+        }
+        let steps: [(&str, Step); 10] = [
+            ("links", |net, _| links(net)),
+            ("start", |net, ids| {
+                let route = [LinkId(0)];
+                ids.push(net.start_flow_borrowed(at(0), &route, 100.0, SimDuration::ZERO, 0));
+            }),
+            ("advance", |net, _| net.advance(at(250))),
+            ("start sharing", |net, ids| {
+                ids.push(net.start_flow(at(250), FlowSpec::new(vec![LinkId(0)], 80.0, 1)));
+            }),
+            ("cancel", |net, ids| {
+                assert!(net.cancel_flow(at(250), ids[0]))
+            }),
+            ("stale cancel", |net, ids| {
+                assert!(!net.cancel_flow(at(250), ids[0]))
+            }),
+            ("capacity", |net, _| {
+                net.set_link_capacity(at(250), LinkId(0), 50.0)
+            }),
+            ("start with latency", |net, ids| {
+                let spec = FlowSpec {
+                    route: vec![LinkId(1)],
+                    bytes: 10.0,
+                    extra_latency: SimDuration::from_millis(300),
+                    tag: 2,
+                };
+                ids.push(net.start_flow(at(250), spec));
+            }),
+            ("reset", |net, ids| {
+                net.reset();
+                ids.clear();
+            }),
+            ("after reset", |net, ids| {
+                links(net);
+                ids.push(net.start_flow(at(0), FlowSpec::new(vec![LinkId(0)], 30.0, 3)));
+            }),
+        ];
+        let mut net = FlowNet::new();
+        let mut ids = Vec::new();
+        let mut answers = Vec::new();
+        for (k, (what, step)) in steps.iter().enumerate() {
+            step(&mut net, &mut ids);
+            let got = net.next_event_time();
+            assert_eq!(net.next_event_time(), got, "asking twice moved the answer");
+            let mut fresh = FlowNet::new();
+            let mut fresh_ids = Vec::new();
+            for (_, s) in &steps[..=k] {
+                s(&mut fresh, &mut fresh_ids);
+            }
+            assert_eq!(got, fresh.next_event_time(), "stale answer after `{what}`");
+            answers.push(got);
+        }
+        // The steps move the answer, so a memo that missed one would show.
+        let distinct: std::collections::BTreeSet<_> = answers.iter().collect();
+        assert!(distinct.len() >= 6, "answers: {answers:?}");
     }
 
     #[test]
     fn reset_behaves_like_fresh_network() {
         let run = |net: &mut FlowNet| {
             let l = net.add_link(Link::new("b", 100.0, SimDuration::ZERO, LinkClass::Other));
+            net.track_utilization(l);
             net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 100.0, 1));
             net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 50.0, 2));
             let mut log = Vec::new();
-            let mut now = SimTime::ZERO;
-            while let Some(t) = net.next_event_time(now) {
+            while let Some(t) = net.next_event_time() {
                 net.advance(t);
-                now = t;
                 for (_, tag) in net.take_completed() {
                     log.push((t.as_nanos(), tag));
                 }
@@ -1334,7 +1544,7 @@ mod tests {
             if steps == 2 {
                 net.cancel_flow(now, victim);
             }
-            let Some(t) = net.next_event_time(now) else {
+            let Some(t) = net.next_event_time() else {
                 break;
             };
             net.advance(t);
@@ -1352,16 +1562,15 @@ mod tests {
     #[test]
     fn disjoint_flows_never_trigger_full_solves() {
         let (mut net, l) = mk_net(&[100.0, 50.0, 25.0]);
+        net.track_utilization(l[0]);
         let a = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
         let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[1]], 100.0, 1));
         let c = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[2]], 100.0, 2));
         assert_eq!(net.flow_rate(a), Some(100.0));
         assert_eq!(net.flow_rate(b), Some(50.0));
         assert_eq!(net.flow_rate(c), Some(25.0));
-        let mut now = SimTime::ZERO;
-        while let Some(t) = net.next_event_time(now) {
+        while let Some(t) = net.next_event_time() {
             net.advance(t);
-            now = t;
             net.take_completed();
         }
         assert_eq!(net.active_flows(), 0);
@@ -1384,9 +1593,9 @@ mod tests {
             tag: 0,
         };
         net.start_flow(SimTime::ZERO, spec);
-        let t1 = net.next_event_time(SimTime::ZERO).unwrap();
+        let t1 = net.next_event_time().unwrap();
         net.advance(t1); // latency expiry: flow activates alone
-        let t2 = net.next_event_time(t1).unwrap();
+        let t2 = net.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 1.25).abs() < 1e-6);
         net.advance(t2);
         assert_eq!(net.take_completed().len(), 1);
@@ -1405,10 +1614,8 @@ mod tests {
         net.set_tracer(shared(Tracer::new(sink.clone())));
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 1));
         net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 50.0, 2));
-        let mut now = SimTime::ZERO;
-        while let Some(t) = net.next_event_time(now) {
+        while let Some(t) = net.next_event_time() {
             net.advance(t);
-            now = t;
             net.take_completed();
         }
         assert_eq!(net.active_flows(), 0);
@@ -1433,10 +1640,8 @@ mod tests {
             net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 111.0, 1));
             net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0], l[1]], 57.0, 2));
             let mut log = Vec::new();
-            let mut now = SimTime::ZERO;
-            while let Some(t) = net.next_event_time(now) {
+            while let Some(t) = net.next_event_time() {
                 net.advance(t);
-                now = t;
                 for (id, tag) in net.take_completed() {
                     log.push((t.as_nanos(), id, tag));
                 }
@@ -1460,6 +1665,7 @@ mod tests {
             net.take_completed();
         };
         let (mut net, l) = mk_net(&[100.0]);
+        net.track_utilization(l[0]);
         net.set_load_probe(l[0]);
         let mut c1 = Vec::new();
         let mut c2 = Vec::new();
@@ -1474,6 +1680,7 @@ mod tests {
         }
         // Simulated third cycle…
         let (mut sim, sl) = mk_net(&[100.0]);
+        sim.track_utilization(sl[0]);
         for k in 0..3u32 {
             cycle(
                 &mut sim,

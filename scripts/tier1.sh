@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, full test suite, the benchmark
-# package's build, unit tests and smoke run, lint-clean under clippy
-# (every target), warning-free rustdoc, the pay-once characterization
-# example and the other root examples, CLI smoke tests for the trace,
-# report, diff, chaos, perf, dash, flight-recorder, sweep and fsck
-# subcommand surface, the durable-sweep resume gate, and a gate that
-# regenerates every bench output at one and two sweep workers.
+# package's build, unit tests and smoke runs (untraced and traced),
+# lint-clean under clippy (every target), warning-free rustdoc, the
+# pay-once characterization example and the other root examples, CLI
+# smoke tests for the trace, report, diff, chaos, perf, dash,
+# flight-recorder, sweep and fsck subcommand surface, the durable-sweep
+# resume gate, and a gate that regenerates every bench output at one and
+# two sweep workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,9 +20,12 @@ cargo test --workspace -q
 # The repository benchmark (examples/benchmark) imports profiler, engine,
 # cache and store names directly: build it, run its unit tests, and run
 # its smoke mode, which exits non-zero unless every workload's re-checks
-# and the seed-1 golden result digests pass.
+# and the seed-1 golden result digests pass. The traced smoke runs the
+# same checks through the per-layer path (spans and layer counters) that
+# traced measurements read.
 cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke
+cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke --trace 1
 cargo clippy --workspace --all-targets -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the
