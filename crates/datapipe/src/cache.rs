@@ -52,6 +52,13 @@ impl PageCache {
         self.hit_fraction
     }
 
+    /// Bits of the error-diffusion accumulator: with the fixed hit
+    /// fraction, the whole state behind future hit/miss decisions.
+    #[must_use]
+    pub fn acc_bits(&self) -> u64 {
+        self.acc.to_bits()
+    }
+
     /// Decides whether the next batch read hits the cache. Deterministic:
     /// hits are spread evenly (error-diffusion), so a 0.75 fraction yields
     /// exactly 3 hits out of every 4 calls.

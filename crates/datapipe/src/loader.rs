@@ -113,7 +113,6 @@ enum WorkerPhase {
 #[derive(Debug, Clone)]
 struct Worker {
     phase: WorkerPhase,
-    produced: u64,
     /// The in-flight fetch's transfer parameters, kept so a brownout can
     /// re-issue it; cleared when the fetch completes for good.
     fetch: Option<FetchSpec>,
@@ -163,7 +162,6 @@ impl NodeLoader {
             workers: vec![
                 Worker {
                     phase: WorkerPhase::Idle,
-                    produced: 0,
                     fetch: None,
                     retried: false,
                 };
@@ -263,7 +261,6 @@ impl NodeLoader {
             }
             WorkerPhase::Uploading => {
                 let gpu = self.gpu_of(worker);
-                self.workers[worker].produced += 1;
                 self.queue[gpu] += 1;
                 actions.push(LoaderAction::Deliver { gpu });
                 self.workers[worker].phase = WorkerPhase::Idle;
@@ -289,6 +286,49 @@ impl NodeLoader {
             extra_latency: SimDuration::ZERO,
             purpose: TransferPurpose::Upload,
         }]
+    }
+
+    /// Batches each GPU consumes this epoch: its quota.
+    #[must_use]
+    pub fn batches_per_gpu(&self) -> u64 {
+        self.spec.batches_per_gpu
+    }
+
+    /// Most batches started for any one GPU.
+    #[must_use]
+    pub fn max_started(&self) -> u64 {
+        self.started.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Appends the loader's complete mutable state to `key`, each GPU's
+    /// started-batch count relative to `base` (wrapping): per worker its
+    /// phase, retry flag and in-flight fetch purpose (which fixes the
+    /// fetch's route, bytes and latency); per GPU its queue depth and
+    /// started count; the brownout flag and the page-cache accumulator's
+    /// bits. Two loaders with equal keys act identically for as long as
+    /// no GPU's started count reaches its quota.
+    pub fn key_into(&self, base: u64, key: &mut Vec<u64>) {
+        for w in &self.workers {
+            let fetch = w.fetch.as_ref().map_or(0, |f| match f.purpose {
+                TransferPurpose::FetchHit => 1,
+                TransferPurpose::FetchMiss => 2,
+                TransferPurpose::Upload => 3,
+            });
+            key.extend([w.phase as u64, u64::from(w.retried), fetch]);
+        }
+        for (queued, started) in self.queue.iter().zip(&self.started) {
+            key.extend([*queued as u64, started.wrapping_sub(base)]);
+        }
+        key.extend([u64::from(self.brownout), self.cache.acc_bits()]);
+    }
+
+    /// Advances every GPU's started-batch count by `batches`, as after
+    /// that many more batches per GPU had passed through a pipeline in
+    /// the same state.
+    pub fn shift(&mut self, batches: u64) {
+        for s in &mut self.started {
+            *s += batches;
+        }
     }
 
     /// `true` when every GPU's quota has been started and all workers are

@@ -17,7 +17,9 @@ use std::collections::{BTreeMap, VecDeque};
 use stash_collectives::bucket::CommPlan;
 use stash_collectives::constants::GRAD_HOOK_OVERHEAD;
 use stash_collectives::schedule::{allreduce_transfers, allreduce_transfers_among, TransferSpec};
-use stash_datapipe::loader::{LoaderAction, LoaderSpec, NodeLoader, TransferPurpose};
+use stash_datapipe::loader::{
+    LoaderAction, LoaderSpec, NodeLoader, TransferPurpose, DEFAULT_WORKERS_PER_GPU,
+};
 use stash_faults::plan::{FaultKind, FaultPlan};
 use stash_flowsim::link::{LinkClass, LinkId};
 use stash_flowsim::net::{FlowId, FlowNet, FlowSpec};
@@ -36,8 +38,8 @@ use crate::report::{EpochReport, IterationSample};
 /// Panicking accessor for engine invariants. The engine's phase machine
 /// guarantees a number of `Option` fields are populated whenever the
 /// corresponding code path runs (the fault scheduler once a plan is
-/// armed, the fast-forward state inside a skip, the per-node loaders
-/// after setup). This makes the invariant explicit at each site while
+/// armed, the fast-forward state at an iteration boundary, the per-node
+/// loaders after setup). This makes the invariant explicit at each site while
 /// keeping the crate free of `unwrap`/`expect` under the clippy deny
 /// gate: a violated invariant is a simulator bug, never a user error.
 trait Req<T> {
@@ -88,6 +90,20 @@ enum Ev {
     FaultResume,
 }
 
+impl Ev {
+    /// One word naming the event and its target, for state keys.
+    fn code(&self) -> u64 {
+        match *self {
+            Ev::NetWake => 0,
+            Ev::RankCompute { rank } => 1 << 56 | rank as u64,
+            Ev::LoaderPrep { node, worker } => 2 << 56 | (node as u64) << 24 | worker as u64,
+            Ev::Fault { idx } => 3 << 56 | idx as u64,
+            Ev::FaultClear { idx } => 4 << 56 | idx as u64,
+            Ev::FaultResume => 5 << 56,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     AwaitBatch,
@@ -101,6 +117,21 @@ enum Phase {
     /// waiting for the restart delay or elastic re-formation.
     Recovering,
     Done,
+}
+
+impl Phase {
+    /// Two words naming the phase, for state keys.
+    fn code(self) -> [u64; 2] {
+        match self {
+            Phase::AwaitBatch => [0, 0],
+            Phase::Forward => [1, 0],
+            Phase::Backward { seg } => [2, seg as u64],
+            Phase::AwaitComm => [3, 0],
+            Phase::Step => [4, 0],
+            Phase::Recovering => [5, 0],
+            Phase::Done => [6, 0],
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -123,6 +154,29 @@ struct RankState {
     /// Excess compute inflicted by transient straggler windows. Zero on
     /// fault-free runs.
     straggler: SimDuration,
+}
+
+impl RankState {
+    /// The five time accumulators, in a fixed order: compute, data wait,
+    /// comm wait, recovery, straggler.
+    fn accs(&self) -> [SimDuration; 5] {
+        [
+            self.compute,
+            self.data_wait,
+            self.comm_wait,
+            self.recovery,
+            self.straggler,
+        ]
+    }
+
+    /// Adds `delta` (ordered as [`RankState::accs`]) to the accumulators.
+    fn add_accs(&mut self, delta: [SimDuration; 5]) {
+        self.compute += delta[0];
+        self.data_wait += delta[1];
+        self.comm_wait += delta[2];
+        self.recovery += delta[3];
+        self.straggler += delta[4];
+    }
 }
 
 #[derive(Debug)]
@@ -154,9 +208,13 @@ struct Comm {
 /// simulation effort.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Detect the exact periodic steady state of synthetic-data runs and
-    /// extend the remaining iterations analytically instead of simulating
-    /// them event by event. On by default.
+    /// Skip the periodic steady state of an epoch, synthetic or real
+    /// data. At each iteration boundary the engine keys its complete
+    /// state; when the key equals that of one of the previous three
+    /// boundaries, the state is periodic, and the engine shifts time
+    /// forward by as many whole periods as fit before the epoch's last
+    /// iteration and its loaders' drain, then simulates the rest event
+    /// by event. On by default.
     pub fast_forward: bool,
 }
 
@@ -191,35 +249,42 @@ impl EngineArena {
     }
 }
 
-/// Consecutive identical iteration fingerprints (per rank) and identical
-/// host-bus load cycles (globally) required before fast-forward engages.
-const FF_CONFIRM: u32 = 3;
+/// Longest period, in iterations, the fast-forward looks for. Each
+/// GPU's loader workers take turns fetching, so a real-data pipeline may
+/// need a full turn of them to come round to the same state.
+const MAX_PERIOD: u64 = DEFAULT_WORKERS_PER_GPU as u64;
 
-/// Per-rank steady-state fingerprint: the integer-ns deltas of one
-/// iteration. Two iterations with equal deltas are indistinguishable to
-/// every accumulator the report reads.
-#[derive(Debug, Default, Clone, Copy)]
-struct FfRank {
-    last_done: SimTime,
-    compute: SimDuration,
-    data_wait: SimDuration,
-    comm_wait: SimDuration,
-    /// (iteration period, Δcompute, Δdata_wait, Δcomm_wait) in ns.
-    delta: (u64, u64, u64, u64),
-    repeats: u32,
-    seen: bool,
+/// What the fast-forward keeps of one iteration boundary.
+#[derive(Debug, Default)]
+struct FfBoundary {
+    /// Iterations every active rank has completed.
+    iter: u64,
+    at: SimTime,
+    /// The complete simulation state, times relative to `at` and counters
+    /// relative to `iter` ([`Engine::state_key`]).
+    key: Vec<u64>,
+    /// Each active rank's accumulators ([`RankState::accs`]).
+    accs: Vec<[SimDuration; 5]>,
+    /// The flow network's clock, which the key holds only while a flow
+    /// is live.
+    net_clock: SimTime,
+    /// End of the host-bus load samples up to this boundary in
+    /// [`FfState::samples`].
+    samples_end: usize,
 }
 
-/// Steady-state detector. Lives only on synthetic-data, untraced runs.
-#[derive(Debug)]
+/// Exact-state fast-forward: the last [`MAX_PERIOD`] boundaries and the
+/// host-bus load samples since the oldest. Lives only on untraced runs
+/// without per-iteration trace samples, and only until it skips or no
+/// skip can fit any more.
+#[derive(Debug, Default)]
 struct FfState {
-    ranks: Vec<FfRank>,
-    last_boundary: Option<SimTime>,
-    cycle_repeats: u32,
-    /// Host-bus load samples of the previous completed iteration cycle.
-    probe_prev: Vec<(SimTime, f64)>,
-    /// Scratch for the cycle currently being compared.
-    probe_cur: Vec<(SimTime, f64)>,
+    /// Consecutive boundaries, oldest first.
+    seen: VecDeque<FfBoundary>,
+    /// A retired boundary whose buffers the next one reuses.
+    spare: FfBoundary,
+    /// Host-bus load samples, from the oldest kept boundary on.
+    samples: Vec<(SimTime, f64)>,
 }
 
 /// The reporting rank's accumulator baseline at the last emitted series
@@ -524,9 +589,9 @@ struct Engine<'a> {
     completed_buf: Vec<(FlowId, u64)>,
     /// Pooled loader action work-list.
     loader_work: VecDeque<(usize, LoaderAction)>,
-    /// Steady-state fast-forward detector; `None` when ineligible
-    /// (real-data input, tracing, per-iteration trace recording, or
-    /// disabled via [`EngineOptions`]).
+    /// Fast-forward state; `None` when disabled via [`EngineOptions`],
+    /// when every iteration must be seen (tracing, per-iteration trace
+    /// samples), and once it has skipped or no skip can fit any more.
     ff: Option<FfState>,
     /// Fault injector and recovery machinery; `None` unless a non-empty
     /// [`FaultPlan`] was supplied, in which case every fault branch is
@@ -655,26 +720,15 @@ impl<'a> Engine<'a> {
         // Recompute counter at construction, so series deltas survive
         // arena reuse.
         let (recomputes0, _) = net.recompute_stats();
-        // Fast-forward needs exactly repeating iterations: synthetic input
-        // (loader pipelines have their own long-period state), no
-        // per-iteration trace samples, and enough iterations for the
-        // detector to confirm a cycle and still have something to skip.
-        // It would also skip the very spans a tracer exists to record.
-        let ff = (options.fast_forward
-            && cfg.data.is_synthetic()
-            && !cfg.record_trace
-            && tracer.is_none()
-            && sim_iters > u64::from(FF_CONFIRM) + 2)
-            .then(|| FfState {
-                ranks: vec![FfRank::default(); topo.world_size()],
-                last_boundary: None,
-                cycle_repeats: 0,
-                probe_prev: Vec::new(),
-                probe_cur: Vec::new(),
-            });
+        // Fast-forward skips iterations, so it stays off when something
+        // must see every one: per-iteration trace samples, or a tracer's
+        // spans. A skip needs two keyed boundaries and an iteration after
+        // them: four iterations at least.
+        let ff = (options.fast_forward && !cfg.record_trace && tracer.is_none() && sim_iters > 3)
+            .then(FfState::default);
         if ff.is_some() {
             // Record the host bus — the one lane whose utilization the
-            // report reads — so skipped cycles can be replayed exactly.
+            // report reads — so skipped periods can be replayed exactly.
             net.set_load_probe(topo.host_bus(0));
         }
         // The flow network gets the same handle, so network events
@@ -913,6 +967,50 @@ impl<'a> Engine<'a> {
         };
     }
 
+    /// Emits the span a fast-forward skipped as one compressed bucket of
+    /// `iterations` iterations from `start_iter`, `wall` long, whose
+    /// reporting-rank accumulators grew by `delta` ([`RankState::accs`]),
+    /// and moves the mark past it. The reporting rank finished iteration
+    /// `start_iter` at the mark, so the skipped span ends where it
+    /// finishes iteration `start_iter + iterations`: the mark shifted by
+    /// `wall` and `delta`. Solver work is counted as performed, not as
+    /// skipped. A no-op unless series recording is on.
+    fn series_skip(
+        &mut self,
+        start_iter: u64,
+        iterations: u64,
+        wall: SimDuration,
+        delta: [SimDuration; 5],
+    ) {
+        let Some(s) = self.series.as_mut() else {
+            return;
+        };
+        let (full_recomputes, _) = self.net.recompute_stats();
+        let m = &mut s.mark;
+        let ns = |d: SimDuration| d.as_nanos() as i64;
+        s.rec.record(SeriesSample {
+            start_iter,
+            iterations,
+            ff_iterations: iterations,
+            start_ns: m.start.as_nanos(),
+            wall_ns: wall.as_nanos(),
+            compute_ns: ns(delta[0]),
+            data_wait_ns: ns(delta[1]),
+            comm_wait_ns: ns(delta[2]),
+            recovery_ns: ns(delta[3]),
+            straggler_ns: ns(delta[4]),
+            recomputes: full_recomputes - m.recomputes,
+            queue_depth_hw: self.q.take_depth_high_water(),
+        });
+        m.start += wall;
+        m.compute += delta[0];
+        m.data_wait += delta[1];
+        m.comm_wait += delta[2];
+        m.recovery += delta[3];
+        m.straggler += delta[4];
+        m.recomputes = full_recomputes;
+    }
+
     /// Opens a fault-window annotation on the series (no-op when off).
     fn series_annotate_open(&mut self, idx: usize, label: &str, kind: &str) {
         let now = self.q.now();
@@ -930,8 +1028,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Finishes series recording (empty when it never started). The end
-    /// stamp is the last rank completion — after a fast-forward the
-    /// analytic completion times run past the event-queue clock.
+    /// stamp is the last rank completion.
     fn take_series(&mut self) -> IterSeries {
         let Some(s) = self.series.take() else {
             return IterSeries::default();
@@ -1226,13 +1323,8 @@ impl<'a> Engine<'a> {
                     // Captured by a preemption barrier (or retired at it).
                     return;
                 }
-                // Fast-forward stays disengaged while any fault is
-                // pending, open or being recovered from: an engaged
-                // fast-forward would skip straight past scheduled faults.
-                if self.ff.is_some() && self.faults_quiescent() && self.on_ff_iteration_done(rank) {
-                    // Steady state confirmed: every rank's remaining
-                    // iterations were just extended analytically.
-                    return;
+                if self.ff.is_some() {
+                    self.on_ff_iteration_done(rank);
                 }
                 self.begin_iteration(rank);
             }
@@ -1242,151 +1334,204 @@ impl<'a> Engine<'a> {
 
     // ----- steady-state fast-forward ------------------------------------
 
-    /// Updates the steady-state fingerprints after `rank` finished an
-    /// iteration. Returns `true` when the periodic steady state is
-    /// confirmed and the remaining iterations have been applied
-    /// analytically — every active rank is then `Done`.
+    /// Fast-forward step after `rank` finished an iteration. At an
+    /// iteration boundary — every active rank has finished it — it keys
+    /// the complete simulation state ([`Engine::state_key`]). A key equal
+    /// to that of the boundary `k ≤ MAX_PERIOD` iterations earlier proves
+    /// the state periodic: everything from here on repeats what followed
+    /// that boundary, `k` iterations and the time between later. The
+    /// engine then skips as many whole periods as [`Engine::ff_room`]
+    /// allows ([`Engine::ff_skip`]) and simulates the rest, the loader
+    /// drain included, event by event.
     ///
-    /// The detector is conservative: it requires, for [`FF_CONFIRM`]
-    /// consecutive iteration cycles, (a) every rank's integer-ns deltas
-    /// (period, Δcompute, Δdata_wait, Δcomm_wait) to repeat exactly and
-    /// (b) the host-bus load samples to repeat bitwise, shifted by exactly
-    /// one period. Everything the report reads is a function of those
-    /// quantities, so extending by `n` more periods is indistinguishable
-    /// from simulating them.
-    fn on_ff_iteration_done(&mut self, rank: usize) -> bool {
-        let now = self.q.now();
+    /// Keys are taken only once the fault plan is quiescent (every event
+    /// fired and resolved, no replay running), so a skip can never jump
+    /// past a scheduled fault. The fast-forward switches itself off after
+    /// a match, and as soon as not even one period could be skipped.
+    fn on_ff_iteration_done(&mut self, rank: usize) {
         let iter = self.ranks[rank].iter;
-
-        // Refresh this rank's iteration fingerprint.
-        {
-            let ff = self.ff.as_mut().req("ff state");
-            let fr = &mut ff.ranks[rank];
-            let r = &self.ranks[rank];
-            let delta = (
-                now.duration_since(fr.last_done).as_nanos(),
-                (r.compute - fr.compute).as_nanos(),
-                (r.data_wait - fr.data_wait).as_nanos(),
-                (r.comm_wait - fr.comm_wait).as_nanos(),
-            );
-            fr.repeats = if fr.seen && delta == fr.delta {
-                fr.repeats + 1
-            } else {
-                0
-            };
-            fr.delta = delta;
-            fr.last_done = now;
-            fr.compute = r.compute;
-            fr.data_wait = r.data_wait;
-            fr.comm_wait = r.comm_wait;
-            fr.seen = true;
-        }
-
-        // Cycle boundary: every active rank has now finished this
-        // iteration (synchronous training keeps ranks within one
-        // iteration of each other, so the last finisher closes the cycle).
         if !self.active.iter().all(|&r| self.ranks[r].iter >= iter) {
-            return false;
+            return;
         }
-
-        let period = match self.ff.as_ref().req("ff state").last_boundary {
-            Some(b) => now.duration_since(b).as_nanos(),
-            None => 0,
-        };
-        let ranks_periodic = period > 0
-            && self.active.iter().all(|&r| {
-                let fr = &self.ff.as_ref().req("ff state").ranks[r];
-                fr.repeats >= FF_CONFIRM && fr.delta.0 == period
-            });
-
-        // Compare this cycle's host-bus load samples against the previous
-        // cycle, shifted by one period.
-        {
-            let ff = self.ff.as_mut().req("ff state");
-            let mut cur = std::mem::take(&mut ff.probe_cur);
-            self.net.take_probe_samples(&mut cur);
-            let p = SimDuration::from_nanos(period);
-            let cycle_matches = ranks_periodic
-                && ff.probe_prev.len() == cur.len()
-                && ff
-                    .probe_prev
-                    .iter()
-                    .zip(cur.iter())
-                    .all(|(&(t0, v0), &(t1, v1))| t0 + p == t1 && v0.to_bits() == v1.to_bits());
-            ff.cycle_repeats = if cycle_matches {
-                ff.cycle_repeats + 1
-            } else {
-                0
-            };
-            std::mem::swap(&mut ff.probe_prev, &mut cur);
-            ff.probe_cur = cur;
-            ff.last_boundary = Some(now);
+        if self.ff_room(iter, 1) == 0 {
+            self.ff = None;
+            self.net.clear_load_probe();
+            return;
         }
-
-        let confirmed = self.ff.as_ref().req("ff state").cycle_repeats >= FF_CONFIRM
-            && self.net.active_flows() == 0
-            && self.sim_iters > iter;
-        if !confirmed {
-            return false;
+        let mut ff = self.ff.take().req("ff state");
+        self.net.take_probe_samples(&mut ff.samples);
+        if !self.faults_quiescent() {
+            ff.seen.clear();
+            ff.samples.clear();
+            self.ff = Some(ff);
+            return;
         }
-        stash_telemetry::metrics::FF_CONFIRMATIONS.inc();
-        self.fast_forward_to_end(iter, period);
-        true
+        let mut cur = std::mem::take(&mut ff.spare);
+        cur.iter = iter;
+        cur.at = self.q.now();
+        cur.key.clear();
+        self.state_key(iter, &mut cur.key);
+        cur.accs.clear();
+        cur.accs
+            .extend(self.active.iter().map(|&r| self.ranks[r].accs()));
+        cur.net_clock = self.net.last_advance();
+        cur.samples_end = ff.samples.len();
+        let matched = (1..=MAX_PERIOD).find_map(|k| {
+            let b = ff.seen.iter().rev().nth(k as usize - 1)?;
+            (b.iter + k == iter && b.key == cur.key).then_some((k, b))
+        });
+        if let Some((k, b)) = matched {
+            stash_telemetry::metrics::FF_CONFIRMATIONS.inc();
+            let n = self.ff_room(iter, k);
+            if n > 0 {
+                self.ff_skip(&ff.samples[b.samples_end..cur.samples_end], b, &cur, k, n);
+            }
+            self.net.clear_load_probe();
+            return;
+        }
+        ff.seen.push_back(cur);
+        if ff.seen.len() > MAX_PERIOD as usize {
+            ff.spare = ff.seen.pop_front().req("kept boundary");
+            // Samples before the oldest kept boundary replay nothing.
+            let cut = ff.seen.front().req("kept boundary").samples_end;
+            ff.samples.drain(..cut);
+            ff.seen.iter_mut().for_each(|b| b.samples_end -= cut);
+        }
+        self.ff = Some(ff);
     }
 
-    /// Extends the confirmed steady state by the remaining
-    /// `sim_iters - iter` periods: rank accumulators and completion times
-    /// are set to exactly the values event-by-event simulation would
-    /// produce, and the recorded host-bus load cycle is replayed
-    /// (time-shifted) so link utilization integrates identically.
-    fn fast_forward_to_end(&mut self, iter: u64, period_ns: u64) {
-        let n = self.sim_iters - iter;
-        debug_assert!(n > 0);
-        {
-            let ff = self.ff.as_ref().req("ff state");
-            for &r in &self.active {
-                debug_assert_eq!(self.ranks[r].iter, iter, "rank {r} not at the boundary");
-                let fr = &ff.ranks[r];
-                let rs = &mut self.ranks[r];
-                rs.iter = self.sim_iters;
-                rs.phase = Phase::Done;
-                rs.done_at = Some(fr.last_done + SimDuration::from_nanos(fr.delta.0 * n));
-                // Overwrite rather than add: ranks that closed their
-                // iteration before the boundary have already accrued
-                // compute for the next one, which the analytic extension
-                // accounts for.
-                rs.compute = fr.compute + SimDuration::from_nanos(fr.delta.1 * n);
-                rs.data_wait = fr.data_wait + SimDuration::from_nanos(fr.delta.2 * n);
-                rs.comm_wait = fr.comm_wait + SimDuration::from_nanos(fr.delta.3 * n);
-                rs.wait_start = None;
-                rs.micro = 0;
+    /// Largest number of whole `k`-iteration periods a skip from the
+    /// boundary after iteration `iter` may cover. Every period skipped
+    /// must repeat the proven one exactly, so each rank must still begin
+    /// the iteration after the landing boundary (`iter + n·k ≤
+    /// sim_iters − 1`), and no GPU's started batches may reach its
+    /// loader's quota, where the pipeline starts to drain.
+    fn ff_room(&self, iter: u64, k: u64) -> u64 {
+        let per_period = k * self.cfg.grad_accumulation.max(1);
+        self.loaders
+            .iter()
+            .flatten()
+            .fold(self.sim_iters.saturating_sub(iter + 1) / k, |n, l| {
+                n.min(l.batches_per_gpu().saturating_sub(l.max_started() + 1) / per_period)
+            })
+    }
+
+    /// Appends the complete simulation state at this iteration boundary
+    /// to `key`: times relative to now, iteration and batch counters
+    /// relative to `iter`. Two boundaries with equal keys continue
+    /// identically. The key holds the active ranks (phase, iteration,
+    /// micro-batch, wait start), the communicator and its open bucket,
+    /// the pending network wake, every loader, the fault runtime's mutable
+    /// fields, the flow network ([`FlowNet::key_into`]) and the event
+    /// queue's live events in delivery order. Accumulators are left out:
+    /// nothing the simulation decides reads them.
+    fn state_key(&mut self, iter: u64, key: &mut Vec<u64>) {
+        let now = self.q.now();
+        let time = |key: &mut Vec<u64>, t: Option<SimTime>| match t {
+            None => key.push(0),
+            Some(t) => key.extend([1, t.as_nanos().wrapping_sub(now.as_nanos())]),
+        };
+        key.push(self.active.len() as u64);
+        for &r in &self.active {
+            let rs = &self.ranks[r];
+            key.push(r as u64);
+            key.extend(rs.phase.code());
+            key.extend([rs.iter.wrapping_sub(iter), rs.micro]);
+            key.extend([
+                u64::from(rs.first_iter_done.is_some()),
+                u64::from(rs.done_at.is_some()),
+            ]);
+            time(key, rs.wait_start);
+        }
+        match &self.comm {
+            None => key.push(0),
+            Some(c) => {
+                key.extend([1, c.world as u64, c.started as u64, c.completed as u64]);
+                key.push(c.inflight_remaining as u64);
+                key.extend(c.ready.iter().map(|&n| n as u64));
             }
         }
-        // Replay the host-bus load cycle for the skipped periods, then
-        // advance the network clock to where the full simulation's last
-        // network event would have left it.
-        let w = self.net.last_advance();
-        let host_bus = self.topo.host_bus(0);
-        let p = SimDuration::from_nanos(period_ns);
-        {
-            let ff = self.ff.as_ref().req("ff state");
-            self.net.replay_probe_load(host_bus, &ff.probe_prev, p, n);
-        }
-        self.net.clear_load_probe();
-        self.net.advance(w + SimDuration::from_nanos(period_ns * n));
-        self.ff_iterations = n;
-        self.ff = None;
-        // The skipped span becomes one explicitly-marked compressed series
-        // bucket: the reporting rank's accumulators were just set to their
-        // analytic end values, so the delta from the mark is exactly the
-        // `n` skipped periods.
-        if self.series.is_some() {
-            if let Some(&r0) = self.active.first() {
-                if let Some(end) = self.ranks[r0].done_at {
-                    self.emit_series(r0, end, iter, n, n);
+        time(key, self.bucket_open.map(|(t, _)| t));
+        key.push(self.bucket_open.map_or(0, |(_, b)| b as u64));
+        time(key, self.next_wake.map(|(t, _)| t));
+        let batches = iter * self.cfg.grad_accumulation.max(1);
+        for loader in &self.loaders {
+            match loader {
+                None => key.push(0),
+                Some(l) => {
+                    key.push(1);
+                    l.key_into(batches, key);
                 }
             }
         }
+        if let Some(fr) = &self.faults {
+            key.extend(fr.open.iter().map(|&o| u64::from(o)));
+            key.extend(fr.slow_factor.iter().map(|f| f.to_bits()));
+            for &t in &fr.bucket_first {
+                time(key, t);
+            }
+            key.extend([fr.timeout.as_nanos(), fr.detections.len() as u64]);
+            key.extend([fr.replaying as u64, fr.preempt_queue.len() as u64]);
+            key.push(fr.barrier.map_or(0, |i| i as u64 + 1));
+            key.push(fr.resume.map_or(0, |i| i as u64 + 1));
+        }
+        self.net.key_into(now, key);
+        self.q.key_into(now, key, Ev::code);
+    }
+
+    /// Skips `n` periods of `k` iterations: the state at boundary `cur`
+    /// equals the state at `b`, so `n` periods later it is the same state
+    /// again, every time `n` periods later and every counter `n·k`
+    /// iterations on. One time offset moves the event queue (order, ties
+    /// and keys intact), the network's clock and memo (an idle network's
+    /// clock only if it moved during the proven period), the pending
+    /// wake, the open bucket, straggler-detection stamps, wait starts and
+    /// the telemetry-only open transfers. The accumulators grow by `n` times
+    /// their per-period deltas, the loaders' started counts by `n·k`
+    /// iterations' batches, and the host-bus utilization integral by the
+    /// recorded load `samples` of one period, replayed `n` times. The
+    /// series gets the skipped span as one compressed bucket.
+    fn ff_skip(
+        &mut self,
+        samples: &[(SimTime, f64)],
+        b: &FfBoundary,
+        cur: &FfBoundary,
+        k: u64,
+        n: u64,
+    ) {
+        let period = cur.at.duration_since(b.at);
+        let d = period * n;
+        self.q.shift(d);
+        self.net
+            .replay_probe_load(self.topo.host_bus(0), samples, period, n);
+        // An idle network's clock is not in the key. It moved during the
+        // proven period exactly if it moves in every skipped one.
+        if cur.net_clock != b.net_clock {
+            self.net.shift(d);
+        }
+        let later = |t: &mut SimTime| *t += d;
+        self.next_wake.iter_mut().for_each(|(t, _)| later(t));
+        self.bucket_open.iter_mut().for_each(|(t, _)| later(t));
+        self.xfer_open.values_mut().for_each(|(t, _)| later(t));
+        if let Some(fr) = &mut self.faults {
+            fr.bucket_first.iter_mut().flatten().for_each(later);
+        }
+        let batches = n * k * self.cfg.grad_accumulation.max(1);
+        self.loaders
+            .iter_mut()
+            .flatten()
+            .for_each(|l| l.shift(batches));
+        let skipped = |i: usize| -> [SimDuration; 5] {
+            std::array::from_fn(|a| (cur.accs[i][a] - b.accs[i][a]) * n)
+        };
+        for (i, &r) in self.active.iter().enumerate() {
+            let rs = &mut self.ranks[r];
+            rs.iter += n * k;
+            rs.wait_start.iter_mut().for_each(later);
+            rs.add_accs(skipped(i));
+        }
+        self.ff_iterations += n * k;
+        self.series_skip(cur.iter, n * k, d, skipped(0));
     }
 
     // ----- communicator -------------------------------------------------

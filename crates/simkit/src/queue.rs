@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 ///
@@ -85,6 +85,9 @@ pub struct EventQueue<E> {
     /// Deepest `live` has been since the last [`EventQueue::take_depth_high_water`].
     window_hw: usize,
     scheduled: u64,
+    /// Scratch for [`EventQueue::key_into`]: live entries as `(time,
+    /// insertion, payload code)`, sorted into delivery order.
+    order: Vec<(SimTime, u64, u64)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -106,6 +109,7 @@ impl<E> EventQueue<E> {
             live: 0,
             window_hw: 0,
             scheduled: 0,
+            order: Vec::new(),
         }
     }
 
@@ -157,7 +161,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `payload` after a relative delay from the current clock.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, payload: E) -> EventKey {
+    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventKey {
         let at = self.now + delay;
         self.schedule_at(at, payload)
     }
@@ -197,6 +201,41 @@ impl<E> EventQueue<E> {
             return Some((entry.at, entry.payload));
         }
         None
+    }
+
+    /// Moves the clock and every pending event `d` later. Delivery order,
+    /// FIFO ties and outstanding [`EventKey`]s are unchanged: a uniform
+    /// shift preserves every `(time, insertion)` comparison, and keys name
+    /// slots, not times. A caller that has proved its state periodic uses
+    /// this to skip whole periods of simulated time.
+    pub fn shift(&mut self, d: SimDuration) {
+        self.now += d;
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(e) in &mut entries {
+            e.at += d;
+        }
+        // Still heap-ordered; rebuilding checks that in O(n) and keeps
+        // the buffer.
+        self.heap = BinaryHeap::from(entries);
+    }
+
+    /// Appends the live events to `key` in delivery order (time, then
+    /// insertion), two words each: the time relative to `base` (wrapping)
+    /// and `encode(payload)`. Two queues with equal keys deliver the same
+    /// payloads at the same offsets from their bases, and an event
+    /// scheduled later sorts behind the same ties in both.
+    pub fn key_into(&mut self, base: SimTime, key: &mut Vec<u64>, encode: impl Fn(&E) -> u64) {
+        self.order.clear();
+        for Reverse(e) in &self.heap {
+            if self.slot_gen[e.idx as usize] == e.gen {
+                self.order.push((e.at, e.seq, encode(&e.payload)));
+            }
+        }
+        self.order.sort_unstable();
+        for &(at, _, code) in &self.order {
+            key.push(at.as_nanos().wrapping_sub(base.as_nanos()));
+            key.push(code);
+        }
     }
 
     /// Timestamp of the next pending (non-cancelled) event without popping
@@ -253,6 +292,7 @@ impl<E> EventQueue<E> {
         self.live = 0;
         self.window_hw = 0;
         self.scheduled = 0;
+        self.order.clear();
     }
 }
 
@@ -260,7 +300,6 @@ impl<E> EventQueue<E> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -342,5 +381,81 @@ mod tests {
         assert!(q.is_empty());
         q.schedule_at(SimTime::from_nanos(1), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 2)));
+    }
+
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    /// A queue with a past pop, FIFO ties, a cancelled entry and a live
+    /// key; returns the key.
+    fn populated(q: &mut EventQueue<&'static str>) -> EventKey {
+        q.schedule_at(at(5), "first");
+        q.schedule_at(at(20), "tie-a");
+        let key = q.schedule_at(at(20), "tie-b");
+        let dead = q.schedule_at(at(20), "cancelled");
+        q.schedule_at(at(20), "tie-c");
+        q.schedule_at(at(12), "mid");
+        q.cancel(dead);
+        assert_eq!(q.pop(), Some((at(5), "first")));
+        key
+    }
+
+    fn drain(q: &mut EventQueue<&'static str>) -> Vec<(u64, &'static str)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.as_nanos(), e))
+            .collect()
+    }
+
+    #[test]
+    fn shift_keeps_delivery_order_ties_and_keys() {
+        let d = 1_000;
+        let mut plain = EventQueue::new();
+        let mut shifted = EventQueue::new();
+        let plain_key = populated(&mut plain);
+        let shifted_key = populated(&mut shifted);
+        shifted.shift(SimDuration::from_nanos(d));
+        assert_eq!(shifted.now(), at(5 + d));
+        assert_eq!(shifted.len(), plain.len());
+        // A key issued before the shift still cancels its event, and an
+        // event scheduled after it sorts behind the existing ties.
+        assert!(plain.cancel(plain_key));
+        assert!(shifted.cancel(shifted_key));
+        plain.schedule_at(at(20), "tie-d");
+        shifted.schedule_at(at(20 + d), "tie-d");
+        let want: Vec<_> = drain(&mut plain)
+            .into_iter()
+            .map(|(t, e)| (t + d, e))
+            .collect();
+        assert_eq!(drain(&mut shifted), want);
+        assert_eq!(
+            want.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+            ["mid", "tie-a", "tie-c", "tie-d"]
+        );
+    }
+
+    #[test]
+    fn keys_are_relative_and_skip_cancelled_entries() {
+        let code = |e: &&str| e.len() as u64;
+        let key = |q: &mut EventQueue<&'static str>| {
+            let mut k = Vec::new();
+            let now = q.now();
+            q.key_into(now, &mut k, code);
+            k
+        };
+        let mut plain = EventQueue::new();
+        populated(&mut plain);
+        let mut shifted = EventQueue::new();
+        populated(&mut shifted);
+        shifted.shift(SimDuration::from_nanos(777));
+        let k = key(&mut plain);
+        // Four live entries, two words each; the cancelled one is absent.
+        assert_eq!(k, [7, 3, 15, 5, 15, 5, 15, 5]);
+        assert_eq!(key(&mut shifted), k);
+        // Cancelling a tie changes the key.
+        let mut other = EventQueue::new();
+        let tie_b = populated(&mut other);
+        other.cancel(tie_b);
+        assert_ne!(key(&mut other), k);
     }
 }

@@ -44,9 +44,10 @@ pub static FLOW_SLOTS_HIGH_WATER: Gauge = Gauge::new();
 
 // --- ddl::engine --------------------------------------------------------
 
-/// Fast-forward steady-state confirmations (periodic pattern locked).
+/// Fast-forward matches: boundaries whose state key equalled an earlier
+/// boundary's.
 pub static FF_CONFIRMATIONS: Counter = Counter::new();
-/// Iterations skipped analytically by fast-forward.
+/// Iterations fast-forward skipped by shifting a proven periodic state.
 pub static FF_ITERATIONS: Counter = Counter::new();
 /// Engine constructions that reused a warm arena (non-empty FlowNet).
 pub static ARENA_REUSE: Counter = Counter::new();
@@ -155,12 +156,12 @@ pub static COUNTERS: &[CounterDef] = &[
     },
     CounterDef {
         name: "stash_sim_ff_confirmations_total",
-        help: "Fast-forward steady-state confirmations.",
+        help: "Fast-forward matches of an earlier boundary's state key.",
         counter: &FF_CONFIRMATIONS,
     },
     CounterDef {
         name: "stash_sim_ff_iterations_total",
-        help: "Iterations skipped analytically by fast-forward.",
+        help: "Iterations skipped by fast-forward's periodic state shift.",
         counter: &FF_ITERATIONS,
     },
     CounterDef {

@@ -17,12 +17,12 @@
 //!   deltas of the reporting rank's stall accumulators since the last
 //!   boundary.
 //! * **Compressed fast-forward regions** (`ff_iterations > 0`): when
-//!   the engine's steady-state fast-forward multiplies out the
-//!   remaining iterations analytically, the whole span arrives as one
-//!   explicitly-marked sample. It is stored as its own bucket (never
-//!   merged into a pending partial bucket) so renderers can mark the
-//!   region, and its totals keep the series reconciling exactly
-//!   against the extrapolated `EpochReport`.
+//!   the engine's fast-forward skips whole periods of a proven steady
+//!   state, the skipped span arrives as one explicitly-marked sample.
+//!   It is stored as its own bucket (never merged into a pending
+//!   partial bucket) so renderers can mark the region, and its totals
+//!   keep the series reconciling exactly against the extrapolated
+//!   `EpochReport`.
 //! * **Corrections** (`iterations == 0`): checkpoint-replay rebilling
 //!   moves already-recorded compute/data/comm time into the recovery
 //!   category after the fact; the engine emits the (partly negative)
@@ -76,7 +76,7 @@ pub struct SeriesSample {
     pub start_iter: u64,
     /// Iterations covered. `0` marks a correction sample.
     pub iterations: u64,
-    /// Of `iterations`, how many were fast-forwarded analytically.
+    /// Of `iterations`, how many fast-forward skipped.
     pub ff_iterations: u64,
     /// Simulation time at the bucket start.
     pub start_ns: u64,

@@ -3,15 +3,16 @@
 //! multi-node, four models, two batch sizes, real-data cold and warm
 //! pipelines.
 //!
-//! Purpose: cross-revision bit-identity checks. Run it on two revisions
-//! (copy the file into a worktree of the other revision if needed) and
-//! `diff` the outputs; any simulator change that claims determinism
+//! Purpose: cross-revision bit-identity checks. Its output is committed
+//! as `tests/dump_reports.txt`, which `scripts/tier1.sh` compares with a
+//! fresh run byte for byte; any simulator change that claims determinism
 //! preservation must produce byte-identical lines. The PR 4
 //! zero-allocation core was validated exactly this way against the
 //! prior core.
 //!
 //! ```sh
 //! cargo run --release --example dump_reports > /tmp/reports.txt
+//! cmp /tmp/reports.txt tests/dump_reports.txt
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -2,7 +2,8 @@
 # Tier-1 gate: formatting, release build, full test suite, the benchmark
 # package's build, unit tests and smoke runs (untraced and traced),
 # lint-clean under clippy (every target), warning-free rustdoc, the
-# pay-once characterization example and the other root examples, CLI
+# pay-once characterization example, the dump_reports profiles against
+# their committed copy and the other root examples, CLI
 # smoke tests for the trace, report, diff, chaos, perf, dash,
 # flight-recorder, sweep and fsck subcommand surface, the durable-sweep
 # resume gate, and a gate that regenerates every bench output at one and
@@ -40,8 +41,15 @@ example_out=$(cargo run --release --offline -q --example characterization_db)
 grep -q "published 9 characterizations" <<<"$example_out"
 grep -q "fastest published configuration: p3.24xlarge" <<<"$example_out"
 
+# Profile gate: dump_reports prints 56 raw five-step profiles (BERT/SQuAD
+# and 40-iteration real-data steps included, which tests/report_golden.rs
+# does not cover). Its output must match the committed copy byte for byte;
+# a change meant to move results regenerates tests/dump_reports.txt.
+cargo run --release --offline -q --example dump_reports >/tmp/stash_tier1_dump_reports.txt
+cmp /tmp/stash_tier1_dump_reports.txt tests/dump_reports.txt
+
 # Every other root example must run to completion.
-for example in quickstart cloud_bill dump_reports instance_advisor model_architect qos_lottery; do
+for example in quickstart cloud_bill instance_advisor model_architect qos_lottery; do
     cargo run --release --offline -q --example "$example" >/dev/null
 done
 
@@ -136,12 +144,22 @@ for doc in docs:
     assert key in html, f"heatmap cell missing for swept pair: {key}"
 PY
 
-# Series regression gate: doctoring a series document with transient
-# iteration-time spikes must make `stash diff` fail non-zero on both the
-# CoV and the spike-count gates.
+# Series regression gate: doctoring a steady series document with
+# transient iteration-time spikes must make `stash diff` fail non-zero on
+# both the CoV and the spike-count gates. The document comes from a chaos
+# run whose one planned fault lies past the end of the epoch: the fault
+# never fires, and fast-forward never skips past a pending fault, so each
+# of the 16 iterations keeps a row of its own. (The dash sweep's series
+# fast-forward from their second iteration and keep only three rows.)
+cat >/tmp/stash_tier1_pending_plan.json <<'JSON'
+{"events":[{"at":3600000000000,"kind":{"StragglerWindow":{"rank":0,"duration":1000000,"slowdown":1.5}}}],
+ "recovery":{"checkpoint_every":4,"straggler_timeout":20000000,"straggler_backoff":2.0,"reform_delay":500000000}}
+JSON
+./target/release/stash chaos p3.8xlarge*2 resnet18 --plan /tmp/stash_tier1_pending_plan.json \
+    --out /tmp/stash_tier1_pending_chaos.json --series /tmp/stash_tier1_series_src.json >/dev/null
 python3 - <<'PY'
-import glob, json
-path = sorted(glob.glob("/tmp/stash_tier1_dash/series_*.json"))[0]
+import json
+path = "/tmp/stash_tier1_series_src.json"
 doc = json.load(open(path))
 doctored = 0
 per_iter = [row for row in doc["samples"] if row[1] == 1]
@@ -153,10 +171,12 @@ json.dump(doc, open("/tmp/stash_tier1_series_bad.json", "w"))
 json.dump(json.load(open(path)), open("/tmp/stash_tier1_series_good.json", "w"))
 PY
 ./target/release/stash diff /tmp/stash_tier1_series_good.json /tmp/stash_tier1_series_good.json
-if ./target/release/stash diff /tmp/stash_tier1_series_good.json /tmp/stash_tier1_series_bad.json; then
+if series_diff=$(./target/release/stash diff /tmp/stash_tier1_series_good.json /tmp/stash_tier1_series_bad.json 2>&1); then
     echo "doctored iteration-series regression was not caught" >&2
     exit 1
 fi
+grep -q "iteration-time CoV regressed" <<<"$series_diff"
+grep -q "transient spikes regressed" <<<"$series_diff"
 
 # Chaos overlay: a seeded chaos run exports its series (the command
 # reconciles the series totals against the engine before writing), and a

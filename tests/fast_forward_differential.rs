@@ -1,8 +1,10 @@
 //! Steady-state fast-forward is a pure performance feature: for every
-//! model/cluster combination the [`EpochReport`] must be bit-identical
-//! with fast-forward on and off, in both sampled and full epoch modes,
-//! and with or without a reused [`EngineArena`]. Any drift here means the
-//! analytic extension diverged from event-by-event simulation.
+//! model/cluster combination, synthetic or real data with a cold or warm
+//! page cache, the [`EpochReport`] must be bit-identical with
+//! fast-forward on and off, in both sampled and full epoch modes, and
+//! with or without a reused [`EngineArena`]. Any drift here means the
+//! state key missed something that steers the simulation, so a skip
+//! diverged from event-by-event simulation.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -47,6 +49,34 @@ fn sampled_reports_identical_with_fast_forward_on_and_off() {
     }
 }
 
+/// The real-data grid holds every kind of pipeline state: period 1
+/// (p3.8xlarge*2 warm), period 2 (SqueezeNet cold on p3.2xlarge), period
+/// 3 (p3.16xlarge cold), a warm cache with a fractional hit rate whose
+/// accumulator never repeats (p3.2xlarge warm) and an epoch that never
+/// repeats at all (SqueezeNet cold on p2.16xlarge).
+#[test]
+fn real_data_reports_identical_with_fast_forward_on_and_off() {
+    for cluster in clusters() {
+        for model in zoo::small_models() {
+            for cache in [CacheState::Cold, CacheState::Warm] {
+                let name = model.name.clone();
+                let mut cfg = TrainConfig::synthetic(cluster.clone(), model.clone(), 32, 32 * 64);
+                cfg.data = DataMode::Real {
+                    dataset: DatasetSpec::for_model(&model),
+                    cache,
+                };
+                cfg.epoch_mode = EpochMode::Sampled { iterations: 32 };
+                assert_eq!(
+                    run(&cfg, false),
+                    run(&cfg, true),
+                    "fast-forward drifted for {name} on {} ({cache:?} cache)",
+                    cluster.display_name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn full_epoch_reports_identical_with_fast_forward_on_and_off() {
     let mut cfg = TrainConfig::synthetic(
@@ -61,6 +91,35 @@ fn full_epoch_reports_identical_with_fast_forward_on_and_off() {
     assert_eq!(off, on, "full-mode fast-forward drifted");
 }
 
+/// The iterations `cfg` skipped and its report. Skips are counted from
+/// the run's own iteration series, not from a process-wide counter that
+/// the other tests in this binary also advance.
+fn skipped(cfg: &TrainConfig, fast_forward: bool) -> (u64, EpochReport) {
+    let mut series = IterSeries::default();
+    let run = Run {
+        options: EngineOptions { fast_forward },
+        series: Some(&mut series),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("series");
+    (series.totals().ff_iterations, run.report)
+}
+
+/// At least 150 of `cfg`'s 200 iterations are skipped with fast-forward
+/// on, none with it off, and the reports are identical.
+fn assert_skips_most_of_200(cfg: &TrainConfig, what: &str) {
+    let (skipped_on, on) = skipped(cfg, true);
+    assert!(
+        skipped_on >= 150,
+        "{what}: expected most of 200 iterations to be fast-forwarded, got {skipped_on}"
+    );
+    let (skipped_off, _) = skipped(cfg, false);
+    assert_eq!(skipped_off, 0, "{what}: fast-forward off still skipped");
+    // And the skipped iterations change nothing.
+    assert_eq!(run(cfg, false), on, "{what}: fast-forward drifted");
+}
+
 #[test]
 fn fast_forward_engages_on_long_synthetic_runs() {
     let mut cfg = TrainConfig::synthetic(
@@ -70,28 +129,25 @@ fn fast_forward_engages_on_long_synthetic_runs() {
         32 * 200,
     );
     cfg.epoch_mode = EpochMode::Full;
-    // Count this run's own skips through its iteration series, not a
-    // process-wide counter the other tests in this binary also advance.
-    let skipped = |fast_forward| {
-        let mut series = IterSeries::default();
-        let run = Run {
-            options: EngineOptions { fast_forward },
-            series: Some(&mut series),
-            ..Run::default()
-        }
-        .epoch(&cfg)
-        .expect("series");
-        (series.totals().ff_iterations, run.report)
-    };
-    let (skipped_on, on) = skipped(true);
-    assert!(
-        skipped_on >= 150,
-        "expected most of 200 iterations to be fast-forwarded, got {skipped_on}"
-    );
-    let (skipped_off, _) = skipped(false);
-    assert_eq!(skipped_off, 0, "fast-forward off still skipped iterations");
-    // And the skipped iterations change nothing.
-    assert_eq!(run(&cfg, false), on);
+    assert_skips_most_of_200(&cfg, "synthetic");
+}
+
+#[test]
+fn fast_forward_engages_on_long_real_data_runs() {
+    for cache in [CacheState::Cold, CacheState::Warm] {
+        let mut cfg = TrainConfig::synthetic(
+            ClusterSpec::single(p3_16xlarge()),
+            zoo::resnet18(),
+            32,
+            32 * 200,
+        );
+        cfg.data = DataMode::Real {
+            dataset: DatasetSpec::imagenet1k(),
+            cache,
+        };
+        cfg.epoch_mode = EpochMode::Full;
+        assert_skips_most_of_200(&cfg, &format!("{cache:?} cache"));
+    }
 }
 
 #[test]
@@ -122,8 +178,10 @@ fn reused_arena_is_bit_identical_to_fresh_state() {
 
 #[test]
 fn real_data_and_straggler_runs_are_unaffected_by_the_option() {
-    // Real-data pipelines are ineligible for fast-forward; the option must
-    // be a strict no-op there.
+    // Real-data pipelines fast-forward like synthetic ones, but this
+    // 8-iteration epoch leaves no room for a skip: its loaders start
+    // their last batches, and so begin to drain, within the first few
+    // iterations. The option must be a strict no-op here too.
     let mut cfg = TrainConfig::synthetic(
         ClusterSpec::single(p3_16xlarge()),
         zoo::resnet18(),

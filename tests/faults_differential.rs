@@ -2,8 +2,9 @@
 //! with an empty [`FaultPlan`] every [`EpochReport`] bit matches the
 //! plain entry points (fast-forward on and off, synthetic and real data,
 //! static stragglers included), seeded plans are run-to-run
-//! deterministic, and on factor-1 runs the faulted accumulators tile the
-//! wall clock at integer-nanosecond exactness.
+//! deterministic and fast-forward invariant (real-data epochs included),
+//! and on factor-1 runs the faulted accumulators tile the wall clock at
+//! integer-nanosecond exactness.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -11,6 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use stash::prelude::*;
+use stash::telemetry::series::IterSeries;
 
 fn clusters() -> Vec<ClusterSpec> {
     vec![
@@ -120,6 +122,67 @@ fn seeded_plans_are_deterministic_across_runs_and_fast_forward() {
         .expect("no ff");
         assert_eq!(a, no_ff, "seed {seed} drifted across fast-forward");
     }
+}
+
+/// A cold real-data epoch whose seeded plan fires and resolves in its
+/// first quarter: fast-forward stays off while faults are pending, then
+/// keys the state a resolved plan leaves behind (restored SSD and NIC
+/// capacities, a cleared brownout flag, loaders after a preemption) and
+/// may skip. The run must be bit-identical either way, and any skipped
+/// span must start after the last fault window closed.
+#[test]
+fn faulted_real_data_is_fast_forward_invariant() {
+    let mut cfg = TrainConfig::synthetic(
+        ClusterSpec::homogeneous(p3_8xlarge(), 2),
+        zoo::resnet18(),
+        32,
+        32 * 48,
+    );
+    cfg.data = DataMode::Real {
+        dataset: DatasetSpec::imagenet1k(),
+        cache: CacheState::Cold,
+    };
+    cfg.epoch_mode = EpochMode::Full;
+    let base = run_epoch(&cfg).expect("baseline");
+    let horizon = base.epoch_time / 4;
+    let mut skipped_seeds = 0;
+    for seed in [1, 7, 23] {
+        let plan = FaultPlan::seeded(seed, cfg.cluster.world_size(), 2, horizon);
+        let mut series = IterSeries::default();
+        let on = Run {
+            plan: Some(&plan),
+            series: Some(&mut series),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .expect("fast-forward on");
+        let off = Run {
+            options: EngineOptions {
+                fast_forward: false,
+            },
+            plan: Some(&plan),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .expect("fast-forward off");
+        assert_eq!(on, off, "seed {seed} drifted across fast-forward");
+        assert!(
+            on.faults.events.iter().all(|e| e.fired),
+            "seed {seed}: every planned fault must fire inside the epoch"
+        );
+        let resolved = series.annotations.iter().map(|a| a.end_ns).max();
+        for s in series.samples.iter().filter(|s| s.ff_iterations > 0) {
+            assert!(
+                Some(s.start_ns) >= resolved,
+                "seed {seed}: skipped from {} ns, before the plan resolved at {resolved:?}",
+                s.start_ns
+            );
+        }
+        if series.totals().ff_iterations > 0 {
+            skipped_seeds += 1;
+        }
+    }
+    assert!(skipped_seeds > 0, "no seed skipped after its plan resolved");
 }
 
 /// On a factor-1 run the rank-0 accumulators must tile the epoch to the
