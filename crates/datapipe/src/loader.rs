@@ -7,10 +7,13 @@
 //! fabric) and filling a small prefetch queue per GPU. Multiple workers
 //! pipeline the three phases so a GPU is fed at the aggregate-CPU rate
 //! rather than one worker's serial cycle rate. The loader is a pure state
-//! machine emitting [`LoaderAction`]s; the training engine owns the event
-//! loop and flow network and feeds completions back in. This keeps the
-//! pipeline unit-testable and the contention *emergent*: fetch flows share
-//! the SSD link, H2D flows share the PCIe fabric with all-reduce traffic.
+//! machine appending [`LoaderAction`]s to its caller's work list; the
+//! training engine owns the event loop and flow network and feeds
+//! completions back in. An action names a transfer only by worker and
+//! [`TransferPurpose`]: [`NodeLoader::transfer`] gives its route, bytes
+//! and latency. This keeps the pipeline unit-testable and the contention
+//! *emergent*: fetch flows share the SSD link, H2D flows share the PCIe
+//! fabric with all-reduce traffic.
 
 use serde::{Deserialize, Serialize};
 use stash_dnn::dataset::DatasetSpec;
@@ -71,18 +74,13 @@ pub enum TransferPurpose {
 }
 
 /// What the engine must do on the loader's behalf.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoaderAction {
-    /// Start a flow; report completion via [`NodeLoader::transfer_done`].
+    /// Start the flow [`NodeLoader::transfer`] describes for `worker` and
+    /// `purpose`; report completion via [`NodeLoader::transfer_done`].
     StartTransfer {
         /// Worker owning the transfer.
         worker: usize,
-        /// Links to traverse.
-        route: Vec<LinkId>,
-        /// Payload bytes.
-        bytes: f64,
-        /// Fixed latency (seek overheads etc.).
-        extra_latency: SimDuration,
         /// Which pipeline stage the transfer serves.
         purpose: TransferPurpose,
     },
@@ -113,21 +111,12 @@ enum WorkerPhase {
 #[derive(Debug, Clone)]
 struct Worker {
     phase: WorkerPhase,
-    /// The in-flight fetch's transfer parameters, kept so a brownout can
-    /// re-issue it; cleared when the fetch completes for good.
-    fetch: Option<FetchSpec>,
+    /// The in-flight fetch's purpose, kept so a brownout can re-issue it;
+    /// cleared when the fetch completes for good.
+    fetch: Option<TransferPurpose>,
     /// Whether the in-flight fetch has already been retried (brownouts
     /// cost exactly one deterministic retry, never a loop).
     retried: bool,
-}
-
-/// Parameters of one fetch transfer, remembered for brownout retries.
-#[derive(Debug, Clone)]
-struct FetchSpec {
-    route: Vec<LinkId>,
-    bytes: f64,
-    extra_latency: SimDuration,
-    purpose: TransferPurpose,
 }
 
 /// Event-driven data loader for one node.
@@ -195,14 +184,11 @@ impl NodeLoader {
         }
     }
 
-    /// Kicks all workers at epoch start.
-    #[must_use]
-    pub fn start(&mut self) -> Vec<LoaderAction> {
-        let mut actions = Vec::new();
+    /// Kicks all workers at epoch start, appending their actions.
+    pub fn start(&mut self, actions: &mut Vec<LoaderAction>) {
         for g in 0..self.spec.gpus {
-            self.kick_gpu(g, &mut actions);
+            self.kick_gpu(g, actions);
         }
-        actions
     }
 
     /// Number of batches currently buffered for `gpu`.
@@ -214,44 +200,60 @@ impl NodeLoader {
     /// Consumes one buffered batch for `gpu`; returns `false` (and consumes
     /// nothing) if the queue is empty — the GPU must wait for a
     /// [`LoaderAction::Deliver`]. A successful take may also restart the
-    /// paused worker, hence the action list.
-    pub fn try_take(&mut self, gpu: usize) -> (bool, Vec<LoaderAction>) {
+    /// paused worker, whose actions it appends.
+    pub fn try_take(&mut self, gpu: usize, actions: &mut Vec<LoaderAction>) -> bool {
         if self.queue[gpu] == 0 {
-            return (false, Vec::new());
+            return false;
         }
         self.queue[gpu] -= 1;
-        let mut actions = Vec::new();
-        self.kick_gpu(gpu, &mut actions);
-        (true, actions)
+        self.kick_gpu(gpu, actions);
+        true
     }
 
-    /// A transfer started by this loader finished.
-    pub fn transfer_done(&mut self, worker: usize) -> Vec<LoaderAction> {
-        let mut actions = Vec::new();
+    /// The transfer `worker` makes for `purpose`: its route (borrowed from
+    /// the spec), payload bytes and fixed latency. A fetch reads one batch
+    /// of raw samples from the page cache or, paying the volume's
+    /// per-sample seek latency, from the disk; an upload moves one decoded
+    /// batch to the worker's GPU.
+    #[must_use]
+    pub fn transfer(
+        &self,
+        worker: usize,
+        purpose: TransferPurpose,
+    ) -> (&[LinkId], f64, SimDuration) {
+        let batch = self.spec.per_gpu_batch;
+        let fetch_bytes = self.spec.dataset.avg_sample_bytes() * batch as f64;
+        match purpose {
+            TransferPurpose::FetchHit => (&self.spec.dram_route, fetch_bytes, SimDuration::ZERO),
+            TransferPurpose::FetchMiss => (
+                &self.spec.disk_route,
+                fetch_bytes,
+                self.spec.per_sample_disk_latency * batch,
+            ),
+            TransferPurpose::Upload => (
+                &self.spec.h2d_routes[self.gpu_of(worker)],
+                self.spec.decoded_sample_bytes * batch as f64,
+                SimDuration::ZERO,
+            ),
+        }
+    }
+
+    /// A transfer started by this loader finished; appends what follows.
+    pub fn transfer_done(&mut self, worker: usize, actions: &mut Vec<LoaderAction>) {
         match self.workers[worker].phase {
             WorkerPhase::Fetching => {
+                let w = &mut self.workers[worker];
                 // A disk read landing inside a brownout window is torn:
                 // re-issue it once (deterministically), then let the
                 // retry complete even if the window is still open.
-                let retry = match &self.workers[worker].fetch {
-                    Some(f) if self.brownout && !self.workers[worker].retried => {
-                        (f.purpose == TransferPurpose::FetchMiss).then(|| f.clone())
-                    }
-                    _ => None,
-                };
-                if let Some(f) = retry {
-                    let w = &mut self.workers[worker];
+                if self.brownout && !w.retried && w.fetch == Some(TransferPurpose::FetchMiss) {
                     w.retried = true;
                     actions.push(LoaderAction::StartTransfer {
                         worker,
-                        route: f.route,
-                        bytes: f.bytes,
-                        extra_latency: f.extra_latency,
-                        purpose: f.purpose,
+                        purpose: TransferPurpose::FetchMiss,
                     });
-                    return actions;
+                    return;
                 }
-                let w = &mut self.workers[worker];
                 w.fetch = None;
                 w.retried = false;
                 w.phase = WorkerPhase::Prepping;
@@ -264,28 +266,24 @@ impl NodeLoader {
                 self.queue[gpu] += 1;
                 actions.push(LoaderAction::Deliver { gpu });
                 self.workers[worker].phase = WorkerPhase::Idle;
-                self.kick_gpu(gpu, &mut actions);
+                self.kick_gpu(gpu, actions);
             }
             other => panic!("unexpected transfer completion in phase {other:?}"),
         }
-        actions
     }
 
-    /// A preprocessing interval finished.
-    pub fn prep_done(&mut self, worker: usize) -> Vec<LoaderAction> {
+    /// A preprocessing interval finished; appends the upload.
+    pub fn prep_done(&mut self, worker: usize, actions: &mut Vec<LoaderAction>) {
         assert_eq!(
             self.workers[worker].phase,
             WorkerPhase::Prepping,
             "not prepping"
         );
         self.workers[worker].phase = WorkerPhase::Uploading;
-        vec![LoaderAction::StartTransfer {
+        actions.push(LoaderAction::StartTransfer {
             worker,
-            route: self.spec.h2d_routes[self.gpu_of(worker)].clone(),
-            bytes: self.spec.decoded_sample_bytes * self.spec.per_gpu_batch as f64,
-            extra_latency: SimDuration::ZERO,
             purpose: TransferPurpose::Upload,
-        }]
+        });
     }
 
     /// Batches each GPU consumes this epoch: its quota.
@@ -303,13 +301,13 @@ impl NodeLoader {
     /// Appends the loader's complete mutable state to `key`, each GPU's
     /// started-batch count relative to `base` (wrapping): per worker its
     /// phase, retry flag and in-flight fetch purpose (which fixes the
-    /// fetch's route, bytes and latency); per GPU its queue depth and
-    /// started count; the brownout flag and the page-cache accumulator's
-    /// bits. Two loaders with equal keys act identically for as long as
-    /// no GPU's started count reaches its quota.
+    /// fetch's [`transfer`](NodeLoader::transfer)); per GPU its queue
+    /// depth and started count; the brownout flag and the page-cache
+    /// accumulator's bits. Two loaders with equal keys act identically
+    /// for as long as no GPU's started count reaches its quota.
     pub fn key_into(&self, base: u64, key: &mut Vec<u64>) {
         for w in &self.workers {
-            let fetch = w.fetch.as_ref().map_or(0, |f| match f.purpose {
+            let fetch = w.fetch.map_or(0, |purpose| match purpose {
                 TransferPurpose::FetchHit => 1,
                 TransferPurpose::FetchMiss => 2,
                 TransferPurpose::Upload => 3,
@@ -366,18 +364,7 @@ impl NodeLoader {
             return; // stay idle until the GPU drains the queue
         }
         self.started[gpu] += 1;
-        let batch = self.spec.per_gpu_batch;
-        let bytes = self.spec.dataset.avg_sample_bytes() * batch as f64;
-        let hit = self.cache.next_is_hit();
-        let (route, extra) = if hit {
-            (self.spec.dram_route.clone(), SimDuration::ZERO)
-        } else {
-            (
-                self.spec.disk_route.clone(),
-                self.spec.per_sample_disk_latency * batch,
-            )
-        };
-        let purpose = if hit {
+        let purpose = if self.cache.next_is_hit() {
             TransferPurpose::FetchHit
         } else {
             TransferPurpose::FetchMiss
@@ -385,19 +372,8 @@ impl NodeLoader {
         let w = &mut self.workers[worker];
         w.phase = WorkerPhase::Fetching;
         w.retried = false;
-        w.fetch = Some(FetchSpec {
-            route: route.clone(),
-            bytes,
-            extra_latency: extra,
-            purpose,
-        });
-        actions.push(LoaderAction::StartTransfer {
-            worker,
-            route,
-            bytes,
-            extra_latency: extra,
-            purpose,
-        });
+        w.fetch = Some(purpose);
+        actions.push(LoaderAction::StartTransfer { worker, purpose });
     }
 
     /// Time to preprocess one batch on this worker's static vCPU share.
@@ -434,28 +410,31 @@ mod tests {
         }
     }
 
+    /// The actions one loader call appends to an empty list.
+    fn acts(call: impl FnOnce(&mut Vec<LoaderAction>)) -> Vec<LoaderAction> {
+        let mut actions = Vec::new();
+        call(&mut actions);
+        actions
+    }
+
     /// Drives a loader to completion assuming instantaneous transfers and
     /// preps; returns delivered batch counts per GPU.
     fn drive(loader: &mut NodeLoader) -> Vec<u64> {
         let mut delivered = vec![0_u64; loader.spec.gpus];
-        let mut pending: Vec<LoaderAction> = loader.start();
+        let mut pending = acts(|a| loader.start(a));
         let mut guard = 0;
         while let Some(a) = pending.pop() {
             guard += 1;
             assert!(guard < 100_000, "loader did not converge");
             match a {
                 LoaderAction::StartTransfer { worker, .. } => {
-                    pending.extend(loader.transfer_done(worker));
+                    loader.transfer_done(worker, &mut pending);
                 }
-                LoaderAction::StartPrep { worker, .. } => {
-                    pending.extend(loader.prep_done(worker));
-                }
+                LoaderAction::StartPrep { worker, .. } => loader.prep_done(worker, &mut pending),
                 LoaderAction::Deliver { gpu } => {
                     delivered[gpu] += 1;
                     // Consume immediately so prefetch never blocks.
-                    let (ok, more) = loader.try_take(gpu);
-                    assert!(ok);
-                    pending.extend(more);
+                    assert!(loader.try_take(gpu, &mut pending));
                 }
             }
         }
@@ -473,24 +452,74 @@ mod tests {
     #[test]
     fn cold_fetches_use_disk_route_with_seek_latency() {
         let mut loader = NodeLoader::new(spec(1, 1, CacheState::Cold));
-        let actions = loader.start();
-        match &actions[0] {
-            LoaderAction::StartTransfer { extra_latency, .. } => {
-                assert_eq!(*extra_latency, SimDuration::from_micros(20) * 32);
-            }
-            other => panic!("expected fetch, got {other:?}"),
-        }
+        let actions = acts(|a| loader.start(a));
+        let LoaderAction::StartTransfer { worker, purpose } = actions[0] else {
+            panic!("expected fetch, got {:?}", actions[0]);
+        };
+        let (_, _, latency) = loader.transfer(worker, purpose);
+        assert_eq!(latency, SimDuration::from_micros(20) * 32);
     }
 
     #[test]
     fn warm_fetches_have_no_seek_latency() {
         let mut loader = NodeLoader::new(spec(1, 1, CacheState::Warm));
-        let actions = loader.start();
-        match &actions[0] {
-            LoaderAction::StartTransfer { extra_latency, .. } => {
-                assert_eq!(*extra_latency, SimDuration::ZERO);
-            }
-            other => panic!("expected fetch, got {other:?}"),
+        let actions = acts(|a| loader.start(a));
+        let LoaderAction::StartTransfer { worker, purpose } = actions[0] else {
+            panic!("expected fetch, got {:?}", actions[0]);
+        };
+        let (_, _, latency) = loader.transfer(worker, purpose);
+        assert_eq!(latency, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn transfers_take_route_bytes_and_latency_from_the_spec() {
+        use stash_flowsim::link::{Link, LinkClass};
+        use stash_flowsim::net::FlowNet;
+
+        let mut net = FlowNet::new();
+        let mut link =
+            |name: &str| net.add_link(Link::new(name, 1e9, SimDuration::ZERO, LinkClass::Other));
+        let (disk, dram, h2d0, h2d1) = (link("disk"), link("dram"), link("h2d0"), link("h2d1"));
+        let loader = NodeLoader::new(LoaderSpec {
+            workers_per_gpu: 2,
+            disk_route: vec![disk],
+            dram_route: vec![dram],
+            h2d_routes: vec![vec![h2d0], vec![h2d1]],
+            ..spec(2, 1, CacheState::Cold)
+        });
+        let fetch_bytes = DatasetSpec::imagenet1k().avg_sample_bytes() * 32.0;
+        let seek = SimDuration::from_micros(20) * 32;
+        let want = [
+            (
+                TransferPurpose::FetchHit,
+                0,
+                dram,
+                fetch_bytes,
+                SimDuration::ZERO,
+            ),
+            (TransferPurpose::FetchMiss, 3, disk, fetch_bytes, seek),
+            // Workers 0-1 feed GPU 0, workers 2-3 GPU 1.
+            (
+                TransferPurpose::Upload,
+                1,
+                h2d0,
+                602_112.0 * 32.0,
+                SimDuration::ZERO,
+            ),
+            (
+                TransferPurpose::Upload,
+                2,
+                h2d1,
+                602_112.0 * 32.0,
+                SimDuration::ZERO,
+            ),
+        ];
+        for (purpose, worker, route, bytes, latency) in want {
+            assert_eq!(
+                loader.transfer(worker, purpose),
+                (&[route][..], bytes, latency),
+                "{purpose:?} by worker {worker}"
+            );
         }
     }
 
@@ -498,7 +527,7 @@ mod tests {
     fn prefetch_depth_pauses_workers() {
         let mut loader = NodeLoader::new(spec(1, 100, CacheState::Warm));
         // Fill the queue without consuming.
-        let mut pending = loader.start();
+        let mut pending = acts(|a| loader.start(a));
         let mut delivers = 0;
         let mut guard = 0;
         while let Some(a) = pending.pop() {
@@ -506,25 +535,25 @@ mod tests {
             assert!(guard < 1000);
             match a {
                 LoaderAction::StartTransfer { worker, .. } => {
-                    pending.extend(loader.transfer_done(worker))
+                    loader.transfer_done(worker, &mut pending);
                 }
-                LoaderAction::StartPrep { worker, .. } => pending.extend(loader.prep_done(worker)),
+                LoaderAction::StartPrep { worker, .. } => loader.prep_done(worker, &mut pending),
                 LoaderAction::Deliver { .. } => delivers += 1,
             }
         }
         assert_eq!(delivers, 2, "stops at prefetch depth");
         assert_eq!(loader.ready(0), 2);
         // Draining one batch restarts the worker.
-        let (ok, actions) = loader.try_take(0);
-        assert!(ok);
+        let mut actions = Vec::new();
+        assert!(loader.try_take(0, &mut actions));
         assert!(matches!(actions[0], LoaderAction::StartTransfer { .. }));
     }
 
     #[test]
     fn try_take_on_empty_queue_blocks() {
         let mut loader = NodeLoader::new(spec(2, 5, CacheState::Cold));
-        let (ok, actions) = loader.try_take(1);
-        assert!(!ok);
+        let mut actions = Vec::new();
+        assert!(!loader.try_take(1, &mut actions));
         assert!(actions.is_empty());
     }
 
@@ -570,8 +599,7 @@ mod tests {
             workers_per_gpu: 3,
             ..spec(1, 100, CacheState::Warm)
         });
-        let starts = loader
-            .start()
+        let starts = acts(|a| loader.start(a))
             .iter()
             .filter(|a| matches!(a, LoaderAction::StartTransfer { .. }))
             .count();
@@ -599,18 +627,18 @@ mod tests {
         });
         // Drive worker 3 (gpu 1) through a full batch; the delivery must
         // land in gpu 1's queue.
-        let _ = loader.start();
-        let actions = loader.transfer_done(3); // fetch -> prep
+        let _ = acts(|a| loader.start(a));
+        let actions = acts(|a| loader.transfer_done(3, a)); // fetch -> prep
         assert!(matches!(
             actions[0],
             LoaderAction::StartPrep { worker: 3, .. }
         ));
-        let actions = loader.prep_done(3); // prep -> upload
+        let actions = acts(|a| loader.prep_done(3, a)); // prep -> upload
         assert!(matches!(
             actions[0],
             LoaderAction::StartTransfer { worker: 3, .. }
         ));
-        let actions = loader.transfer_done(3); // upload -> deliver
+        let actions = acts(|a| loader.transfer_done(3, a)); // upload -> deliver
         assert!(actions
             .iter()
             .any(|a| matches!(a, LoaderAction::Deliver { gpu: 1 })));
@@ -621,7 +649,7 @@ mod tests {
     #[test]
     fn transfer_purposes_label_the_pipeline_stages() {
         let mut warm = NodeLoader::new(spec(1, 1, CacheState::Warm));
-        let first = warm.start();
+        let first = acts(|a| warm.start(a));
         assert!(matches!(
             first[0],
             LoaderAction::StartTransfer {
@@ -629,8 +657,8 @@ mod tests {
                 ..
             }
         ));
-        let _ = warm.transfer_done(0);
-        let upload = warm.prep_done(0);
+        let _ = acts(|a| warm.transfer_done(0, a));
+        let upload = acts(|a| warm.prep_done(0, a));
         assert!(matches!(
             upload[0],
             LoaderAction::StartTransfer {
@@ -639,7 +667,7 @@ mod tests {
             }
         ));
         let mut cold = NodeLoader::new(spec(1, 1, CacheState::Cold));
-        let first = cold.start();
+        let first = acts(|a| cold.start(a));
         assert!(matches!(
             first[0],
             LoaderAction::StartTransfer {
@@ -652,7 +680,7 @@ mod tests {
     #[test]
     fn brownout_retries_disk_fetches_exactly_once() {
         let mut loader = NodeLoader::new(spec(1, 1, CacheState::Cold));
-        let first = loader.start();
+        let first = acts(|a| loader.start(a));
         assert!(matches!(
             first[0],
             LoaderAction::StartTransfer {
@@ -662,11 +690,11 @@ mod tests {
         ));
         loader.set_brownout(true);
         // The in-window completion is torn: same fetch re-issued once.
-        let retry = loader.transfer_done(0);
+        let retry = acts(|a| loader.transfer_done(0, a));
         assert_eq!(first, retry, "retry must re-issue the identical fetch");
         // The retry's completion proceeds to prep even while the window
         // is still open (exactly one retry, never a loop).
-        let next = loader.transfer_done(0);
+        let next = acts(|a| loader.transfer_done(0, a));
         assert!(matches!(next[0], LoaderAction::StartPrep { .. }));
         loader.set_brownout(false);
     }
@@ -674,10 +702,10 @@ mod tests {
     #[test]
     fn brownout_leaves_cache_hits_alone() {
         let mut loader = NodeLoader::new(spec(1, 1, CacheState::Warm));
-        let _ = loader.start();
+        let _ = acts(|a| loader.start(a));
         loader.set_brownout(true);
         // Page-cache reads don't touch the volume: no retry.
-        let next = loader.transfer_done(0);
+        let next = acts(|a| loader.transfer_done(0, a));
         assert!(matches!(next[0], LoaderAction::StartPrep { .. }));
     }
 

@@ -22,7 +22,7 @@ use stash_datapipe::loader::{
 };
 use stash_faults::plan::{FaultKind, FaultPlan};
 use stash_flowsim::link::{LinkClass, LinkId};
-use stash_flowsim::net::{FlowId, FlowNet, FlowSpec};
+use stash_flowsim::net::FlowNet;
 use stash_gpucompute::kernel::ComputeModel;
 use stash_gpucompute::memory;
 use stash_hwtopo::topology::{GpuId, Topology};
@@ -237,8 +237,8 @@ impl Default for EngineOptions {
 pub struct EngineArena {
     net: FlowNet,
     q: EventQueue<Ev>,
-    completed: Vec<(FlowId, u64)>,
-    loader_work: VecDeque<(usize, LoaderAction)>,
+    completed: Vec<u64>,
+    loader_work: Vec<LoaderAction>,
 }
 
 impl EngineArena {
@@ -294,11 +294,8 @@ struct FfState {
 #[derive(Debug, Default, Clone, Copy)]
 struct SeriesMark {
     start: SimTime,
-    compute: SimDuration,
-    data_wait: SimDuration,
-    comm_wait: SimDuration,
-    recovery: SimDuration,
-    straggler: SimDuration,
+    /// The reporting rank's accumulators ([`RankState::accs`]).
+    accs: [SimDuration; 5],
     /// Flow-solver full-recompute counter at the boundary.
     recomputes: u64,
 }
@@ -374,6 +371,32 @@ struct FaultRuntime {
     timeout: SimDuration,
     detections: Vec<StragglerDetection>,
     replayed_iterations: u64,
+}
+
+impl FaultRuntime {
+    /// The open window faults with their plan indices, in plan order.
+    fn open_windows(&self) -> impl DoubleEndedIterator<Item = (usize, &FaultKind)> {
+        self.plan
+            .events
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.open[i])
+            .map(|(i, e)| (i, &e.kind))
+    }
+
+    /// The product, in plan order, of the factors `pick` takes from the
+    /// open windows (exactly 1.0 when it takes none), and whether it took
+    /// any. Overlapping windows compose multiplicatively against the
+    /// nominal value, so the restore when the last one closes is exact.
+    fn open_product(&self, pick: impl Fn(&FaultKind) -> Option<f64>) -> (f64, bool) {
+        let mut any = false;
+        let product = self
+            .open_windows()
+            .filter_map(|(_, kind)| pick(kind))
+            .inspect(|_| any = true)
+            .product();
+        (product, any)
+    }
 }
 
 /// Runs one training epoch under `cfg` and reports the timing breakdown:
@@ -586,9 +609,9 @@ struct Engine<'a> {
     /// `Vec` and route clones.
     comm_plans: Vec<Vec<TransferSpec>>,
     /// Pooled buffer ping-ponged with [`FlowNet`]'s completion list.
-    completed_buf: Vec<(FlowId, u64)>,
-    /// Pooled loader action work-list.
-    loader_work: VecDeque<(usize, LoaderAction)>,
+    completed_buf: Vec<u64>,
+    /// Pooled loader action work list ([`Engine::loader_step`]).
+    loader_work: Vec<LoaderAction>,
     /// Fast-forward state; `None` when disabled via [`EngineOptions`],
     /// when every iteration must be seen (tracing, per-iteration trace
     /// samples), and once it has skipped or no skip can fit any more.
@@ -786,6 +809,8 @@ impl<'a> Engine<'a> {
                 .count() as u64
                 * fr.plan.recovery.checkpoint_every
         });
+        // Every iteration consumes `grad_accumulation` micro-batches.
+        let batches_per_gpu = (sim_iters + replay_slack) * cfg.grad_accumulation.max(1);
 
         let loaders: Vec<Option<NodeLoader>> = match &cfg.data {
             DataMode::Synthetic => vec![None; cfg.cluster.node_count()],
@@ -807,7 +832,7 @@ impl<'a> Engine<'a> {
                         workers_per_gpu: stash_datapipe::loader::DEFAULT_WORKERS_PER_GPU,
                         vcpus: inst.vcpus,
                         per_gpu_batch: cfg.per_gpu_batch,
-                        batches_per_gpu: sim_iters + replay_slack,
+                        batches_per_gpu,
                         dataset: shard,
                         decoded_sample_bytes: cfg.model.input_sample_bytes,
                         cache: *cache,
@@ -919,96 +944,49 @@ impl<'a> Engine<'a> {
 
     // ----- iteration series ---------------------------------------------
 
-    /// Emits one series bucket covering `rank`'s activity from the last
-    /// mark to `end`, then re-baselines the mark at `end`. Category
-    /// fields are signed accumulator deltas, so a zero-iteration call
-    /// after a replay rewind (or an elastic reporting-rank change) emits
-    /// exactly the correction that keeps the running series totals equal
-    /// to the current reporting rank's accumulators. A no-op unless
-    /// series recording is on.
+    /// Emits one series bucket of `iterations` iterations from
+    /// `start_iter`, `ff` of them fast-forwarded, that runs from the last
+    /// mark to `end`, where the reporting rank's accumulators
+    /// ([`RankState::accs`]) read `accs`; then moves the mark there.
+    /// Category fields are signed accumulator deltas, so a zero-iteration
+    /// bucket after a replay rewind (or an elastic reporting-rank change)
+    /// is exactly the correction that keeps the running series totals
+    /// equal to the current reporting rank's accumulators. Solver work is
+    /// counted as performed, not as skipped. A no-op unless series
+    /// recording is on.
     fn emit_series(
         &mut self,
-        rank: usize,
-        end: SimTime,
         start_iter: u64,
         iterations: u64,
         ff: u64,
+        end: SimTime,
+        accs: [SimDuration; 5],
     ) {
         let Some(s) = self.series.as_mut() else {
             return;
         };
-        let r = &self.ranks[rank];
         let (full_recomputes, _) = self.net.recompute_stats();
         let m = s.mark;
-        let delta =
-            |cur: SimDuration, base: SimDuration| cur.as_nanos() as i64 - base.as_nanos() as i64;
+        let delta = |a: usize| accs[a].as_nanos() as i64 - m.accs[a].as_nanos() as i64;
         s.rec.record(SeriesSample {
             start_iter,
             iterations,
             ff_iterations: ff,
             start_ns: m.start.as_nanos(),
             wall_ns: end.duration_since(m.start).as_nanos(),
-            compute_ns: delta(r.compute, m.compute),
-            data_wait_ns: delta(r.data_wait, m.data_wait),
-            comm_wait_ns: delta(r.comm_wait, m.comm_wait),
-            recovery_ns: delta(r.recovery, m.recovery),
-            straggler_ns: delta(r.straggler, m.straggler),
+            compute_ns: delta(0),
+            data_wait_ns: delta(1),
+            comm_wait_ns: delta(2),
+            recovery_ns: delta(3),
+            straggler_ns: delta(4),
             recomputes: full_recomputes - m.recomputes,
             queue_depth_hw: self.q.take_depth_high_water(),
         });
         s.mark = SeriesMark {
             start: end,
-            compute: r.compute,
-            data_wait: r.data_wait,
-            comm_wait: r.comm_wait,
-            recovery: r.recovery,
-            straggler: r.straggler,
+            accs,
             recomputes: full_recomputes,
         };
-    }
-
-    /// Emits the span a fast-forward skipped as one compressed bucket of
-    /// `iterations` iterations from `start_iter`, `wall` long, whose
-    /// reporting-rank accumulators grew by `delta` ([`RankState::accs`]),
-    /// and moves the mark past it. The reporting rank finished iteration
-    /// `start_iter` at the mark, so the skipped span ends where it
-    /// finishes iteration `start_iter + iterations`: the mark shifted by
-    /// `wall` and `delta`. Solver work is counted as performed, not as
-    /// skipped. A no-op unless series recording is on.
-    fn series_skip(
-        &mut self,
-        start_iter: u64,
-        iterations: u64,
-        wall: SimDuration,
-        delta: [SimDuration; 5],
-    ) {
-        let Some(s) = self.series.as_mut() else {
-            return;
-        };
-        let (full_recomputes, _) = self.net.recompute_stats();
-        let m = &mut s.mark;
-        let ns = |d: SimDuration| d.as_nanos() as i64;
-        s.rec.record(SeriesSample {
-            start_iter,
-            iterations,
-            ff_iterations: iterations,
-            start_ns: m.start.as_nanos(),
-            wall_ns: wall.as_nanos(),
-            compute_ns: ns(delta[0]),
-            data_wait_ns: ns(delta[1]),
-            comm_wait_ns: ns(delta[2]),
-            recovery_ns: ns(delta[3]),
-            straggler_ns: ns(delta[4]),
-            recomputes: full_recomputes - m.recomputes,
-            queue_depth_hw: self.q.take_depth_high_water(),
-        });
-        m.start += wall;
-        m.compute += delta[0];
-        m.data_wait += delta[1];
-        m.comm_wait += delta[2];
-        m.recovery += delta[3];
-        m.straggler += delta[4];
-        m.recomputes = full_recomputes;
     }
 
     /// Opens a fault-window annotation on the series (no-op when off).
@@ -1045,10 +1023,7 @@ impl<'a> Engine<'a> {
     fn run(&mut self) -> FaultedRun {
         // Kick loaders and ranks.
         for node in 0..self.loaders.len() {
-            if self.loaders[node].is_some() {
-                let actions = self.loaders[node].as_mut().req("loader").start();
-                self.apply_loader_actions(node, actions);
-            }
+            self.loader_step(node, NodeLoader::start);
         }
         for i in 0..self.active.len() {
             let rank = self.active[i];
@@ -1095,12 +1070,7 @@ impl<'a> Engine<'a> {
                 }
                 Ev::RankCompute { rank } => self.on_rank_compute(rank),
                 Ev::LoaderPrep { node, worker } => {
-                    // A preempted node's loader is gone; late prep events
-                    // for it are dropped.
-                    if let Some(loader) = self.loaders[node].as_mut() {
-                        let actions = loader.prep_done(worker);
-                        self.apply_loader_actions(node, actions);
-                    }
+                    self.loader_step(node, |l, work| l.prep_done(worker, work));
                 }
                 Ev::Fault { idx } => {
                     stash_telemetry::metrics::FAULT_BRANCHES.inc();
@@ -1144,20 +1114,16 @@ impl<'a> Engine<'a> {
 
     /// Starts one micro-batch: acquire input (real data) then forward.
     fn begin_micro_batch(&mut self, rank: usize) {
-        let now = self.q.now();
-        let node = self.ranks[rank].gpu.node;
-        let local = self.ranks[rank].gpu.local;
-        if self.loaders[node].is_some() {
-            let (ok, actions) = self.loaders[node].as_mut().req("loader").try_take(local);
-            self.apply_loader_actions(node, actions);
-            if ok {
-                self.start_forward(rank);
-            } else {
-                self.ranks[rank].phase = Phase::AwaitBatch;
-                self.ranks[rank].wait_start = Some(now);
-            }
-        } else {
+        let GpuId { node, local } = self.ranks[rank].gpu;
+        // Synthetic data never waits for a batch.
+        let ready = self
+            .loader_step(node, |l, work| l.try_take(local, work))
+            .unwrap_or(true);
+        if ready {
             self.start_forward(rank);
+        } else {
+            self.ranks[rank].phase = Phase::AwaitBatch;
+            self.ranks[rank].wait_start = Some(self.q.now());
         }
     }
 
@@ -1315,9 +1281,8 @@ impl<'a> Engine<'a> {
                     // One series bucket per reporting-rank iteration. Must
                     // precede the fault boundary below: a replay rewind
                     // there emits its correction against this mark.
-                    let now = self.q.now();
-                    let it = self.ranks[rank].iter - 1;
-                    self.emit_series(rank, now, it, 1, 0);
+                    let r = &self.ranks[rank];
+                    self.emit_series(r.iter - 1, 1, 0, self.q.now(), r.accs());
                 }
                 if self.faults.is_some() && self.on_fault_step_boundary(rank) {
                     // Captured by a preemption barrier (or retired at it).
@@ -1531,7 +1496,14 @@ impl<'a> Engine<'a> {
             rs.add_accs(skipped(i));
         }
         self.ff_iterations += n * k;
-        self.series_skip(cur.iter, n * k, d, skipped(0));
+        // The reporting rank finished iteration `cur.iter` at the series
+        // mark, so the skipped span ends where it finishes iteration
+        // `cur.iter + n·k`: the mark shifted by `d` and the skipped deltas.
+        if let Some(m) = self.series.as_ref().map(|s| s.mark) {
+            let delta = skipped(0);
+            let accs = std::array::from_fn(|a| m.accs[a] + delta[a]);
+            self.emit_series(cur.iter, n * k, n * k, m.start + d, accs);
+        }
     }
 
     // ----- communicator -------------------------------------------------
@@ -1594,7 +1566,7 @@ impl<'a> Engine<'a> {
         let now = self.q.now();
         for t in transfers.iter() {
             self.net
-                .start_flow_borrowed(now, &t.route, t.bytes, t.extra_latency, TAG_COMM);
+                .start_flow(now, &t.route, t.bytes, t.extra_latency, TAG_COMM);
         }
         let inflight = transfers.len();
         let comm = self.comm.as_mut().req("comm");
@@ -1673,15 +1645,11 @@ impl<'a> Engine<'a> {
     /// window targeting `rank`.
     fn blame_straggler(&mut self, rank: usize, extra: SimDuration) {
         let Some(fr) = &mut self.faults else { return };
-        for (i, ev) in fr.plan.events.iter().enumerate().rev() {
-            if fr.open[i] {
-                if let FaultKind::StragglerWindow { rank: r, .. } = ev.kind {
-                    if r == rank {
-                        fr.blame[i] += extra;
-                        return;
-                    }
-                }
-            }
+        let blamed = fr.open_windows().rev().find_map(|(i, kind)| {
+            matches!(*kind, FaultKind::StragglerWindow { rank: r, .. } if r == rank).then_some(i)
+        });
+        if let Some(i) = blamed {
+            fr.blame[i] += extra;
         }
     }
 
@@ -1749,46 +1717,28 @@ impl<'a> Engine<'a> {
     /// windows: the product is exactly 1.0 again when the last closes.
     fn refresh_slow_factor(&mut self, rank: usize) {
         let fr = self.faults.as_mut().req("faults");
-        let mut f = 1.0;
-        for (i, ev) in fr.plan.events.iter().enumerate() {
-            if fr.open[i] {
-                if let FaultKind::StragglerWindow {
+        fr.slow_factor[rank] = fr
+            .open_product(|kind| match *kind {
+                FaultKind::StragglerWindow {
                     rank: r, slowdown, ..
-                } = ev.kind
-                {
-                    if r == rank {
-                        f *= slowdown;
-                    }
-                }
-            }
-        }
-        fr.slow_factor[rank] = f;
+                } if r == rank => Some(slowdown),
+                _ => None,
+            })
+            .0;
     }
 
     /// Re-derives a node's NIC capacities from the open degradation
-    /// windows: multiplicative over overlapping windows against the
-    /// *nominal* capacity, so the restore when the last window closes is
-    /// exact.
+    /// windows, against the *nominal* capacities.
     fn apply_nic_state(&mut self, node: usize) {
         let now = self.q.now();
-        let (targets, factor) = {
-            let fr = self.faults.as_ref().req("faults");
-            let mut f = 1.0;
-            for (i, ev) in fr.plan.events.iter().enumerate() {
-                if fr.open[i] {
-                    if let FaultKind::LinkDegradation {
-                        node: n, factor, ..
-                    } = ev.kind
-                    {
-                        if n == node {
-                            f *= factor;
-                        }
-                    }
-                }
-            }
-            (fr.nominal_nic[node], f)
-        };
-        for (l, nominal) in targets {
+        let fr = self.faults.as_ref().req("faults");
+        let (factor, _) = fr.open_product(|kind| match *kind {
+            FaultKind::LinkDegradation {
+                node: n, factor, ..
+            } if n == node => Some(factor),
+            _ => None,
+        });
+        for (l, nominal) in fr.nominal_nic[node] {
             self.net.set_link_capacity(now, l, nominal * factor);
         }
     }
@@ -1797,25 +1747,14 @@ impl<'a> Engine<'a> {
     /// flag from the open brownout windows.
     fn apply_ssd_state(&mut self, node: usize) {
         let now = self.q.now();
-        let ((link, nominal), factor, brown) = {
-            let fr = self.faults.as_ref().req("faults");
-            let mut f = 1.0;
-            let mut brown = false;
-            for (i, ev) in fr.plan.events.iter().enumerate() {
-                if fr.open[i] {
-                    if let FaultKind::DiskBrownout {
-                        node: n, factor, ..
-                    } = ev.kind
-                    {
-                        if n == node {
-                            f *= factor;
-                            brown = true;
-                        }
-                    }
-                }
-            }
-            (fr.nominal_ssd[node], f, brown)
-        };
+        let fr = self.faults.as_ref().req("faults");
+        let (factor, brown) = fr.open_product(|kind| match *kind {
+            FaultKind::DiskBrownout {
+                node: n, factor, ..
+            } if n == node => Some(factor),
+            _ => None,
+        });
+        let (link, nominal) = fr.nominal_ssd[node];
         self.net.set_link_capacity(now, link, nominal * factor);
         if let Some(loader) = self.loaders[node].as_mut() {
             loader.set_brownout(brown);
@@ -1882,9 +1821,8 @@ impl<'a> Engine<'a> {
         // category deltas, positive recovery) so its running totals keep
         // matching the accumulators exactly.
         if self.series.is_some() && rank == self.active[0] {
-            let now = self.q.now();
-            let it = self.ranks[rank].iter;
-            self.emit_series(rank, now, it, 0, 0);
+            let r = &self.ranks[rank];
+            self.emit_series(r.iter, 0, 0, self.q.now(), r.accs());
         }
     }
 
@@ -2097,11 +2035,9 @@ impl<'a> Engine<'a> {
         // zero-iteration bucket's deltas are new-rank accumulators minus
         // the totals recorded so far, so the running sums continue to
         // match the rank the report will read.
-        if self.series.is_some() {
-            if let Some(&r0) = self.active.first() {
-                let it = self.ranks[r0].iter;
-                self.emit_series(r0, now, it, 0, 0);
-            }
+        if let Some(&r0) = self.active.first() {
+            let r = &self.ranks[r0];
+            self.emit_series(r.iter, 0, 0, now, r.accs());
         }
         for &rank in &resumed {
             self.begin_iteration(rank);
@@ -2169,24 +2105,39 @@ impl<'a> Engine<'a> {
 
     // ----- loaders --------------------------------------------------------
 
-    fn apply_loader_actions(&mut self, node: usize, actions: Vec<LoaderAction>) {
-        // Pooled work-list: `apply_loader_actions` never re-enters itself,
-        // so the engine-owned deque is always free here.
+    /// Runs `step` on `node`'s loader with the engine's pooled work list,
+    /// then applies the actions it appended. `None` when the node has no
+    /// loader: synthetic data, or a node elastic re-formation retired,
+    /// whose late prep and transfer completions are dropped.
+    fn loader_step<R>(
+        &mut self,
+        node: usize,
+        step: impl FnOnce(&mut NodeLoader, &mut Vec<LoaderAction>) -> R,
+    ) -> Option<R> {
+        let loader = self.loaders[node].as_mut()?;
+        // Applying actions never runs another step, so the pooled list is
+        // always free here.
         let mut work = std::mem::take(&mut self.loader_work);
         debug_assert!(work.is_empty());
-        work.extend(actions.into_iter().map(|a| (node, a)));
-        while let Some((n, action)) = work.pop_front() {
+        let out = step(loader, &mut work);
+        self.apply_loader_actions(node, &mut work);
+        self.loader_work = work;
+        Some(out)
+    }
+
+    /// Applies `node`'s loader actions in FIFO order, walking `work` by
+    /// index: a delivery to a waiting GPU takes the batch at once, and the
+    /// actions that take appends run after those already listed. Leaves
+    /// `work` empty.
+    fn apply_loader_actions(&mut self, node: usize, work: &mut Vec<LoaderAction>) {
+        let now = self.q.now();
+        let mut next = 0;
+        while let Some(&action) = work.get(next) {
+            next += 1;
             match action {
-                LoaderAction::StartTransfer {
-                    worker,
-                    route,
-                    bytes,
-                    extra_latency,
-                    purpose,
-                } => {
+                LoaderAction::StartTransfer { worker, purpose } => {
                     if self.tracer.is_some() {
-                        let now = self.q.now();
-                        let track = Track::loader(n, worker);
+                        let track = Track::loader(node, worker);
                         match purpose {
                             TransferPurpose::FetchHit => {
                                 self.emit_instant(track, Category::Cache, "cache_hit", now);
@@ -2201,38 +2152,30 @@ impl<'a> Engine<'a> {
                         // Transfer timing is emergent (flow-based), so the
                         // service-time histogram and fetch spans both key
                         // off this open-transfer table.
-                        self.xfer_open.insert((n, worker), (self.q.now(), purpose));
+                        self.xfer_open.insert((node, worker), (now, purpose));
                     }
-                    self.net.start_flow(
-                        self.q.now(),
-                        FlowSpec {
-                            route,
-                            bytes,
-                            extra_latency,
-                            tag: loader_tag(n, worker),
-                        },
-                    );
+                    let loader = self.loaders[node].as_ref().req("loader");
+                    let (route, bytes, latency) = loader.transfer(worker, purpose);
+                    self.net
+                        .start_flow(now, route, bytes, latency, loader_tag(node, worker));
                 }
                 LoaderAction::StartPrep { worker, duration } => {
-                    if self.tracer.is_some() {
-                        let now = self.q.now();
-                        self.emit_span(
-                            Track::loader(n, worker),
-                            Category::Prep,
-                            "prep",
-                            now,
-                            now + duration,
-                        );
-                    }
+                    self.emit_span(
+                        Track::loader(node, worker),
+                        Category::Prep,
+                        "prep",
+                        now,
+                        now + duration,
+                    );
                     self.q
-                        .schedule_in(duration, Ev::LoaderPrep { node: n, worker });
+                        .schedule_in(duration, Ev::LoaderPrep { node, worker });
                 }
                 LoaderAction::Deliver { gpu } => {
-                    let rank = self.global_rank(n, gpu);
+                    let rank = self.global_rank(node, gpu);
                     if self.ranks[rank].phase == Phase::AwaitBatch {
-                        let (ok, more) = self.loaders[n].as_mut().req("loader").try_take(gpu);
+                        let loader = self.loaders[node].as_mut().req("loader");
+                        let ok = loader.try_take(gpu, work);
                         debug_assert!(ok, "delivery must satisfy a waiting GPU");
-                        let now = self.q.now();
                         let start = self.ranks[rank].wait_start.take().req("wait start");
                         self.ranks[rank].data_wait += now.duration_since(start);
                         if self.tracer.is_some() {
@@ -2245,14 +2188,11 @@ impl<'a> Engine<'a> {
                             );
                         }
                         self.start_forward(rank);
-                        for a in more {
-                            work.push_back((n, a));
-                        }
                     }
                 }
             }
         }
-        self.loader_work = work;
+        work.clear();
     }
 
     fn global_rank(&self, node: usize, local: usize) -> usize {
@@ -2278,7 +2218,7 @@ impl<'a> Engine<'a> {
                 self.completed_buf = completed;
                 break;
             }
-            for &(_, tag) in completed.iter() {
+            for &tag in &completed {
                 if tag & TAG_COMM != 0 {
                     self.on_comm_flow_done();
                 } else {
@@ -2301,12 +2241,7 @@ impl<'a> Engine<'a> {
                             );
                         }
                     }
-                    // A preempted node's loader is gone; its in-flight
-                    // transfers complete into the void.
-                    if let Some(loader) = self.loaders[node].as_mut() {
-                        let actions = loader.transfer_done(worker);
-                        self.apply_loader_actions(node, actions);
-                    }
+                    self.loader_step(node, |l, work| l.transfer_done(worker, work));
                 }
             }
             self.completed_buf = completed;

@@ -11,7 +11,7 @@
 //! * [`link`] — [`link::Link`] capacity/latency definitions;
 //! * [`fairness`] — the water-filling max-min solver;
 //! * [`net`] — [`net::FlowNet`], time-integrated flow state driven by an
-//!   external event loop.
+//!   external event loop; a flow is known by the tag its caller gives it.
 //!
 //! # Examples
 //!
@@ -21,11 +21,16 @@
 //!
 //! let mut net = FlowNet::new();
 //! let bus = net.add_link(Link::new("bus", 1e9, SimDuration::ZERO, LinkClass::PcieHostBus));
-//! // Two concurrent 1 GB transfers share the 1 GB/s bus → 2 s each.
-//! net.start_flow(SimTime::ZERO, FlowSpec::new(vec![bus], 1e9, 0));
-//! net.start_flow(SimTime::ZERO, FlowSpec::new(vec![bus], 1e9, 1));
+//! // Two concurrent 1 GB transfers, tagged 0 and 1, share the 1 GB/s
+//! // bus → 2 s each.
+//! net.start_flow(SimTime::ZERO, &[bus], 1e9, SimDuration::ZERO, 0);
+//! net.start_flow(SimTime::ZERO, &[bus], 1e9, SimDuration::ZERO, 1);
 //! let done = net.next_event_time().unwrap();
 //! assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
+//! net.advance(done);
+//! let mut tags = Vec::new();
+//! net.drain_completed_into(&mut tags);
+//! assert_eq!(tags, [0, 1]);
 //! ```
 
 #![warn(missing_docs)]
@@ -39,5 +44,5 @@ pub mod net;
 pub mod prelude {
     pub use crate::fairness::{max_min_rates, MaxMinScratch};
     pub use crate::link::{Link, LinkClass, LinkId};
-    pub use crate::net::{FlowId, FlowNet, FlowSpec};
+    pub use crate::net::FlowNet;
 }

@@ -2,18 +2,21 @@
 //!
 //! [`FlowNet`] is driven by an external event loop. The contract is:
 //!
-//! 1. mutate the network only at the current time (`start_flow`,
-//!    `cancel_flow`), after calling [`FlowNet::advance`] to that time;
+//! 1. mutate the network only at the current time ([`FlowNet::start_flow`],
+//!    [`FlowNet::set_link_capacity`]), after calling [`FlowNet::advance`]
+//!    to that time;
 //! 2. after every mutation, ask [`FlowNet::next_event_time`] and schedule a
 //!    wake-up event then. The answer is predicted from the network's own
 //!    clock ([`FlowNet::last_advance`]) and memoized: asking again before
 //!    the next change (an advance that moves time, a flow start, a
-//!    successful cancel, a capacity change or a reset) returns the cached
-//!    answer without walking the flows, so a loop may ask after every
-//!    event, network or not;
-//! 3. on wake-up, call [`FlowNet::advance`] and drain
-//!    [`FlowNet::take_completed`] (or, allocation-free,
-//!    [`FlowNet::drain_completed_into`]).
+//!    capacity change or a reset) returns the cached answer without
+//!    walking the flows, so a loop may ask after every event, network or
+//!    not;
+//! 3. on wake-up, call [`FlowNet::advance`] and drain the completed flows'
+//!    tags with [`FlowNet::drain_completed_into`].
+//!
+//! A flow is known only by the caller's tag: the network hands it back on
+//! completion and keeps no other handle.
 //!
 //! Stale wake-ups (scheduled before a topology change) are harmless: they
 //! simply find nothing completed.
@@ -24,15 +27,14 @@
 //! cost work on every network event; an unregistered one costs none, and
 //! asking for its utilisation panics rather than report an idle 0.
 //!
-//! Flow state lives in a free-list slab (`Vec<FlowSlot>` + generation-tagged
-//! [`FlowId`]): start/complete/lookup are O(1) and a steady-state
-//! start/advance/complete cycle performs no heap allocation — slots and
-//! their route buffers are recycled, and the solver works off pooled flat
-//! route buffers. An intrusive doubly-linked list threads the live slots in
-//! creation order, so every iteration (and therefore every floating-point
-//! accumulation order) is identical to the former `BTreeMap`-by-id walk.
+//! Flow state lives in a free-list slab (`Vec<FlowSlot>`): start and
+//! complete are O(1) and a steady-state start/advance/complete cycle
+//! performs no heap allocation — slots and their route buffers are
+//! recycled, and the solver works off pooled flat route buffers. An
+//! intrusive doubly-linked list threads the live slots in creation order,
+//! so every iteration (and therefore every floating-point accumulation
+//! order) is identical to the former `BTreeMap`-by-id walk.
 
-use serde::{Deserialize, Serialize};
 use stash_simkit::time::{SimDuration, SimTime};
 
 use stash_simkit::stats::TimeWeighted;
@@ -62,50 +64,10 @@ fn ttc_secs(remaining_bytes: f64, rate: f64) -> f64 {
     }
 }
 
-/// Identifier of an in-flight flow.
-///
-/// The id is a slab slot index tagged with the slot's generation: once a
-/// flow completes or is cancelled its slot is recycled under a bumped
-/// generation, so a stale id can never alias a later flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct FlowId {
-    idx: u32,
-    gen: u32,
-}
-
-/// Description of a transfer to start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlowSpec {
-    /// Links traversed, in order. May be empty for an unconstrained
-    /// (infinitely fast) transfer that still pays latency.
-    pub route: Vec<LinkId>,
-    /// Payload size in bytes.
-    pub bytes: f64,
-    /// Extra fixed latency beyond the sum of link latencies (e.g. kernel
-    /// launch or protocol overhead).
-    pub extra_latency: SimDuration,
-    /// Opaque tag returned on completion so the caller can route the event.
-    pub tag: u64,
-}
-
-impl FlowSpec {
-    /// Convenience constructor with no extra latency.
-    #[must_use]
-    pub fn new(route: Vec<LinkId>, bytes: f64, tag: u64) -> Self {
-        FlowSpec {
-            route,
-            bytes,
-            extra_latency: SimDuration::ZERO,
-            tag,
-        }
-    }
-}
-
 /// One slab slot: either a live flow or a vacant entry on the free list.
 /// The route buffers keep their capacity across reuse.
 #[derive(Debug, Clone)]
 struct FlowSlot {
-    gen: u32,
     in_use: bool,
     /// Monotonic creation counter, used for trace track identity (stable
     /// across slot reuse, matching the former ever-growing flow id).
@@ -132,7 +94,6 @@ struct FlowSlot {
 impl FlowSlot {
     fn vacant() -> FlowSlot {
         FlowSlot {
-            gen: 0,
             in_use: false,
             serial: 0,
             prev: NIL,
@@ -171,12 +132,13 @@ struct TrackedLink {
 ///
 /// let mut net = FlowNet::new();
 /// let l = net.add_link(Link::new("bus", 100.0, SimDuration::ZERO, LinkClass::PcieHostBus));
-/// let t0 = SimTime::ZERO;
-/// net.start_flow(t0, FlowSpec::new(vec![l], 50.0, 1));
+/// net.start_flow(SimTime::ZERO, &[l], 50.0, SimDuration::ZERO, 7);
 /// let done = net.next_event_time().unwrap();
 /// assert!((done.as_secs_f64() - 0.5).abs() < 1e-6); // 50 bytes at 100 B/s
 /// net.advance(done);
-/// assert_eq!(net.take_completed().len(), 1);
+/// let mut tags = Vec::new();
+/// net.drain_completed_into(&mut tags);
+/// assert_eq!(tags, [7]);
 /// ```
 #[derive(Debug)]
 pub struct FlowNet {
@@ -189,10 +151,10 @@ pub struct FlowNet {
     tail: u32,
     n_active: usize,
     next_serial: u64,
-    completed: Vec<(FlowId, u64)>,
+    /// Tags of the flows completed since the last drain, in completion
+    /// order.
+    completed: Vec<u64>,
     last_advance: SimTime,
-    /// Total bytes delivered across all flows (diagnostics).
-    delivered_bytes: f64,
     /// Utilisation integrals of the links registered with
     /// [`FlowNet::track_utilization`], in registration order.
     tracked: Vec<TrackedLink>,
@@ -210,9 +172,9 @@ pub struct FlowNet {
     link_rate_load: Vec<f64>,
     /// Reusable water-filling working memory.
     scratch: MaxMinScratch,
-    /// Reusable slot-index / id buffers for the allocator and settling.
+    /// Reusable slot-index buffers for the allocator and settling.
     active_ids: Vec<u32>,
-    activated_buf: Vec<FlowId>,
+    activated_buf: Vec<u32>,
     done_buf: Vec<u32>,
     freed_buf: Vec<usize>,
     /// Pooled flat-packed dedup routes handed to the solver (one span per
@@ -247,7 +209,6 @@ impl Default for FlowNet {
             next_serial: 0,
             completed: Vec::new(),
             last_advance: SimTime::ZERO,
-            delivered_bytes: 0.0,
             tracked: Vec::new(),
             next_event: None,
             caps: Vec::new(),
@@ -287,7 +248,6 @@ impl FlowNet {
             let f = &mut self.slots[i as usize];
             let next = f.next;
             f.in_use = false;
-            f.gen = f.gen.wrapping_add(1);
             f.route.clear();
             f.route_dedup.clear();
             self.free.push(i);
@@ -305,7 +265,6 @@ impl FlowNet {
         self.link_rate_load.clear();
         self.completed.clear();
         self.last_advance = SimTime::ZERO;
-        self.delivered_bytes = 0.0;
         self.active_ids.clear();
         self.activated_buf.clear();
         self.done_buf.clear();
@@ -325,14 +284,6 @@ impl FlowNet {
     /// timeline as compute spans.
     pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// Looks up a live flow's slot index, `None` for stale or unknown ids.
-    fn lookup(&self, id: FlowId) -> Option<u32> {
-        match self.slots.get(id.idx as usize) {
-            Some(s) if s.in_use && s.gen == id.gen => Some(id.idx),
-            _ => None,
-        }
     }
 
     /// Takes a slot off the free list (or grows the slab) and links it at
@@ -368,14 +319,13 @@ impl FlowNet {
         idx
     }
 
-    /// Unlinks a slot from the live list and returns it to the free list
-    /// under a bumped generation. Route buffers keep their capacity.
+    /// Unlinks a slot from the live list and returns it to the free list.
+    /// Route buffers keep their capacity.
     fn release_slot(&mut self, idx: u32) {
         let (prev, next) = {
             let s = &mut self.slots[idx as usize];
             debug_assert!(s.in_use);
             s.in_use = false;
-            s.gen = s.gen.wrapping_add(1);
             s.route.clear();
             s.route_dedup.clear();
             (s.prev, s.next)
@@ -504,52 +454,33 @@ impl FlowNet {
         self.recompute_rates();
     }
 
-    /// Number of in-flight flows.
-    #[must_use]
-    pub fn active_flows(&self) -> usize {
-        self.n_active
-    }
-
-    /// Total bytes delivered so far.
-    #[must_use]
-    pub fn delivered_bytes(&self) -> f64 {
-        self.delivered_bytes
-    }
-
     /// Time of the most recent [`FlowNet::advance`].
     #[must_use]
     pub fn last_advance(&self) -> SimTime {
         self.last_advance
     }
 
-    /// Starts a flow at time `now` (which must not precede the last
-    /// advance). Returns the flow id.
+    /// Starts a flow of `bytes` over `route` (links in order; empty for an
+    /// unconstrained transfer that still pays latency) at time `now`,
+    /// which must not precede the last advance. It first waits out the
+    /// route's link latencies plus `extra_latency`. `tag` is handed back
+    /// by [`FlowNet::drain_completed_into`] when the flow completes. The
+    /// route is copied into a recycled slot's pooled buffers, so a caller
+    /// can start many flows from one route description without
+    /// allocating.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is negative or not finite, or if `now` precedes the
     /// last observed time.
-    pub fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
-        self.start_flow_borrowed(now, &spec.route, spec.bytes, spec.extra_latency, spec.tag)
-    }
-
-    /// Allocation-free variant of [`FlowNet::start_flow`]: the route is
-    /// copied into the recycled slot's pooled buffers instead of being
-    /// moved in, so hot-path callers can reuse one route description for
-    /// many flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is negative or not finite, or if `now` precedes the
-    /// last observed time.
-    pub fn start_flow_borrowed(
+    pub fn start_flow(
         &mut self,
         now: SimTime,
         route: &[LinkId],
         bytes: f64,
         extra_latency: SimDuration,
         tag: u64,
-    ) -> FlowId {
+    ) {
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "flow bytes must be non-negative"
@@ -589,10 +520,6 @@ impl FlowNet {
                     .instant(Track::flow(serial), cat, "flow_start", now);
             }
         }
-        let id = FlowId {
-            idx,
-            gen: self.slots[idx as usize].gen,
-        };
         if counted {
             let f = &self.slots[idx as usize];
             for &l in &f.route_dedup {
@@ -620,50 +547,11 @@ impl FlowNet {
             self.touch_loads();
         }
         self.collect_done();
-        id
-    }
-
-    /// Cancels an in-flight flow; returns `true` if it was still active.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> bool {
-        self.advance(now);
-        let Some(idx) = self.lookup(id) else {
-            return false;
-        };
-        self.next_event = None;
-        let counted = self.slots[idx as usize].counted;
-        if counted {
-            let mut contended = false;
-            let f = &self.slots[idx as usize];
-            for &l in &f.route_dedup {
-                self.link_users[l] -= 1;
-                if self.link_users[l] > 0 {
-                    contended = true;
-                }
-            }
-            if contended {
-                self.release_slot(idx);
-                self.recompute_rates();
-            } else {
-                let f = &self.slots[idx as usize];
-                for &l in &f.route_dedup {
-                    self.link_rate_load[l] = 0.0;
-                }
-                self.release_slot(idx);
-                self.shortcut_events += 1;
-                stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
-                self.touch_loads();
-            }
-        } else {
-            self.release_slot(idx);
-            self.shortcut_events += 1;
-            stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
-            self.touch_loads();
-        }
-        true
     }
 
     /// Advances the network state to `now`, progressing latencies and byte
-    /// counts. Completions are queued for [`FlowNet::take_completed`].
+    /// counts. Completions are queued for
+    /// [`FlowNet::drain_completed_into`].
     ///
     /// # Panics
     ///
@@ -716,11 +604,10 @@ impl FlowNet {
                             // allocator's user counts; rates settle at the
                             // boundary below.
                             f.counted = true;
-                            let id = FlowId { idx: i, gen: f.gen };
                             for &l in &f.route_dedup {
                                 self.link_users[l] += 1;
                             }
-                            self.activated_buf.push(id);
+                            self.activated_buf.push(i);
                         }
                     }
                 } else if f.remaining_bytes > 0.0 {
@@ -747,16 +634,11 @@ impl FlowNet {
         self.collect_done();
     }
 
-    /// Drains the list of flows that completed since the last call.
-    /// Each entry is `(flow id, tag)`.
-    pub fn take_completed(&mut self) -> Vec<(FlowId, u64)> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Allocation-free variant of [`FlowNet::take_completed`]: clears `out`
-    /// and swaps it with the internal completion buffer, so both vectors
-    /// keep their capacity across calls.
-    pub fn drain_completed_into(&mut self, out: &mut Vec<(FlowId, u64)>) {
+    /// Hands over the tags of the flows completed since the last call, in
+    /// completion order: clears `out` and swaps it with the internal
+    /// completion buffer, so both vectors keep their capacity across
+    /// calls.
+    pub fn drain_completed_into(&mut self, out: &mut Vec<u64>) {
         out.clear();
         std::mem::swap(&mut self.completed, out);
     }
@@ -768,8 +650,8 @@ impl FlowNet {
     ///
     /// The answer is memoized until something can move it: an
     /// [`advance`](FlowNet::advance) that moves time, a flow start, a
-    /// cancel that finds its flow, a capacity change or a reset. Asking
-    /// after an event that left the network alone walks no flows.
+    /// capacity change or a reset. Asking after an event that left the
+    /// network alone walks no flows.
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         if let Some(t) = self.next_event {
@@ -808,20 +690,6 @@ impl FlowNet {
             best = Some(best.map_or(t, |b: SimTime| b.min(t)));
         }
         best
-    }
-
-    /// Instantaneous rate of a flow in bytes/sec (0 during its latency
-    /// phase, `None` if unknown/completed).
-    #[must_use]
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.lookup(id).map(|idx| {
-            let f = &self.slots[idx as usize];
-            if f.remaining_latency.is_zero() {
-                f.rate
-            } else {
-                0.0
-            }
-        })
     }
 
     /// Solves steady-state rates for a hypothetical set of routes without
@@ -915,10 +783,10 @@ impl FlowNet {
     /// count, load sum and capacity bits. Two networks with equal keys
     /// evolve identically, offset by the difference of their bases.
     ///
-    /// Utilisation integrals, counters and flow ids are outside the state:
-    /// none of them steers a rate or a completion. Neither does an idle
-    /// network's clock, which only records when the network last moved:
-    /// the next start, cancel or capacity change first advances it to its
+    /// Utilisation integrals, counters and slot indices are outside the
+    /// state: none of them steers a rate or a completion. Neither does an
+    /// idle network's clock, which only records when the network last
+    /// moved: the next start or capacity change first advances it to its
     /// own time. [`FlowNet::link_utilization`] does read it, as the end of
     /// the integral, so a caller that [`shift`](FlowNet::shift)s an idle
     /// network must know whether its clock would have moved meanwhile.
@@ -930,7 +798,7 @@ impl FlowNet {
             Some(Some(t)) => key.extend([2, rel(t)]),
         }
         key.push(self.completed.len() as u64);
-        key.extend(self.completed.iter().map(|&(_, tag)| tag));
+        key.extend_from_slice(&self.completed);
         key.push(self.n_active as u64);
         if self.n_active > 0 {
             key.push(rel(self.last_advance));
@@ -1125,12 +993,11 @@ impl FlowNet {
         self.freed_buf.clear();
         let done = std::mem::take(&mut self.done_buf);
         for &idx in &done {
-            let (gen, tag, counted, cat, serial, remaining) = {
+            let (tag, counted, cat, serial) = {
                 let f = &self.slots[idx as usize];
-                (f.gen, f.tag, f.counted, f.cat, f.serial, f.remaining_bytes)
+                (f.tag, f.counted, f.cat, f.serial)
             };
-            self.delivered_bytes += remaining.max(0.0);
-            self.completed.push((FlowId { idx, gen }, tag));
+            self.completed.push(tag);
             if counted {
                 let f = &self.slots[idx as usize];
                 for &l in &f.route_dedup {
@@ -1149,23 +1016,15 @@ impl FlowNet {
         // A removal perturbs survivors only via links it shared with them;
         // an activation perturbs others only via links that already have a
         // user. If neither applies, the old allocation is still the
-        // max-min solution for the survivors.
-        let mut needs_full = self.freed_buf.iter().any(|&l| self.link_users[l] > 0);
-        if !needs_full {
-            for id in &self.activated_buf {
-                // Flows both activated and finished in this settling (e.g.
-                // empty routes) were removed above — skip them.
-                if let Some(s) = self.slots.get(id.idx as usize) {
-                    if s.in_use
-                        && s.gen == id.gen
-                        && s.route_dedup.iter().any(|&l| self.link_users[l] != 1)
-                    {
-                        needs_full = true;
-                        break;
-                    }
-                }
-            }
-        }
+        // max-min solution for the survivors. No slot is allocated between
+        // an activation and the settling that consumes it, so a released
+        // activated slot is a flow that both activated and finished here
+        // (e.g. an empty route): skip it.
+        let needs_full = self.freed_buf.iter().any(|&l| self.link_users[l] > 0)
+            || self.activated_buf.iter().any(|&i| {
+                let s = &self.slots[i as usize];
+                s.in_use && s.route_dedup.iter().any(|&l| self.link_users[l] != 1)
+            });
 
         if needs_full {
             self.activated_buf.clear();
@@ -1175,8 +1034,8 @@ impl FlowNet {
                 self.link_rate_load[self.freed_buf[i]] = 0.0;
             }
             let activated = std::mem::take(&mut self.activated_buf);
-            for id in &activated {
-                if let Some(idx) = self.lookup(*id) {
+            for &idx in &activated {
+                if self.slots[idx as usize].in_use {
                     self.settle_alone_flow(idx);
                 }
             }
@@ -1189,20 +1048,15 @@ impl FlowNet {
         any
     }
 
-    /// Test-only view of the live flows in creation order: `(id, dedup
-    /// route, current rate)`.
+    /// Test-only view of the live flows in creation order: `(tag, route,
+    /// current rate, counted)`.
     #[cfg(test)]
-    fn live_flows(&self) -> Vec<(FlowId, Vec<usize>, f64, bool)> {
+    fn live_flows(&self) -> Vec<(u64, Vec<usize>, f64, bool)> {
         let mut out = Vec::new();
         let mut i = self.head;
         while i != NIL {
             let f = &self.slots[i as usize];
-            out.push((
-                FlowId { idx: i, gen: f.gen },
-                f.route.clone(),
-                f.rate,
-                f.counted,
-            ));
+            out.push((f.tag, f.route.clone(), f.rate, f.counted));
             i = f.next;
         }
         out
@@ -1232,23 +1086,33 @@ mod tests {
         (net, ids)
     }
 
+    /// Starts a flow with no extra latency.
+    fn start(net: &mut FlowNet, now: SimTime, route: &[LinkId], bytes: f64, tag: u64) {
+        net.start_flow(now, route, bytes, SimDuration::ZERO, tag);
+    }
+
+    /// Drains the tags of the flows completed since the last drain.
+    fn done(net: &mut FlowNet) -> Vec<u64> {
+        let mut tags = Vec::new();
+        net.drain_completed_into(&mut tags);
+        tags
+    }
+
     #[test]
     fn single_flow_completes_on_schedule() {
         let (mut net, l) = mk_net(&[100.0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 200.0, 7));
+        start(&mut net, SimTime::ZERO, &[l[0]], 200.0, 7);
         let t = net.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-6);
         net.advance(t);
-        let done = net.take_completed();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1, 7);
-        assert_eq!(net.active_flows(), 0);
+        assert_eq!(done(&mut net), [7]);
+        assert!(net.live_flows().is_empty());
     }
 
     #[test]
     fn capacity_change_takes_effect_exactly_at_now() {
         let (mut net, l) = mk_net(&[100.0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 200.0, 7));
+        start(&mut net, SimTime::ZERO, &[l[0]], 200.0, 7);
         // Half the bytes move in the first second at 100 B/s; the link
         // then browns out to 50 B/s, so the rest takes two more seconds.
         let mid = SimTime::ZERO + SimDuration::from_secs(1);
@@ -1260,7 +1124,7 @@ mod tests {
             t.as_secs_f64()
         );
         net.advance(t);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(done(&mut net).len(), 1);
         // Restoring the capacity with no flows in flight is harmless.
         net.set_link_capacity(t, l[0], 100.0);
         assert_eq!(net.link(l[0]).capacity_bps, 100.0);
@@ -1269,15 +1133,15 @@ mod tests {
     #[test]
     fn two_flows_share_then_speed_up() {
         let (mut net, l) = mk_net(&[100.0]);
-        // Flow A: 100 bytes, flow B: 50 bytes, same link.
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 1));
-        let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 50.0, 2));
-        // Shared at 50 B/s each: B finishes at t=1; A then runs at 100 B/s
-        // with 50 bytes left → finishes at t=1.5.
+        // Flow 1: 100 bytes, flow 2: 50 bytes, same link.
+        start(&mut net, SimTime::ZERO, &[l[0]], 100.0, 1);
+        start(&mut net, SimTime::ZERO, &[l[0]], 50.0, 2);
+        // Shared at 50 B/s each: flow 2 finishes at t=1; flow 1 then runs
+        // at 100 B/s with 50 bytes left → finishes at t=1.5.
         let t1 = net.next_event_time().unwrap();
         assert!((t1.as_secs_f64() - 1.0).abs() < 1e-6);
         net.advance(t1);
-        assert_eq!(net.take_completed(), vec![(b, 2)]);
+        assert_eq!(done(&mut net), [2]);
         let t2 = net.next_event_time().unwrap();
         assert!(
             (t2.as_secs_f64() - 1.5).abs() < 1e-6,
@@ -1285,7 +1149,7 @@ mod tests {
             t2.as_secs_f64()
         );
         net.advance(t2);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(done(&mut net), [1]);
     }
 
     #[test]
@@ -1297,16 +1161,16 @@ mod tests {
             SimDuration::from_secs(1),
             LinkClass::Network,
         ));
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 100.0, 0));
+        start(&mut net, SimTime::ZERO, &[l], 100.0, 0);
         // 1s latency + 1s transfer.
         let t1 = net.next_event_time().unwrap();
         assert_eq!(t1.as_secs_f64(), 1.0);
         net.advance(t1);
-        assert!(net.take_completed().is_empty());
+        assert!(done(&mut net).is_empty());
         let t2 = net.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 2.0).abs() < 1e-6);
         net.advance(t2);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(done(&mut net).len(), 1);
     }
 
     #[test]
@@ -1315,19 +1179,12 @@ mod tests {
         // single big step must give the same result as stepping precisely.
         let mut net = FlowNet::new();
         let l = net.add_link(Link::new("b", 100.0, SimDuration::ZERO, LinkClass::Other));
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 100.0, 1)); // no latency
-        let spec = FlowSpec {
-            route: vec![l],
-            bytes: 100.0,
-            extra_latency: SimDuration::from_millis(500),
-            tag: 2,
-        };
-        net.start_flow(SimTime::ZERO, spec);
+        start(&mut net, SimTime::ZERO, &[l], 100.0, 1); // no latency
+        net.start_flow(SimTime::ZERO, &[l], 100.0, SimDuration::from_millis(500), 2);
         // Phase 1 (0–0.5s): flow1 alone at 100 B/s → 50 bytes left.
         // Phase 2: both share 50 B/s. flow1 needs 1s more → done at 1.5s.
         net.advance(SimTime::from_nanos(2_000_000_000));
-        let done = net.take_completed();
-        assert_eq!(done.len(), 2);
+        assert_eq!(done(&mut net).len(), 2);
     }
 
     #[test]
@@ -1339,49 +1196,23 @@ mod tests {
             SimDuration::from_millis(3),
             LinkClass::Network,
         ));
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 0.0, 9));
+        start(&mut net, SimTime::ZERO, &[l], 0.0, 9);
         let t = net.next_event_time().unwrap();
         assert_eq!(t.as_secs_f64(), 0.003);
         net.advance(t);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(done(&mut net), [9]);
     }
 
     #[test]
     fn empty_route_zero_latency_completes_immediately() {
         let mut net = FlowNet::new();
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![], 1e9, 3));
-        assert_eq!(net.take_completed().len(), 1);
-    }
-
-    #[test]
-    fn cancel_restores_bandwidth() {
-        let (mut net, l) = mk_net(&[100.0]);
-        let a = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 1000.0, 1));
-        let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 2));
-        assert_eq!(net.flow_rate(b), Some(50.0));
-        assert!(net.cancel_flow(SimTime::ZERO, a));
-        assert_eq!(net.flow_rate(b), Some(100.0));
-        assert!(!net.cancel_flow(SimTime::ZERO, a));
-    }
-
-    #[test]
-    fn stale_id_is_rejected_after_slot_reuse() {
-        let (mut net, l) = mk_net(&[100.0]);
-        let a = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 1));
-        assert!(net.cancel_flow(SimTime::ZERO, a));
-        // The recycled slot now backs a different flow under a new
-        // generation — the stale id must not alias it.
-        let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 2));
-        assert_ne!(a, b);
-        assert_eq!(net.flow_rate(a), None);
-        assert!(!net.cancel_flow(SimTime::ZERO, a));
-        assert_eq!(net.flow_rate(b), Some(100.0));
+        start(&mut net, SimTime::ZERO, &[], 1e9, 3);
+        assert_eq!(done(&mut net), [3]);
     }
 
     #[test]
     fn probe_rates_match_fair_share() {
-        let (mut net, l) = mk_net(&[100.0, 40.0]);
-        let _ = &mut net;
+        let (net, l) = mk_net(&[100.0, 40.0]);
         let rates = net.probe_rates(&[vec![l[0]], vec![l[0], l[1]]]);
         assert!((rates[1] - 40.0).abs() < 1e-9);
         assert!((rates[0] - 60.0).abs() < 1e-9);
@@ -1391,10 +1222,9 @@ mod tests {
     fn registered_utilization_is_tracked() {
         let (mut net, l) = mk_net(&[100.0]);
         net.track_utilization(l[0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
+        start(&mut net, SimTime::ZERO, &[l[0]], 100.0, 0);
         // Fully busy for 1 s, idle for 1 s.
         net.advance(SimTime::from_nanos(2_000_000_000));
-        let _ = net.take_completed();
         let util = net.link_utilization(l[0]);
         assert!((util - 0.5).abs() < 1e-6, "util={util}");
     }
@@ -1404,7 +1234,7 @@ mod tests {
         let (mut net, l) = mk_net(&[100.0, 50.0]);
         net.track_utilization(l[0]);
         net.track_utilization(l[1]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 10.0, 0));
+        start(&mut net, SimTime::ZERO, &[l[0]], 10.0, 0);
         net.advance(SimTime::from_nanos(1_000_000_000));
         assert_eq!(net.link_utilization(l[1]), 0.0);
     }
@@ -1414,7 +1244,7 @@ mod tests {
     fn unregistered_link_has_no_utilization() {
         let (mut net, l) = mk_net(&[100.0, 50.0]);
         net.track_utilization(l[0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[1]], 10.0, 0));
+        start(&mut net, SimTime::ZERO, &[l[1]], 10.0, 0);
         net.advance(SimTime::from_nanos(1_000_000_000));
         let _ = net.link_utilization(l[1]);
     }
@@ -1432,7 +1262,7 @@ mod tests {
         // A link registered while a flow saturates it integrates from the
         // registration instant and the load at that instant.
         let (mut net, l) = mk_net(&[100.0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
+        start(&mut net, SimTime::ZERO, &[l[0]], 100.0, 0);
         net.advance(SimTime::from_nanos(500_000_000));
         net.track_utilization(l[0]);
         // A second registration keeps the first integral.
@@ -1448,7 +1278,7 @@ mod tests {
         // After each step, the answer of a network that asked after every
         // earlier step (so holds a memo) must equal the first answer of a
         // fresh network that replays the same steps.
-        type Step = fn(&mut FlowNet, &mut Vec<FlowId>);
+        type Step = fn(&mut FlowNet);
         fn at(ms: u64) -> SimTime {
             SimTime::ZERO + SimDuration::from_millis(ms)
         }
@@ -1457,54 +1287,40 @@ mod tests {
                 net.add_link(Link::new(name, cap, SimDuration::ZERO, LinkClass::Other));
             }
         }
-        let steps: [(&str, Step); 10] = [
-            ("links", |net, _| links(net)),
-            ("start", |net, ids| {
-                let route = [LinkId(0)];
-                ids.push(net.start_flow_borrowed(at(0), &route, 100.0, SimDuration::ZERO, 0));
+        let steps: [(&str, Step); 8] = [
+            ("links", links),
+            ("start", |net| start(net, at(0), &[LinkId(0)], 100.0, 0)),
+            ("advance", |net| net.advance(at(250))),
+            ("start sharing", |net| {
+                start(net, at(250), &[LinkId(0)], 80.0, 1)
             }),
-            ("advance", |net, _| net.advance(at(250))),
-            ("start sharing", |net, ids| {
-                ids.push(net.start_flow(at(250), FlowSpec::new(vec![LinkId(0)], 80.0, 1)));
-            }),
-            ("cancel", |net, ids| {
-                assert!(net.cancel_flow(at(250), ids[0]))
-            }),
-            ("stale cancel", |net, ids| {
-                assert!(!net.cancel_flow(at(250), ids[0]))
-            }),
-            ("capacity", |net, _| {
+            ("capacity", |net| {
                 net.set_link_capacity(at(250), LinkId(0), 50.0)
             }),
-            ("start with latency", |net, ids| {
-                let spec = FlowSpec {
-                    route: vec![LinkId(1)],
-                    bytes: 10.0,
-                    extra_latency: SimDuration::from_millis(300),
-                    tag: 2,
-                };
-                ids.push(net.start_flow(at(250), spec));
+            ("start with latency", |net| {
+                net.start_flow(
+                    at(250),
+                    &[LinkId(1)],
+                    10.0,
+                    SimDuration::from_millis(300),
+                    2,
+                )
             }),
-            ("reset", |net, ids| {
-                net.reset();
-                ids.clear();
-            }),
-            ("after reset", |net, ids| {
+            ("reset", FlowNet::reset),
+            ("after reset", |net| {
                 links(net);
-                ids.push(net.start_flow(at(0), FlowSpec::new(vec![LinkId(0)], 30.0, 3)));
+                start(net, at(0), &[LinkId(0)], 30.0, 3);
             }),
         ];
         let mut net = FlowNet::new();
-        let mut ids = Vec::new();
         let mut answers = Vec::new();
         for (k, (what, step)) in steps.iter().enumerate() {
-            step(&mut net, &mut ids);
+            step(&mut net);
             let got = net.next_event_time();
             assert_eq!(net.next_event_time(), got, "asking twice moved the answer");
             let mut fresh = FlowNet::new();
-            let mut fresh_ids = Vec::new();
             for (_, s) in &steps[..=k] {
-                s(&mut fresh, &mut fresh_ids);
+                s(&mut fresh);
             }
             assert_eq!(got, fresh.next_event_time(), "stale answer after `{what}`");
             answers.push(got);
@@ -1519,27 +1335,23 @@ mod tests {
         let run = |net: &mut FlowNet| {
             let l = net.add_link(Link::new("b", 100.0, SimDuration::ZERO, LinkClass::Other));
             net.track_utilization(l);
-            net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 100.0, 1));
-            net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l], 50.0, 2));
+            start(net, SimTime::ZERO, &[l], 100.0, 1);
+            start(net, SimTime::ZERO, &[l], 50.0, 2);
             let mut log = Vec::new();
             while let Some(t) = net.next_event_time() {
                 net.advance(t);
-                for (_, tag) in net.take_completed() {
+                for tag in done(net) {
                     log.push((t.as_nanos(), tag));
                 }
             }
-            (
-                log,
-                net.link_utilization(l).to_bits(),
-                net.delivered_bytes(),
-            )
+            (log, net.link_utilization(l).to_bits())
         };
         let mut fresh = FlowNet::new();
         let want = run(&mut fresh);
         let mut reused = FlowNet::new();
         let _ = run(&mut reused);
         reused.reset();
-        assert_eq!(reused.active_flows(), 0);
+        assert!(reused.live_flows().is_empty());
         assert_eq!(reused.link_count(), 0);
         assert_eq!(run(&mut reused), want, "reset run must match fresh run");
     }
@@ -1547,77 +1359,69 @@ mod tests {
     #[test]
     fn drain_completed_reuses_buffers() {
         let (mut net, l) = mk_net(&[100.0]);
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 5));
+        start(&mut net, SimTime::ZERO, &[l[0]], 100.0, 5);
         net.advance(SimTime::from_nanos(2_000_000_000));
         let mut buf = Vec::with_capacity(4);
         net.drain_completed_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].1, 5);
+        assert_eq!(buf, [5]);
         net.drain_completed_into(&mut buf);
         assert!(buf.is_empty());
     }
 
     /// Full-solve oracle: what the seed's recompute (max-min over every
-    /// counted flow's route) would assign right now.
-    fn oracle_rates(net: &FlowNet) -> Vec<(FlowId, f64)> {
+    /// counted flow's route) would assign right now, by flow tag.
+    fn oracle_rates(net: &FlowNet) -> Vec<(u64, f64)> {
         let caps: Vec<f64> = net.links.iter().map(|l| l.capacity_bps).collect();
-        let counted: Vec<(FlowId, Vec<usize>)> = net
+        let counted: Vec<(u64, Vec<usize>)> = net
             .live_flows()
             .into_iter()
             .filter(|(_, _, _, counted)| *counted)
-            .map(|(id, route, _, _)| (id, route))
+            .map(|(tag, route, _, _)| (tag, route))
             .collect();
         let routes: Vec<Vec<usize>> = counted.iter().map(|(_, r)| r.clone()).collect();
         let rates = max_min_rates(&caps, &routes);
-        counted.into_iter().map(|(id, _)| id).zip(rates).collect()
+        counted.into_iter().map(|(tag, _)| tag).zip(rates).collect()
     }
 
     #[test]
     fn incremental_rates_match_full_solve_throughout() {
-        // Mixed scenario: disjoint flows, shared bottlenecks, latency
-        // phases and a cancellation. After every event the incremental
-        // allocation must equal a from-scratch solve bit-for-bit.
+        // Mixed scenario: disjoint flows, shared bottlenecks and latency
+        // phases. After every event the incremental allocation must equal
+        // a from-scratch solve bit-for-bit.
         let (mut net, l) = mk_net(&[100.0, 40.0, 250.0, 10.0]);
-        let mut now = SimTime::ZERO;
-        net.start_flow(now, FlowSpec::new(vec![l[2]], 500.0, 0)); // alone
-        net.start_flow(now, FlowSpec::new(vec![l[0]], 300.0, 1));
-        net.start_flow(now, FlowSpec::new(vec![l[0], l[1]], 120.0, 2)); // shares l0
-        let victim = net.start_flow(
-            now,
-            FlowSpec {
-                route: vec![l[1], l[3]],
-                bytes: 90.0,
-                extra_latency: SimDuration::from_millis(700),
-                tag: 3,
-            },
+        start(&mut net, SimTime::ZERO, &[l[2]], 500.0, 0); // alone
+        start(&mut net, SimTime::ZERO, &[l[0]], 300.0, 1);
+        start(&mut net, SimTime::ZERO, &[l[0], l[1]], 120.0, 2); // shares l0
+        net.start_flow(
+            SimTime::ZERO,
+            &[l[1], l[3]],
+            90.0,
+            SimDuration::from_millis(700),
+            3,
         );
         let mut steps = 0;
         loop {
-            let live: std::collections::HashMap<FlowId, f64> = net
+            let live: std::collections::HashMap<u64, f64> = net
                 .live_flows()
                 .into_iter()
-                .map(|(id, _, rate, _)| (id, rate))
+                .map(|(tag, _, rate, _)| (tag, rate))
                 .collect();
-            for (id, want) in oracle_rates(&net) {
-                let got = live[&id];
+            for (tag, want) in oracle_rates(&net) {
+                let got = live[&tag];
                 assert!(
                     got == want || (got.is_infinite() && want.is_infinite()),
-                    "flow {id:?}: incremental {got} != full solve {want}"
+                    "flow {tag}: incremental {got} != full solve {want}"
                 );
-            }
-            if steps == 2 {
-                net.cancel_flow(now, victim);
             }
             let Some(t) = net.next_event_time() else {
                 break;
             };
             net.advance(t);
-            now = t;
-            net.take_completed();
+            done(&mut net);
             steps += 1;
             assert!(steps < 32, "scenario failed to converge");
         }
-        assert_eq!(net.active_flows(), 0);
+        assert!(net.live_flows().is_empty());
         let (full, shortcut) = net.recompute_stats();
         assert!(full > 0, "shared links must trigger full solves");
         assert!(shortcut > 0, "disjoint events must take the shortcut");
@@ -1627,17 +1431,16 @@ mod tests {
     fn disjoint_flows_never_trigger_full_solves() {
         let (mut net, l) = mk_net(&[100.0, 50.0, 25.0]);
         net.track_utilization(l[0]);
-        let a = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 0));
-        let b = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[1]], 100.0, 1));
-        let c = net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[2]], 100.0, 2));
-        assert_eq!(net.flow_rate(a), Some(100.0));
-        assert_eq!(net.flow_rate(b), Some(50.0));
-        assert_eq!(net.flow_rate(c), Some(25.0));
+        for (k, &link) in l.iter().enumerate() {
+            start(&mut net, SimTime::ZERO, &[link], 100.0, k as u64);
+        }
+        let rates: Vec<f64> = net.live_flows().iter().map(|f| f.2).collect();
+        assert_eq!(rates, [100.0, 50.0, 25.0]);
         while let Some(t) = net.next_event_time() {
             net.advance(t);
-            net.take_completed();
+            done(&mut net);
         }
-        assert_eq!(net.active_flows(), 0);
+        assert!(net.live_flows().is_empty());
         let (full, shortcut) = net.recompute_stats();
         assert_eq!(full, 0, "uncontended traffic must skip the solver");
         assert!(shortcut >= 6, "starts and completions all shortcut");
@@ -1650,19 +1453,19 @@ mod tests {
     #[test]
     fn latency_activation_on_idle_links_shortcuts() {
         let (mut net, l) = mk_net(&[100.0]);
-        let spec = FlowSpec {
-            route: vec![l[0]],
-            bytes: 100.0,
-            extra_latency: SimDuration::from_millis(250),
-            tag: 0,
-        };
-        net.start_flow(SimTime::ZERO, spec);
+        net.start_flow(
+            SimTime::ZERO,
+            &[l[0]],
+            100.0,
+            SimDuration::from_millis(250),
+            0,
+        );
         let t1 = net.next_event_time().unwrap();
         net.advance(t1); // latency expiry: flow activates alone
         let t2 = net.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 1.25).abs() < 1e-6);
         net.advance(t2);
-        assert_eq!(net.take_completed().len(), 1);
+        assert_eq!(done(&mut net).len(), 1);
         let (full, _) = net.recompute_stats();
         assert_eq!(full, 0, "an activation onto idle links needs no solve");
     }
@@ -1676,13 +1479,13 @@ mod tests {
         let sink = Rc::new(RefCell::new(JsonSink::new()));
         let (mut net, l) = mk_net(&[100.0]);
         net.set_tracer(shared(Tracer::new(sink.clone())));
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 100.0, 1));
-        net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 50.0, 2));
+        start(&mut net, SimTime::ZERO, &[l[0]], 100.0, 1);
+        start(&mut net, SimTime::ZERO, &[l[0]], 50.0, 2);
         while let Some(t) = net.next_event_time() {
             net.advance(t);
-            net.take_completed();
+            done(&mut net);
         }
-        assert_eq!(net.active_flows(), 0);
+        assert!(net.live_flows().is_empty());
         let events = sink.borrow().events().to_vec();
         let count = |name: &str| events.iter().filter(|(_, e)| e.name() == name).count();
         assert_eq!(count("flow_start"), 2);
@@ -1701,13 +1504,13 @@ mod tests {
     fn deterministic_across_runs() {
         let run = || {
             let (mut net, l) = mk_net(&[64.0, 32.0]);
-            net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0]], 111.0, 1));
-            net.start_flow(SimTime::ZERO, FlowSpec::new(vec![l[0], l[1]], 57.0, 2));
+            start(&mut net, SimTime::ZERO, &[l[0]], 111.0, 1);
+            start(&mut net, SimTime::ZERO, &[l[0], l[1]], 57.0, 2);
             let mut log = Vec::new();
             while let Some(t) = net.next_event_time() {
                 net.advance(t);
-                for (id, tag) in net.take_completed() {
-                    log.push((t.as_nanos(), id, tag));
+                for tag in done(&mut net) {
+                    log.push((t.as_nanos(), tag));
                 }
             }
             log
@@ -1724,9 +1527,9 @@ mod tests {
         // as simulating it would.
         let period = SimDuration::from_secs(2);
         let cycle = |net: &mut FlowNet, l: LinkId, at: SimTime| {
-            net.start_flow(at, FlowSpec::new(vec![l], 100.0, 0));
+            start(net, at, &[l], 100.0, 0);
             net.advance(at + period);
-            net.take_completed();
+            done(net);
         };
         let (mut net, l) = mk_net(&[100.0]);
         net.track_utilization(l[0]);
@@ -1769,15 +1572,9 @@ mod tests {
     /// in every phase.
     fn mid_run(net: &mut FlowNet, l: &[LinkId], t0: SimTime) {
         let ms = |m: u64| t0 + SimDuration::from_millis(m);
-        net.start_flow(ms(0), FlowSpec::new(vec![l[0]], 100.0, 1));
-        net.start_flow(ms(100), FlowSpec::new(vec![l[0], l[1]], 30.0, 2));
-        let spec = FlowSpec {
-            route: vec![l[1]],
-            bytes: 25.0,
-            extra_latency: SimDuration::from_millis(400),
-            tag: 3,
-        };
-        net.start_flow(ms(200), spec);
+        start(net, ms(0), &[l[0]], 100.0, 1);
+        start(net, ms(100), &[l[0], l[1]], 30.0, 2);
+        net.start_flow(ms(200), &[l[1]], 25.0, SimDuration::from_millis(400), 3);
         net.advance(ms(300));
     }
 
@@ -1786,7 +1583,7 @@ mod tests {
         let mut log = Vec::new();
         while let Some(t) = net.next_event_time() {
             net.advance(t);
-            for (_, tag) in net.take_completed() {
+            for tag in done(net) {
                 log.push((t.duration_since(t0).as_nanos(), tag));
             }
         }

@@ -6,8 +6,8 @@
 # their committed copy and the other root examples, CLI
 # smoke tests for the trace, report, diff, chaos, perf, dash,
 # flight-recorder, sweep and fsck subcommand surface, the durable-sweep
-# resume gate, and a gate that regenerates every bench output at one and
-# two sweep workers.
+# resume gate (a resume simulates no cell), and a gate that regenerates
+# every bench output at one and two sweep workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -147,10 +147,11 @@ PY
 # Series regression gate: doctoring a steady series document with
 # transient iteration-time spikes must make `stash diff` fail non-zero on
 # both the CoV and the spike-count gates. The document comes from a chaos
-# run whose one planned fault lies past the end of the epoch: the fault
-# never fires, and fast-forward never skips past a pending fault, so each
-# of the 16 iterations keeps a row of its own. (The dash sweep's series
-# fast-forward from their second iteration and keep only three rows.)
+# run, which records a per-iteration trace and so never fast-forwards:
+# each of its 16 iterations keeps a row of its own. (The dash sweep's
+# series fast-forward from their second iteration and keep only three
+# rows.) Its one planned fault lies past the end of the epoch, so no fault
+# fires and the rows stay steady.
 cat >/tmp/stash_tier1_pending_plan.json <<'JSON'
 {"events":[{"at":3600000000000,"kind":{"StragglerWindow":{"rank":0,"duration":1000000,"slowdown":1.5}}}],
  "recovery":{"checkpoint_every":4,"straggler_timeout":20000000,"straggler_backoff":2.0,"reform_delay":500000000}}
@@ -269,10 +270,12 @@ cargo test -q --test series_differential
 cargo test -q --test series_props
 
 # Durable-sweep economics: a cold 24-cell sweep simulates every cell into
-# a fresh store; the resumed run serves every cell from verified records.
-# The resumed CSV must agree with the cold one on every value (only the
-# status column flips computed -> resumed), and resuming must be at least
-# 5x faster: the store exists so crashed fleets never pay for a cell twice.
+# a fresh store; the resumed run must serve every cell from verified
+# records and simulate none, since the store exists so crashed fleets
+# never pay for a cell twice. The resumed CSV must agree with the cold one
+# on every value (only the status column flips computed -> resumed). Both
+# wall times are printed but not gated: a resume is bound by its journal
+# fsyncs, so their ratio shrinks whenever simulation gets faster.
 rm -rf /tmp/stash_tier1_grid_store
 grid=(--models AlexNet,ResNet18,ResNet50,ShuffleNet,MobileNet-v2,VGG11
     --clusters "p3.2xlarge,p3.8xlarge,p3.16xlarge,p3.8xlarge*2" --iters 30)
@@ -280,19 +283,14 @@ t0=$(date +%s%N)
 ./target/release/stash sweep "${grid[@]}" --store /tmp/stash_tier1_grid_store \
     --out /tmp/stash_tier1_grid_cold.csv >/dev/null
 t1=$(date +%s%N)
-./target/release/stash sweep --store /tmp/stash_tier1_grid_store --resume \
-    --out /tmp/stash_tier1_grid_warm.csv >/dev/null
+resume_out=$(./target/release/stash sweep --store /tmp/stash_tier1_grid_store --resume \
+    --out /tmp/stash_tier1_grid_warm.csv)
 t2=$(date +%s%N)
+grep -q "sweep: 0 computed, 24 resumed, 0 failed" <<<"$resume_out"
 cmp <(sed 's/,[a-z-]*$//' /tmp/stash_tier1_grid_cold.csv) \
     <(sed 's/,[a-z-]*$//' /tmp/stash_tier1_grid_warm.csv)
-cold_ns=$((t1 - t0))
-resumed_ns=$((t2 - t1))
-awk -v c="$cold_ns" -v r="$resumed_ns" \
+awk -v c="$((t1 - t0))" -v r="$((t2 - t1))" \
     'BEGIN { printf "[durable sweep: cold %.3fs -> resumed %.3fs, %.1fx]\n", c / 1e9, r / 1e9, c / r }'
-if ((cold_ns < 5 * resumed_ns)); then
-    echo "resume speedup gate: below 5x, the store is no longer paying for itself" >&2
-    exit 1
-fi
 
 # Regeneration gate: every bench target rewrites its committed results/
 # files byte for byte — all targets on two sweep workers, then the ten

@@ -53,25 +53,33 @@ fn sampled_reports_identical_with_fast_forward_on_and_off() {
 /// (p3.8xlarge*2 warm), period 2 (SqueezeNet cold on p3.2xlarge), period
 /// 3 (p3.16xlarge cold), a warm cache with a fractional hit rate whose
 /// accumulator never repeats (p3.2xlarge warm) and an epoch that never
-/// repeats at all (SqueezeNet cold on p2.16xlarge).
+/// repeats at all (SqueezeNet cold on p2.16xlarge). Gradient accumulation
+/// makes each iteration take several batches from the loaders, so their
+/// quotas and the skip's batch counts scale with it.
 #[test]
 fn real_data_reports_identical_with_fast_forward_on_and_off() {
     for cluster in clusters() {
         for model in zoo::small_models() {
             for cache in [CacheState::Cold, CacheState::Warm] {
-                let name = model.name.clone();
-                let mut cfg = TrainConfig::synthetic(cluster.clone(), model.clone(), 32, 32 * 64);
-                cfg.data = DataMode::Real {
-                    dataset: DatasetSpec::for_model(&model),
-                    cache,
-                };
-                cfg.epoch_mode = EpochMode::Sampled { iterations: 32 };
-                assert_eq!(
-                    run(&cfg, false),
-                    run(&cfg, true),
-                    "fast-forward drifted for {name} on {} ({cache:?} cache)",
-                    cluster.display_name()
-                );
+                for grad_accumulation in 1..=3 {
+                    let name = model.name.clone();
+                    let samples = 32 * 64 * grad_accumulation;
+                    let mut cfg =
+                        TrainConfig::synthetic(cluster.clone(), model.clone(), 32, samples);
+                    cfg.data = DataMode::Real {
+                        dataset: DatasetSpec::for_model(&model),
+                        cache,
+                    };
+                    cfg.grad_accumulation = grad_accumulation;
+                    cfg.epoch_mode = EpochMode::Sampled { iterations: 32 };
+                    assert_eq!(
+                        run(&cfg, false),
+                        run(&cfg, true),
+                        "fast-forward drifted for {name} on {} ({cache:?} cache, \
+                         gradient accumulation {grad_accumulation})",
+                        cluster.display_name()
+                    );
+                }
             }
         }
     }
