@@ -7,18 +7,24 @@
 //! ([`CellStatus::Resumed`]); a missing, quarantined or stale record is
 //! recomputed through the shared [`MeasurementCache`] and durably stored.
 //! Intent and progress go through the store's write-ahead journal: a
-//! `plan` line for every cell before any work starts, then `done`/`fail`
-//! per cell — so a sweep killed mid-write resumes the *whole* grid
-//! (including cells it never reached) and re-runs only those whose
-//! records do not verify. The engine being deterministic, the resumed
-//! store converges to the same bytes an uninterrupted run produces.
+//! `plan` line for every cell, all in one synced append before any work
+//! starts, then a `done`/`fail` line per cell — so a sweep killed
+//! mid-write resumes the *whole* grid (including cells it never reached)
+//! and re-runs only those whose records do not verify. The engine being
+//! deterministic, the resumed store converges to the same bytes an
+//! uninterrupted run produces.
 //!
 //! Misses are simulated in parallel on the profiler's worker pool, but
 //! every store and journal operation happens on the calling thread, and
 //! cells are committed strictly in input order. A cell that finished
 //! simulating but waits behind a slower earlier cell is not yet durable:
 //! a crash in that window costs its recomputation on resume, never a
-//! wrong or missing record.
+//! wrong or missing record. Status lines are group-committed: they queue
+//! up and go to the journal in one append before the next record write
+//! and once at the end of the sweep. A resume that simulates nothing
+//! therefore syncs the journal twice, and a crash loses at most the
+//! status lines queued since the last record write, which resume never
+//! reads (it re-verifies records).
 //!
 //! Failure is graceful by construction: store I/O goes through the retry
 //! policy, profile errors are permanent and typed, and a failed cell is
@@ -271,10 +277,9 @@ pub fn decode_cell_record(payload: &[u8]) -> Result<StallReport, String> {
 
 /// Journal writes are an optimization hint, not the source of truth
 /// (resume re-verifies records), so after retries are exhausted the
-/// sweep proceeds without the entry rather than failing the cell.
-fn journal_best_effort(store: &ResultStore, policy: &RetryPolicy, entry: &JournalEntry) {
-    let journal = store.journal();
-    let _ = with_retry(policy, || journal.append(store.io(), entry));
+/// sweep proceeds without the entries rather than failing a cell.
+fn journal_best_effort(store: &ResultStore, policy: &RetryPolicy, entries: &[JournalEntry]) {
+    let _ = store.journal().append(store.io(), entries, policy);
 }
 
 /// A sweep cell with its store key and plan descriptor, each derived
@@ -343,64 +348,85 @@ fn consult(store: &ResultStore, policy: &RetryPolicy, key: u128) -> Consult {
     }
 }
 
-/// Settles one cell on the calling thread: journals its `done`/`fail`
-/// line and, for a freshly simulated cell, first writes its record.
-/// `profiled` is the simulation result exactly when the consult asked
-/// for one.
-fn commit(
-    cell: &Cell<'_>,
-    consulted: Consult,
-    profiled: Option<Result<StallReport, ProfileError>>,
-    store: Option<&ResultStore>,
-    policy: &RetryPolicy,
-) -> CellOutcome {
-    let consulted = match (consulted, store) {
-        (Consult::Repeat, Some(store)) => consult(store, policy, cell.key),
-        (consulted, _) => consulted,
-    };
-    let journal = |entry: JournalEntry| {
-        if let Some(store) = store {
-            journal_best_effort(store, policy, &entry);
+/// Settles cells on the calling thread, in input order: writes each
+/// freshly simulated cell's record and queues every cell's `done`/`fail`
+/// line. The queue goes to the journal in one append before the next
+/// record write, so the journal never lags more than one record behind,
+/// and once more when the sweep ends ([`Committer::flush`]).
+struct Committer<'s> {
+    store: Option<&'s ResultStore>,
+    policy: &'s RetryPolicy,
+    status: Vec<JournalEntry>,
+}
+
+impl Committer<'_> {
+    /// Queues a status line (a storeless sweep keeps no journal).
+    fn queue(&mut self, entry: JournalEntry) {
+        if self.store.is_some() {
+            self.status.push(entry);
         }
-    };
-    let report = match (consulted, profiled) {
-        (Consult::Resumed(report), _) => {
-            journal(JournalEntry::done(&cell.hex));
-            return cell.outcome(Some(report), CellStatus::Resumed);
+    }
+
+    /// Appends the queued status lines in one journal append.
+    fn flush(&mut self) {
+        if let Some(store) = self.store {
+            journal_best_effort(store, self.policy, &self.status);
         }
-        (Consult::Failed(reason), _) => {
-            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
-            return cell.outcome(None, CellStatus::Failed(reason));
-        }
-        // Profile errors are permanent: typed, never retried.
-        (_, Some(Err(e))) => {
-            let reason = FailReason::Profile {
-                error: e.to_string(),
-            };
-            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
-            return cell.outcome(None, CellStatus::Failed(reason));
-        }
-        (_, Some(Ok(report))) => report,
-        (Consult::Miss | Consult::Repeat, None) => {
-            unreachable!("cells that miss the store are always profiled")
-        }
-    };
-    let Some(store) = store else {
-        return cell.outcome(Some(report), CellStatus::Computed);
-    };
-    let payload = encode_record(&cell.descriptor, &report);
-    match with_retry(policy, || {
-        store.put(cell.key, &payload).map_err(io::Error::other)
-    }) {
-        Ok(()) => {
-            journal(JournalEntry::done(&cell.hex));
-            cell.outcome(Some(report), CellStatus::Computed)
-        }
-        Err(reason) => {
-            // Computed but not durable: report the result, flag the cell
-            // — a resumed run must re-run it.
-            journal(JournalEntry::fail(&cell.hex, &reason.to_json()));
-            cell.outcome(Some(report), CellStatus::Failed(reason))
+        self.status.clear();
+    }
+
+    /// Settles one cell. `profiled` is the simulation result exactly when
+    /// the consult asked for one.
+    fn commit(
+        &mut self,
+        cell: &Cell<'_>,
+        consulted: Consult,
+        profiled: Option<Result<StallReport, ProfileError>>,
+    ) -> CellOutcome {
+        let consulted = match (consulted, self.store) {
+            (Consult::Repeat, Some(store)) => consult(store, self.policy, cell.key),
+            (consulted, _) => consulted,
+        };
+        let report = match (consulted, profiled) {
+            (Consult::Resumed(report), _) => {
+                self.queue(JournalEntry::done(&cell.hex));
+                return cell.outcome(Some(report), CellStatus::Resumed);
+            }
+            (Consult::Failed(reason), _) => {
+                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
+                return cell.outcome(None, CellStatus::Failed(reason));
+            }
+            // Profile errors are permanent: typed, never retried.
+            (_, Some(Err(e))) => {
+                let reason = FailReason::Profile {
+                    error: e.to_string(),
+                };
+                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
+                return cell.outcome(None, CellStatus::Failed(reason));
+            }
+            (_, Some(Ok(report))) => report,
+            (Consult::Miss | Consult::Repeat, None) => {
+                unreachable!("cells that miss the store are always profiled")
+            }
+        };
+        let Some(store) = self.store else {
+            return cell.outcome(Some(report), CellStatus::Computed);
+        };
+        self.flush();
+        let payload = encode_record(&cell.descriptor, &report);
+        match with_retry(self.policy, || {
+            store.put(cell.key, &payload).map_err(io::Error::other)
+        }) {
+            Ok(()) => {
+                self.queue(JournalEntry::done(&cell.hex));
+                cell.outcome(Some(report), CellStatus::Computed)
+            }
+            Err(reason) => {
+                // Computed but not durable: report the result, flag the
+                // cell — a resumed run must re-run it.
+                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
+                cell.outcome(Some(report), CellStatus::Failed(reason))
+            }
         }
     }
 }
@@ -409,18 +435,20 @@ fn commit(
 /// [`profile_threads`] workers.
 ///
 /// The sweep keys every cell once, journals a `plan` line for every cell
-/// (write-ahead intent), then consults the store for every cell in input
-/// order. Only the misses go to the worker pool that [`par_profile_many`]
-/// also runs on: one arena per worker, with `cache` shared by all of
-/// them, so repeated reference-instance measurements are deduplicated
-/// across cells. Each
-/// cell is then committed on the calling thread in strict input order —
-/// record write plus `done` for a computed cell, `done`/`fail` for a
-/// resumed or failed one. All store and journal I/O therefore happens on
-/// one thread, in the same order as a one-cell-at-a-time run: records,
-/// journal and results CSV are byte-identical at any worker count.
-/// Without a store this is a plain storeless sweep producing the
-/// identical reports and CSV.
+/// in one append (write-ahead intent), then consults the store for every
+/// cell in input order. Only the misses go to the worker pool that
+/// [`par_profile_many`] also runs on: one arena per worker, with `cache`
+/// shared by all of them, so repeated reference-instance measurements
+/// are deduplicated across cells. Each cell is then committed on the
+/// calling thread in strict input order — record write plus `done` for a
+/// computed cell, `done`/`fail` for a resumed or failed one, the status
+/// lines group-committed in one append before the next record write and
+/// one at the end. All store and journal I/O therefore happens on one
+/// thread, in the same order whatever the worker count: records, journal
+/// and results CSV are byte-identical at any worker count, and the
+/// journal holds the same lines in the same order as one appended line
+/// by line. Without a store this is a plain storeless sweep producing
+/// the identical reports and CSV.
 ///
 /// Never aborts on a failed cell: failures land in the outcome with
 /// typed reasons, and the caller maps `outcome.failed() > 0` to its
@@ -447,17 +475,15 @@ fn run_sweep_on(
 ) -> SweepOutcome {
     let cells: Vec<Cell<'_>> = jobs.iter().map(Cell::new).collect();
 
-    // Write-ahead intent: journal a plan line for *every* cell before any
-    // work starts, so a sweep killed in cell 2 of 10 still resumes all
-    // ten — including the cells it never reached.
+    // Write-ahead intent: journal a plan line for *every* cell, in one
+    // append, before any work starts, so a sweep killed in cell 2 of 10
+    // still resumes all ten — including the cells it never reached.
     if let Some(store) = store {
-        for cell in &cells {
-            journal_best_effort(
-                store,
-                policy,
-                &JournalEntry::plan(&cell.hex, &cell.descriptor),
-            );
-        }
+        let plan: Vec<JournalEntry> = cells
+            .iter()
+            .map(|cell| JournalEntry::plan(&cell.hex, &cell.descriptor))
+            .collect();
+        journal_best_effort(store, policy, &plan);
     }
 
     let mut seen = std::collections::HashSet::new();
@@ -481,6 +507,11 @@ fn run_sweep_on(
     let mut outcome = SweepOutcome {
         cells: Vec::with_capacity(cells.len()),
     };
+    let mut committer = Committer {
+        store,
+        policy,
+        status: Vec::new(),
+    };
     let mut pending = cells.iter().zip(consulted);
     profile_in_order(&misses, Some(cache), workers, |profiled| {
         let mut profiled = Some(profiled);
@@ -489,17 +520,16 @@ fn run_sweep_on(
             let result = if needs_profile { profiled.take() } else { None };
             outcome
                 .cells
-                .push(commit(cell, consulted, result, store, policy));
+                .push(committer.commit(cell, consulted, result));
             if needs_profile {
                 break;
             }
         }
     });
     for (cell, consulted) in pending {
-        outcome
-            .cells
-            .push(commit(cell, consulted, None, store, policy));
+        outcome.cells.push(committer.commit(cell, consulted, None));
     }
+    committer.flush();
     outcome
 }
 
@@ -511,8 +541,8 @@ mod tests {
     use stash_dnn::zoo;
     use stash_hwtopo::cluster::ClusterSpec;
     use stash_hwtopo::instance::{p3_2xlarge, p3_8xlarge};
-    use stash_store::prelude::{FaultFs, IoFaultPlan, StdFs};
-    use std::path::PathBuf;
+    use stash_store::prelude::{FaultFs, IoFaultPlan, Journal, StdFs, StoreIo};
+    use std::path::{Path, PathBuf};
 
     fn jobs() -> Vec<ProfileJob> {
         let quick = |m| {
@@ -762,6 +792,99 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let statuses = out.cells.iter().map(|c| c.status.clone()).collect();
         (out.results_csv(), statuses, journal)
+    }
+
+    /// [`StdFs`] that keeps the bytes of every append it makes.
+    #[derive(Debug, Clone, Default)]
+    struct CountingIo {
+        appends: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl CountingIo {
+        fn take(&self) -> Vec<String> {
+            std::mem::take(&mut *self.appends.lock().unwrap())
+        }
+    }
+
+    impl StoreIo for CountingIo {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            StdFs.read(path)
+        }
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            StdFs.write_atomic(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let text = String::from_utf8(bytes.to_vec()).unwrap();
+            self.appends.lock().unwrap().push(text);
+            StdFs.append(path, bytes)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            StdFs.list(dir)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdFs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            StdFs.remove(path)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            StdFs.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            StdFs.exists(path)
+        }
+    }
+
+    #[test]
+    fn sweeps_group_commit_the_journal_line_for_line() {
+        let jobs = jobs();
+        let policy = RetryPolicy::default();
+        let root = tmp("group_commit");
+        let io = CountingIo::default();
+        let store = ResultStore::open(&root, Box::new(io.clone())).unwrap();
+        let ops = |appends: &[String]| -> Vec<Vec<String>> {
+            appends
+                .iter()
+                .map(|batch| {
+                    let lines = batch
+                        .lines()
+                        .map(|l| l.split('"').nth(3).unwrap().to_string());
+                    lines.collect()
+                })
+                .collect()
+        };
+
+        // Cold: the whole plan in one append, then one status batch per
+        // record write (each flushed before the next write) and one at the
+        // end: N + 1 appends for N computed cells.
+        let cold = run_sweep(&jobs, Some(&store), &policy, &MeasurementCache::new());
+        assert_eq!(cold.computed(), 3);
+        assert_eq!(
+            ops(&io.take()),
+            [vec!["plan"; 3], vec!["done"], vec!["done"], vec!["done"]]
+        );
+        // Resume: the plan and every status line, two appends in all.
+        let resumed = run_sweep(&jobs, Some(&store), &policy, &MeasurementCache::new());
+        assert_eq!(resumed.resumed(), 3);
+        assert_eq!(ops(&io.take()), [vec!["plan"; 3], vec!["done"; 3]]);
+
+        // The same bytes as the two sweeps' lines appended one at a time.
+        let one_by_one = Journal::new(&root.join("one_by_one.log"));
+        let cells: Vec<Cell<'_>> = jobs.iter().map(Cell::new).collect();
+        for _sweep in 0..2 {
+            let plans = cells
+                .iter()
+                .map(|c| JournalEntry::plan(&c.hex, &c.descriptor));
+            let dones = cells.iter().map(|c| JournalEntry::done(&c.hex));
+            for entry in plans.chain(dones) {
+                one_by_one.append(&StdFs, &[entry], &policy).unwrap();
+            }
+        }
+        assert_eq!(
+            std::fs::read(store.journal().path()).unwrap(),
+            std::fs::read(one_by_one.path()).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -752,13 +752,7 @@ impl FlowNet {
         periods: u64,
     ) {
         let k = self.tracked_index(link);
-        let w = &mut self.tracked[k].load;
-        for k in 1..=periods {
-            let shift = SimDuration::from_nanos(period.as_nanos() * k);
-            for &(t, v) in samples {
-                w.set(t + shift, v);
-            }
-        }
+        self.tracked[k].load.repeat(samples, period, periods);
     }
 
     /// Moves the network's clock, and its memoized next event, `d` later

@@ -143,11 +143,52 @@ impl TimeWeighted {
         self.set(now, v);
     }
 
-    fn advance(&mut self, now: SimTime) {
+    /// Replays `samples`, one period's `(time, value)` changes in time
+    /// order, `n` times: repetition `k` in `1..=n` sets each value at
+    /// `t + k·period`. Bit-identical to calling [`TimeWeighted::set`] for
+    /// every shifted sample. From the second repetition on, each one starts
+    /// from the same value and holds every value equally long, so it adds
+    /// the same products in the same order: they are computed once, in the
+    /// second repetition, and only added in the later ones.
+    pub fn repeat(&mut self, samples: &[(SimTime, f64)], period: SimDuration, n: u64) {
+        if n == 0 || samples.is_empty() {
+            return;
+        }
+        for &(t, v) in samples {
+            self.set(t + period, v);
+        }
+        if n == 1 {
+            return;
+        }
+        let before = self.observed;
+        let products: Vec<f64> = samples
+            .iter()
+            .map(|&(t, v)| {
+                let product = self.advance(t + period * 2);
+                self.value = v;
+                product
+            })
+            .collect();
+        let held = self.observed - before;
+        let rest = n - 2;
+        for _ in 0..rest {
+            for &product in &products {
+                self.weighted_sum += product;
+            }
+        }
+        self.observed += held * rest;
+        self.last_change += period * rest;
+    }
+
+    /// Holds the current value until `now`; returns the product it added
+    /// to the integral.
+    fn advance(&mut self, now: SimTime) -> f64 {
         let dt = now.duration_since(self.last_change);
-        self.weighted_sum += self.value * dt.as_secs_f64();
+        let product = self.value * dt.as_secs_f64();
+        self.weighted_sum += product;
         self.observed += dt;
         self.last_change = now;
+        product
     }
 
     /// Time-weighted mean of the signal up to `now`.
@@ -211,6 +252,49 @@ mod tests {
         tw.add(SimTime::from_nanos(10), 2.0);
         tw.add(SimTime::from_nanos(20), -1.0);
         assert_eq!(tw.value(), 1.0);
+    }
+
+    #[test]
+    fn repeat_matches_setting_every_shifted_sample() {
+        let t = SimTime::from_nanos;
+        // Irregular gaps and values with no short binary expansion, so a
+        // reordered or recomputed sum would show in the low bits.
+        let samples = [
+            (t(1_000_123), 0.3),
+            (t(1_250_777), 1.0 / 3.0),
+            (t(1_250_777), 0.7),
+            (t(2_999_001), 0.0),
+            (t(3_400_000), 0.123_456_789),
+        ];
+        for period_ns in [2_400_000, 2_400_001, 7_777_777] {
+            let period = SimDuration::from_nanos(period_ns);
+            for n in [0, 1, 2, 3, 4, 17, 1000] {
+                let mut start = TimeWeighted::new(0.25, SimTime::ZERO);
+                for &(at, v) in &samples {
+                    start.set(at, v);
+                }
+                let mut each = start;
+                for k in 1..=n {
+                    for &(at, v) in &samples {
+                        each.set(at + period * k, v);
+                    }
+                }
+                let mut repeated = start;
+                repeated.repeat(&samples, period, n);
+                let end = t(3_400_000) + period * (n + 1);
+                assert_eq!(
+                    repeated.mean_until(end).to_bits(),
+                    each.mean_until(end).to_bits(),
+                    "period {period_ns} ns, n {n}"
+                );
+                assert_eq!(repeated.value(), each.value());
+                assert_eq!(repeated.last_change, each.last_change);
+                assert_eq!(repeated.observed, each.observed);
+            }
+        }
+        let mut untouched = TimeWeighted::new(0.5, t(10));
+        untouched.repeat(&[], SimDuration::from_nanos(5), 9);
+        assert_eq!(untouched, TimeWeighted::new(0.5, t(10)));
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //!
 //! so replay can tell a torn line (the one being appended when a process
 //! died) from good history: replay skips and reports every line whose
-//! sum does not verify and trusts every line that does. A process that
-//! finds a torn fragment at the end of the journal terminates it
-//! ([`Journal::seal`]) before appending, so its own lines start clean
-//! instead of being glued onto the fragment. The journal is an
-//! *optimization hint*, not the source of truth — resume always
+//! sum does not verify and trusts every line that does.
+//!
+//! Lines go to disk in batches: [`Journal::append`] writes a whole batch
+//! with one synced append, so a sweep pays one sync for its plan and one
+//! per commit batch, not one per line. A batch that fails part-way may
+//! leave a fragment without its newline. A process that finds one at the
+//! end of the journal terminates it ([`Journal::seal`]) before appending,
+//! and a retried append starts with a newline of its own, so new lines
+//! start clean instead of being glued onto the fragment. The journal is
+//! an *optimization hint*, not the source of truth — resume always
 //! re-verifies `done` claims against the checksummed records themselves,
 //! so a lost line only costs recomputation, never correctness.
 
@@ -28,6 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fnv128;
 use crate::io::StoreIo;
+use crate::retry::{with_retry, FailReason, RetryPolicy};
 
 /// Cell planned: emitted before any work on the cell starts.
 pub const OP_PLAN: &str = "plan";
@@ -141,10 +147,13 @@ pub struct Journal {
     path: PathBuf,
 }
 
-fn line_for(entry: &JournalEntry) -> Option<String> {
-    let json = serde_json::to_string(entry).ok()?;
+/// Appends `entry`'s checksummed line, newline included, to `out`.
+fn push_line(entry: &JournalEntry, out: &mut String) {
+    use std::fmt::Write;
+    let mut json = String::new();
+    entry.write_json(&mut json);
     let sum = (fnv128(json.as_bytes()) & u128::from(u64::MAX)) as u64;
-    Some(format!("{sum:016x} {json}\n"))
+    let _ = writeln!(out, "{sum:016x} {json}");
 }
 
 fn parse_line(line: &str) -> Option<JournalEntry> {
@@ -175,20 +184,35 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one checksummed entry line.
+    /// Appends `entries`, in order, as checksummed lines: one
+    /// [`StoreIo::append`], so one sync, per attempt, retried under
+    /// `policy`. A retry starts with a newline, because the failed attempt
+    /// may have left part of a line without one, and a line glued onto that
+    /// fragment would fail its sum; a cleanly failed attempt leaves only an
+    /// empty line, which replay skips. An empty batch appends nothing.
     ///
     /// # Errors
     ///
-    /// Propagates backend I/O errors (callers retry via the store's
-    /// retry policy).
-    pub fn append(&self, io: &dyn StoreIo, entry: &JournalEntry) -> io::Result<()> {
-        let Some(line) = line_for(entry) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal entry not serializable",
-            ));
-        };
-        io.append(&self.path, line.as_bytes())
+    /// The [`FailReason`] left when retries run out.
+    pub fn append(
+        &self,
+        io: &dyn StoreIo,
+        entries: &[JournalEntry],
+        policy: &RetryPolicy,
+    ) -> Result<(), FailReason> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        // The batch behind the newline a retry starts with.
+        let mut batch = String::from("\n");
+        for entry in entries {
+            push_line(entry, &mut batch);
+        }
+        let mut first = true;
+        with_retry(policy, || {
+            let skip = usize::from(std::mem::take(&mut first));
+            io.append(&self.path, &batch.as_bytes()[skip..])
+        })
     }
 
     /// Terminates a torn fragment at the end of the journal with a
@@ -241,7 +265,7 @@ impl Journal {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::io::StdFs;
+    use crate::io::{FaultFs, IoFault, IoFaultKind, IoFaultPlan, IoOpClass, StdFs};
     use std::fs;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -251,21 +275,93 @@ mod tests {
         dir.join("journal.log")
     }
 
+    /// Retries without backoff.
+    fn policy() -> RetryPolicy {
+        RetryPolicy {
+            base_backoff_ms: 0,
+            max_backoff_ms: 0,
+            ..RetryPolicy::default()
+        }
+    }
+
+    fn append(j: &Journal, io: &dyn StoreIo, entries: &[JournalEntry]) {
+        j.append(io, entries, &policy()).unwrap();
+    }
+
     #[test]
     fn append_then_replay_round_trips() {
         let path = tmp("rt");
         let io = StdFs::new();
         let j = Journal::new(&path);
-        j.append(&io, &JournalEntry::plan("00ab", "{\"m\":1}"))
-            .unwrap();
-        j.append(&io, &JournalEntry::done("00ab")).unwrap();
-        j.append(&io, &JournalEntry::fail("00cd", "deadline"))
-            .unwrap();
+        append(&j, &io, &[JournalEntry::plan("00ab", "{\"m\":1}")]);
+        append(
+            &j,
+            &io,
+            &[
+                JournalEntry::done("00ab"),
+                JournalEntry::fail("00cd", "deadline"),
+            ],
+        );
         let replay = j.replay(&io).unwrap();
         assert!(!replay.torn_tail);
         assert_eq!(replay.entries.len(), 3);
         assert_eq!(replay.plan_for("00ab"), Some("{\"m\":1}"));
         assert_eq!(replay.done_keys(), vec!["00ab".to_string()]);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_batch_writes_the_bytes_of_its_lines_one_by_one() {
+        let entries = [
+            JournalEntry::plan("0001", "{\"m\":1}"),
+            JournalEntry::plan("0002", "{}"),
+            JournalEntry::done("0001"),
+            JournalEntry::fail("0002", "io"),
+        ];
+        let (one, batched) = (tmp("one_by_one"), tmp("batched"));
+        let io = StdFs::new();
+        for entry in &entries {
+            append(&Journal::new(&one), &io, std::slice::from_ref(entry));
+        }
+        append(&Journal::new(&batched), &io, &entries);
+        assert_eq!(fs::read(&one).unwrap(), fs::read(&batched).unwrap());
+        // An empty batch does not even create the file.
+        let empty = tmp("empty_batch");
+        append(&Journal::new(&empty), &io, &[]);
+        assert!(!io.exists(&empty));
+        for path in [one, batched, empty] {
+            let _ = fs::remove_dir_all(path.parent().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_retried_batch_starts_a_line_of_its_own() {
+        let path = tmp("retried");
+        // The first append tears after 10 bytes, the second fails cleanly.
+        let fault = |index, kind| IoFault {
+            op: IoOpClass::Append,
+            index,
+            kind,
+        };
+        let io = FaultFs::new(IoFaultPlan {
+            faults: vec![
+                fault(0, IoFaultKind::TornWrite { keep: 10 }),
+                fault(2, IoFaultKind::TransientErr),
+            ],
+        });
+        let j = Journal::new(&path);
+        let plans = [
+            JournalEntry::plan("0001", "{}"),
+            JournalEntry::plan("0002", "{}"),
+        ];
+        append(&j, &io, &plans);
+        append(&j, &io, &[JournalEntry::done("0001")]);
+        assert_eq!(io.pending_faults(), 0);
+        let replay = j.replay(&io).unwrap();
+        assert!(replay.torn_tail, "the fragment replays as a torn line");
+        let mut want = plans.to_vec();
+        want.push(JournalEntry::done("0001"));
+        assert_eq!(replay.entries, want, "no retried line was lost");
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -283,12 +379,15 @@ mod tests {
         let path = tmp("torn");
         let io = StdFs::new();
         let j = Journal::new(&path);
-        j.append(&io, &JournalEntry::plan("0001", "{}")).unwrap();
-        j.append(&io, &JournalEntry::done("0001")).unwrap();
+        append(
+            &j,
+            &io,
+            &[JournalEntry::plan("0001", "{}"), JournalEntry::done("0001")],
+        );
         // Simulate a crash mid-append: chop the file mid-line.
         let mut bytes = fs::read(&path).unwrap();
         let full = bytes.len();
-        j.append(&io, &JournalEntry::plan("0002", "{}")).unwrap();
+        append(&j, &io, &[JournalEntry::plan("0002", "{}")]);
         bytes = fs::read(&path).unwrap();
         bytes.truncate(full + 9);
         fs::write(&path, &bytes).unwrap();
@@ -304,15 +403,19 @@ mod tests {
         let path = tmp("torn_then_append");
         let io = StdFs::new();
         let j = Journal::new(&path);
-        j.append(&io, &JournalEntry::plan("0001", "{}")).unwrap();
+        append(&j, &io, &[JournalEntry::plan("0001", "{}")]);
         // A crash mid-append leaves a fragment without its newline.
-        let line = line_for(&JournalEntry::plan("0002", "{}")).unwrap();
+        let mut line = String::new();
+        push_line(&JournalEntry::plan("0002", "{}"), &mut line);
         io.append(&path, &line.as_bytes()[..20]).unwrap();
         // The next process seals the fragment, then appends as usual.
         assert!(j.seal(&io).unwrap());
         assert!(!j.seal(&io).unwrap(), "sealing is idempotent");
-        j.append(&io, &JournalEntry::plan("0003", "{}")).unwrap();
-        j.append(&io, &JournalEntry::done("0003")).unwrap();
+        append(
+            &j,
+            &io,
+            &[JournalEntry::plan("0003", "{}"), JournalEntry::done("0003")],
+        );
         let replay = j.replay(&io).unwrap();
         assert!(replay.torn_tail);
         let keys: Vec<(&str, &str)> = replay
@@ -335,7 +438,7 @@ mod tests {
         let j = Journal::new(&path);
         assert!(!j.seal(&io).unwrap());
         assert!(!io.exists(&path), "sealing must not create a journal");
-        j.append(&io, &JournalEntry::plan("0001", "{}")).unwrap();
+        append(&j, &io, &[JournalEntry::plan("0001", "{}")]);
         let before = fs::read(&path).unwrap();
         assert!(!j.seal(&io).unwrap());
         assert_eq!(fs::read(&path).unwrap(), before);
@@ -347,10 +450,16 @@ mod tests {
         let path = tmp("lastwins");
         let io = StdFs::new();
         let j = Journal::new(&path);
-        j.append(&io, &JournalEntry::done("aaaa")).unwrap();
-        j.append(&io, &JournalEntry::fail("aaaa", "io")).unwrap();
-        j.append(&io, &JournalEntry::fail("bbbb", "io")).unwrap();
-        j.append(&io, &JournalEntry::done("bbbb")).unwrap();
+        append(
+            &j,
+            &io,
+            &[
+                JournalEntry::done("aaaa"),
+                JournalEntry::fail("aaaa", "io"),
+                JournalEntry::fail("bbbb", "io"),
+                JournalEntry::done("bbbb"),
+            ],
+        );
         let replay = j.replay(&io).unwrap();
         assert_eq!(replay.done_keys(), vec!["bbbb".to_string()]);
         let _ = fs::remove_dir_all(path.parent().unwrap());
@@ -361,9 +470,15 @@ mod tests {
         let path = tmp("plans");
         let io = StdFs::new();
         let j = Journal::new(&path);
-        j.append(&io, &JournalEntry::plan("b", "B")).unwrap();
-        j.append(&io, &JournalEntry::plan("a", "A")).unwrap();
-        j.append(&io, &JournalEntry::plan("b", "B2")).unwrap();
+        append(
+            &j,
+            &io,
+            &[
+                JournalEntry::plan("b", "B"),
+                JournalEntry::plan("a", "A"),
+                JournalEntry::plan("b", "B2"),
+            ],
+        );
         let replay = j.replay(&io).unwrap();
         assert_eq!(
             replay.planned_cells(),

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, release build, full test suite, the benchmark
-# package's build, unit tests and smoke runs (untraced and traced),
-# lint-clean under clippy (every target), warning-free rustdoc, the
-# pay-once characterization example, the dump_reports profiles against
-# their committed copy and the other root examples, CLI
-# smoke tests for the trace, report, diff, chaos, perf, dash,
+# Tier-1 gate: formatting, release build, full test suite, the vendored
+# serde's unit tests, the benchmark package's build, unit tests and smoke
+# runs (untraced and traced), lint-clean under clippy (every target),
+# warning-free rustdoc, the pay-once characterization example, the
+# dump_reports profiles against their committed copy and the other root
+# examples, CLI smoke tests for the trace, report, diff, chaos, perf, dash,
 # flight-recorder, sweep and fsck subcommand surface, the durable-sweep
 # resume gate (a resume simulates no cell), and a gate that regenerates
 # every bench output at one and two sweep workers.
@@ -18,6 +18,10 @@ cargo test -q
 # Every workspace crate's unit tests and doctests (the line above runs
 # only the root package).
 cargo test --workspace -q
+# The vendored serde stand-in sits outside the workspace. Its unit tests
+# pin the canonical JSON number text that cell keys, cache keys and
+# record payloads are built from.
+cargo test -q --manifest-path vendor/serde/Cargo.toml --target-dir target/vendor
 # The repository benchmark (examples/benchmark) imports profiler, engine,
 # cache and store names directly: build it, run its unit tests, and run
 # its smoke mode, which exits non-zero unless every workload's re-checks
@@ -232,10 +236,12 @@ cmp "$rec" /tmp/stash_tier1_pristine.rec
 ./target/release/stash fsck /tmp/stash_tier1_store >/dev/null
 
 # Durability gates: crash-kill convergence (SIGKILL mid-write, resume,
-# byte-identical store), the storeless/stored/faulted differential, and
-# frame + fault-injection property tests.
+# byte-identical store), the storeless/stored/faulted differential, torn
+# and retried journal appends that must keep every line, and frame +
+# fault-injection property tests.
 cargo test -q --test store_crash
 cargo test -q --test sweep_differential
+cargo test -q --test journal_retry
 cargo test -q --test store_props
 
 # Zero-allocation gate: steady-state epochs must not touch the global
@@ -274,8 +280,9 @@ cargo test -q --test series_props
 # records and simulate none, since the store exists so crashed fleets
 # never pay for a cell twice. The resumed CSV must agree with the cold one
 # on every value (only the status column flips computed -> resumed). Both
-# wall times are printed but not gated: a resume is bound by its journal
-# fsyncs, so their ratio shrinks whenever simulation gets faster.
+# wall times are printed but not gated: each moves with host speed and
+# with every change to simulation or store cost, so their ratio measures
+# those changes rather than whether a resume re-simulates.
 rm -rf /tmp/stash_tier1_grid_store
 grid=(--models AlexNet,ResNet18,ResNet50,ShuffleNet,MobileNet-v2,VGG11
     --clusters "p3.2xlarge,p3.8xlarge,p3.16xlarge,p3.8xlarge*2" --iters 30)
