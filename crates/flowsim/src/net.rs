@@ -7,11 +7,13 @@
 //!    to that time;
 //! 2. after every mutation, ask [`FlowNet::next_event_time`] and schedule a
 //!    wake-up event then. The answer is predicted from the network's own
-//!    clock ([`FlowNet::last_advance`]) and memoized: asking again before
-//!    the next change (an advance that moves time, a flow start, a
-//!    capacity change or a reset) returns the cached answer without
-//!    walking the flows, so a loop may ask after every event, network or
-//!    not;
+//!    clock ([`FlowNet::last_advance`]) and two bounds the network keeps
+//!    current as flows change (the smallest remaining latency and the
+//!    smallest time to completion), so it walks no flows; a loop may ask
+//!    after every event, network or not. The answer is also memoized
+//!    until the next change (an advance that moves time, a flow start, a
+//!    capacity change or a reset), because the memo is part of
+//!    [`FlowNet::key_into`]'s state;
 //! 3. on wake-up, call [`FlowNet::advance`] and drain the completed flows'
 //!    tags with [`FlowNet::drain_completed_into`].
 //!
@@ -34,6 +36,15 @@
 //! intrusive doubly-linked list threads the live slots in creation order,
 //! so every iteration (and therefore every floating-point accumulation
 //! order) is identical to the former `BTreeMap`-by-id walk.
+//!
+//! Per-event work is one walk over the live flows per [`FlowNet::advance`]
+//! segment (plus a full solve's own walks): that walk moves every flow,
+//! lists the flows that finished, and recomputes the next-change bounds
+//! (`NextChange`). A flow start and a shortcut settle fold only the flows
+//! they touch into the bounds; a prediction only reads them. Debug builds
+//! check the bounds and the finished list against a walk of every flow
+//! after each start, advance and capacity change, and check each
+//! prediction against the walk's.
 
 use stash_simkit::time::{SimDuration, SimTime};
 
@@ -61,6 +72,61 @@ fn ttc_secs(remaining_bytes: f64, rate: f64) -> f64 {
         ttc
     } else {
         0.0
+    }
+}
+
+/// The two minima the network's next self-driven change depends on, valid
+/// as of [`FlowNet::last_advance`]: the smallest remaining latency of a
+/// latency-phase flow, and the smallest [`ttc_secs`] of a transferring
+/// flow with a positive, finite rate (`None` when no flow qualifies).
+///
+/// Both minima are over values that are never NaN or `-0.0`, so each is
+/// the same in any visiting order: folding flows in one at a time as they
+/// change gives the bits a walk over every flow would.
+#[derive(Debug, Clone, Copy, Default)]
+struct NextChange {
+    latency: Option<SimDuration>,
+    ttc: Option<f64>,
+}
+
+impl NextChange {
+    /// Folds one live flow's contribution into the bounds.
+    fn fold(&mut self, f: &FlowSlot) {
+        if !f.remaining_latency.is_zero() {
+            self.latency = Some(
+                self.latency
+                    .map_or(f.remaining_latency, |m| m.min(f.remaining_latency)),
+            );
+        } else if f.remaining_bytes > 0.0 && f.rate > 0.0 && f.rate.is_finite() {
+            let ttc = ttc_secs(f.remaining_bytes, f.rate);
+            self.ttc = Some(self.ttc.map_or(ttc, |m| m.min(ttc)));
+        }
+    }
+
+    /// Length of the next [`FlowNet::advance`] segment within `dt`: up to
+    /// the first latency expiry or predicted completion, at least 1 ns.
+    fn segment(&self, dt: SimDuration) -> SimDuration {
+        let mut seg = dt;
+        if let Some(l) = self.latency {
+            seg = seg.min(l);
+        }
+        if let Some(c) = self.ttc {
+            seg = seg.min(SimDuration::from_secs_f64(c).max(SimDuration::from_nanos(1)));
+        }
+        seg
+    }
+
+    /// The next latency expiry or completion after `now`, a completion
+    /// padded by 1 ns so its residue has surely drained.
+    fn next_event(&self, now: SimTime) -> Option<SimTime> {
+        let expiry = self.latency.map(|l| now + l);
+        let completion = self
+            .ttc
+            .map(|c| now + SimDuration::from_secs_f64(c) + SimDuration::from_nanos(1));
+        match (expiry, completion) {
+            (Some(e), Some(c)) => Some(e.min(c)),
+            (e, c) => e.or(c),
+        }
     }
 }
 
@@ -161,6 +227,8 @@ pub struct FlowNet {
     /// Memoized [`FlowNet::next_event_time`] answer; `None` once a change
     /// may have moved it.
     next_event: Option<Option<SimTime>>,
+    /// Next-change bounds of the live flows, valid as of `last_advance`.
+    next_change: NextChange,
     /// Link capacities, mirrored from `links` so rate solves skip the
     /// per-event rebuild.
     caps: Vec<f64>,
@@ -172,7 +240,10 @@ pub struct FlowNet {
     link_rate_load: Vec<f64>,
     /// Reusable water-filling working memory.
     scratch: MaxMinScratch,
-    /// Reusable slot-index buffers for the allocator and settling.
+    /// Reusable slot-index buffers for the allocator and settling:
+    /// `activated_buf` and `done_buf` list, in creation order, the flows
+    /// that entered their transfer phase or finished since the last
+    /// settle, for `collect_done` to consume.
     active_ids: Vec<u32>,
     activated_buf: Vec<u32>,
     done_buf: Vec<u32>,
@@ -211,6 +282,7 @@ impl Default for FlowNet {
             last_advance: SimTime::ZERO,
             tracked: Vec::new(),
             next_event: None,
+            next_change: NextChange::default(),
             caps: Vec::new(),
             link_users: Vec::new(),
             link_rate_load: Vec::new(),
@@ -261,6 +333,7 @@ impl FlowNet {
         self.caps.clear();
         self.tracked.clear();
         self.next_event = None;
+        self.next_change = NextChange::default();
         self.link_users.clear();
         self.link_rate_load.clear();
         self.completed.clear();
@@ -451,7 +524,11 @@ impl FlowNet {
         self.next_event = None;
         self.links[id.index()].capacity_bps = capacity_bps;
         self.caps[id.index()] = capacity_bps;
+        // New rates finish no flow: only an empty route's infinite rate
+        // does, and such a flow never outlives its settle.
         self.recompute_rates();
+        #[cfg(debug_assertions)]
+        self.assert_walk_oracle();
     }
 
     /// Time of the most recent [`FlowNet::advance`].
@@ -493,6 +570,10 @@ impl FlowNet {
             .sum::<SimDuration>()
             + extra_latency;
         let counted = latency.is_zero() && bytes > 0.0;
+        // Finished at its start: no latency to wait out, and no bytes to
+        // move or no link to move them over. Every other live flow was
+        // settled by `advance`, so this is the only flow that can be done.
+        let finished = latency.is_zero() && (bytes <= 0.0 || route.is_empty());
         let idx = self.alloc_slot();
         let serial = self.next_serial;
         self.next_serial += 1;
@@ -542,11 +623,17 @@ impl FlowNet {
             // Latency-phase flows are invisible to the allocator: rates
             // are unchanged, only the load integrals get their segment
             // boundary.
+            self.next_change.fold(&self.slots[idx as usize]);
             self.shortcut_events += 1;
             stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
             self.touch_loads();
         }
-        self.collect_done();
+        if finished {
+            self.done_buf.push(idx);
+            self.collect_done();
+        }
+        #[cfg(debug_assertions)]
+        self.assert_walk_oracle();
     }
 
     /// Advances the network state to `now`, progressing latencies and byte
@@ -567,30 +654,12 @@ impl FlowNet {
         // predicted flow completions, so that (a) a flow entering its
         // transfer phase mid-interval gets correct rates for the remainder
         // and (b) bandwidth freed by a completing flow is redistributed to
-        // the survivors for the rest of the interval.
+        // the survivors for the rest of the interval. One walk per segment
+        // moves every flow, lists the ones that finished and recomputes
+        // the bounds that cut the next segment.
         while !dt.is_zero() {
-            let mut min_lat: Option<SimDuration> = None;
-            let mut min_ttc: Option<f64> = None;
-            let mut i = self.head;
-            while i != NIL {
-                let f = &self.slots[i as usize];
-                if !f.remaining_latency.is_zero() {
-                    min_lat =
-                        Some(min_lat.map_or(f.remaining_latency, |m| m.min(f.remaining_latency)));
-                } else if f.remaining_bytes > 0.0 && f.rate > 0.0 && f.rate.is_finite() {
-                    let ttc = ttc_secs(f.remaining_bytes, f.rate);
-                    min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
-                }
-                i = f.next;
-            }
-            let mut seg = dt;
-            if let Some(l) = min_lat {
-                seg = seg.min(l);
-            }
-            if let Some(c) = min_ttc {
-                seg = seg.min(SimDuration::from_secs_f64(c).max(SimDuration::from_nanos(1)));
-            }
-            let mut boundary = false;
+            let seg = self.next_change.segment(dt);
+            let mut next_change = NextChange::default();
             let mut i = self.head;
             while i != NIL {
                 let f = &mut self.slots[i as usize];
@@ -598,7 +667,6 @@ impl FlowNet {
                 if !f.remaining_latency.is_zero() {
                     f.remaining_latency = f.remaining_latency.saturating_sub(seg);
                     if f.remaining_latency.is_zero() {
-                        boundary = true;
                         if f.remaining_bytes > 0.0 {
                             // Entering the transfer phase: join the
                             // allocator's user counts; rates settle at the
@@ -609,6 +677,9 @@ impl FlowNet {
                             }
                             self.activated_buf.push(i);
                         }
+                        if f.remaining_bytes <= 0.0 || f.route.is_empty() {
+                            self.done_buf.push(i);
+                        }
                     }
                 } else if f.remaining_bytes > 0.0 {
                     let moved = f.rate * seg.as_secs_f64();
@@ -617,21 +688,26 @@ impl FlowNet {
                     // so rounding cannot stall the loop.
                     if f.remaining_bytes <= f.rate * 1e-9 {
                         f.remaining_bytes = 0.0;
-                        boundary = true;
+                        self.done_buf.push(i);
                     }
                 }
+                // A flow that just activated has no rate yet and a finished
+                // one no bytes or no route: neither counts until settled.
+                next_change.fold(f);
                 i = next;
             }
+            self.next_change = next_change;
             dt -= seg;
             // Advance the clock segment-by-segment so rate changes (and the
             // utilisation integrals they update) land at the right instant.
             self.last_advance += seg;
-            if boundary {
+            if !self.done_buf.is_empty() || !self.activated_buf.is_empty() {
                 self.collect_done();
             }
         }
         self.last_advance = now;
-        self.collect_done();
+        #[cfg(debug_assertions)]
+        self.assert_walk_oracle();
     }
 
     /// Hands over the tags of the flows completed since the last call, in
@@ -648,48 +724,29 @@ impl FlowNet {
     /// own clock ([`FlowNet::last_advance`]). `None` when nothing is in
     /// flight, or when every live flow is starved until a topology change.
     ///
-    /// The answer is memoized until something can move it: an
-    /// [`advance`](FlowNet::advance) that moves time, a flow start, a
-    /// capacity change or a reset. Asking after an event that left the
-    /// network alone walks no flows.
+    /// The answer is read from the smallest remaining latency and the
+    /// smallest time to completion, which the network keeps current as
+    /// flows change, so asking walks no flows. It is also memoized until
+    /// something can move it (an [`advance`](FlowNet::advance) that moves
+    /// time, a flow start, a capacity change or a reset), because the
+    /// memo is part of the state [`FlowNet::key_into`] writes.
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        if let Some(t) = self.next_event {
-            return t;
-        }
-        let t = self.predict_next_event();
-        self.next_event = Some(t);
+        let t = match self.next_event {
+            Some(t) => t,
+            None => {
+                let t = self.next_change.next_event(self.last_advance);
+                self.next_event = Some(t);
+                t
+            }
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            t,
+            self.walk_next_event(),
+            "next event differs from a walk over every flow"
+        );
         t
-    }
-
-    fn predict_next_event(&self) -> Option<SimTime> {
-        let now = self.last_advance;
-        let mut best: Option<SimTime> = None;
-        let mut min_ttc: Option<f64> = None;
-        let mut i = self.head;
-        while i != NIL {
-            let f = &self.slots[i as usize];
-            i = f.next;
-            let t = if !f.remaining_latency.is_zero() {
-                now + f.remaining_latency
-            } else if f.remaining_bytes <= 0.0 {
-                now
-            } else if f.rate > 0.0 {
-                let ttc = ttc_secs(f.remaining_bytes, f.rate);
-                min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
-                continue;
-            } else if f.rate.is_infinite() || f.route.is_empty() {
-                now
-            } else {
-                continue; // starved flow: waits for a topology change
-            };
-            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-        }
-        if let Some(ttc) = min_ttc {
-            let t = now + SimDuration::from_secs_f64(ttc) + SimDuration::from_nanos(1);
-            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-        }
-        best
     }
 
     /// Solves steady-state rates for a hypothetical set of routes without
@@ -822,7 +879,8 @@ impl FlowNet {
     /// Assigns the exact allocator outcome for a counted flow that shares
     /// no link with any other counted flow: the minimum capacity along its
     /// route (infinite for an empty route), with its links' load sums
-    /// updated in place. Every other flow's rate and load is untouched —
+    /// updated in place and its time to completion folded into the
+    /// next-change bounds. Every other flow's rate and load is untouched —
     /// which is also exactly what a full solve would conclude, since the
     /// flow forms its own component of the flow/link sharing graph.
     fn settle_alone_flow(&mut self, idx: u32) {
@@ -833,6 +891,7 @@ impl FlowNet {
             .map(|&l| self.caps[l])
             .fold(f64::INFINITY, f64::min);
         f.rate = rate;
+        self.next_change.fold(f);
         let cat = f.cat;
         let serial = f.serial;
         if rate.is_finite() {
@@ -924,8 +983,10 @@ impl FlowNet {
         for (k, &idx) in self.active_ids.iter().enumerate() {
             self.slots[idx as usize].rate = rates[k];
         }
-        // Refresh per-link load sums and integrals.
+        // Refresh per-link load sums and integrals, and the next-change
+        // bounds, which every new rate can move.
         self.link_rate_load.iter_mut().for_each(|v| *v = 0.0);
+        let mut next_change = NextChange::default();
         let mut i = self.head;
         while i != NIL {
             let f = &self.slots[i as usize];
@@ -934,8 +995,10 @@ impl FlowNet {
                     self.link_rate_load[l] += f.rate;
                 }
             }
+            next_change.fold(f);
             i = f.next;
         }
+        self.next_change = next_change;
         self.touch_loads();
         if let Some(tr) = &self.tracer {
             let mut t = tr.borrow_mut();
@@ -962,30 +1025,19 @@ impl FlowNet {
         }
     }
 
-    /// Moves finished flows to the completed queue and settles any flows
-    /// that just entered their transfer phase; returns whether any flow
-    /// finished. Rates are recomputed only when a change can actually
-    /// shift the allocation — a removal or activation whose links carry no
-    /// other flow is settled directly.
-    fn collect_done(&mut self) -> bool {
-        self.done_buf.clear();
-        let mut i = self.head;
-        while i != NIL {
-            let f = &self.slots[i as usize];
-            if f.remaining_latency.is_zero()
-                && (f.remaining_bytes <= 0.0 || f.route.is_empty() || f.rate.is_infinite())
-            {
-                self.done_buf.push(i);
-            }
-            i = f.next;
-        }
-        let any = !self.done_buf.is_empty();
-        if !any && self.activated_buf.is_empty() {
-            return false;
-        }
-
+    /// Moves the finished flows listed in `done_buf` to the completed
+    /// queue and settles the flows listed in `activated_buf`, which just
+    /// entered their transfer phase. Rates are recomputed only when a
+    /// change can actually shift the allocation — a removal or activation
+    /// whose links carry no other flow is settled directly.
+    ///
+    /// A removal leaves the next-change bounds alone: they were taken
+    /// after the flow finished, when it had no latency and either no bytes
+    /// left or, on an empty route, no finite rate, so it does not count in
+    /// them.
+    fn collect_done(&mut self) {
         self.freed_buf.clear();
-        let done = std::mem::take(&mut self.done_buf);
+        let mut done = std::mem::take(&mut self.done_buf);
         for &idx in &done {
             let (tag, counted, cat, serial) = {
                 let f = &self.slots[idx as usize];
@@ -1005,6 +1057,7 @@ impl FlowNet {
             }
             self.release_slot(idx);
         }
+        done.clear();
         self.done_buf = done;
 
         // A removal perturbs survivors only via links it shared with them;
@@ -1039,7 +1092,94 @@ impl FlowNet {
             stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
             self.touch_loads();
         }
-        any
+    }
+
+    /// Walk oracle for the next-change bounds: both minima recomputed from
+    /// scratch over every live flow.
+    #[cfg(any(test, debug_assertions))]
+    fn walk_next_change(&self) -> (Option<SimDuration>, Option<f64>) {
+        let mut min_lat: Option<SimDuration> = None;
+        let mut min_ttc: Option<f64> = None;
+        let mut i = self.head;
+        while i != NIL {
+            let f = &self.slots[i as usize];
+            if !f.remaining_latency.is_zero() {
+                min_lat = Some(min_lat.map_or(f.remaining_latency, |m| m.min(f.remaining_latency)));
+            } else if f.remaining_bytes > 0.0 && f.rate > 0.0 && f.rate.is_finite() {
+                let ttc = ttc_secs(f.remaining_bytes, f.rate);
+                min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
+            }
+            i = f.next;
+        }
+        (min_lat, min_ttc)
+    }
+
+    /// Walk oracle for [`FlowNet::next_event_time`]: the prediction made
+    /// from every live flow. A finished flow left uncollected would show
+    /// here as `now`.
+    #[cfg(any(test, debug_assertions))]
+    fn walk_next_event(&self) -> Option<SimTime> {
+        let now = self.last_advance;
+        let mut best: Option<SimTime> = None;
+        let mut min_ttc: Option<f64> = None;
+        let mut i = self.head;
+        while i != NIL {
+            let f = &self.slots[i as usize];
+            i = f.next;
+            let t = if !f.remaining_latency.is_zero() {
+                now + f.remaining_latency
+            } else if f.remaining_bytes <= 0.0 {
+                now
+            } else if f.rate > 0.0 {
+                let ttc = ttc_secs(f.remaining_bytes, f.rate);
+                min_ttc = Some(min_ttc.map_or(ttc, |m| m.min(ttc)));
+                continue;
+            } else if f.rate.is_infinite() || f.route.is_empty() {
+                now
+            } else {
+                continue; // starved flow: waits for a topology change
+            };
+            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
+        }
+        if let Some(ttc) = min_ttc {
+            let t = now + SimDuration::from_secs_f64(ttc) + SimDuration::from_nanos(1);
+            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
+        }
+        best
+    }
+
+    /// Checks the kept state against walks over every live flow: the
+    /// next-change bounds equal the walk's bit for bit, no activation or
+    /// completion waits unsettled, and no finished flow (latency over, and
+    /// no bytes, no route or an infinite rate) is left uncollected.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming what differs, if any check fails.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_walk_oracle(&self) {
+        let (lat, ttc) = self.walk_next_change();
+        assert!(
+            self.next_change.latency == lat
+                && self.next_change.ttc.map(f64::to_bits) == ttc.map(f64::to_bits),
+            "next-change bounds {:?} differ from a walk over every flow ({lat:?}, {ttc:?})",
+            self.next_change
+        );
+        assert!(
+            self.done_buf.is_empty() && self.activated_buf.is_empty(),
+            "flows left unsettled"
+        );
+        let mut i = self.head;
+        while i != NIL {
+            let f = &self.slots[i as usize];
+            assert!(
+                !(f.remaining_latency.is_zero()
+                    && (f.remaining_bytes <= 0.0 || f.route.is_empty() || f.rate.is_infinite())),
+                "finished flow (tag {}) left uncollected",
+                f.tag
+            );
+            i = f.next;
+        }
     }
 
     /// Test-only view of the live flows in creation order: `(tag, route,
@@ -1062,6 +1202,7 @@ impl FlowNet {
 mod tests {
     use super::*;
     use crate::link::LinkClass;
+    use stash_simkit::rng::DetRng;
 
     fn mk_net(caps: &[f64]) -> (FlowNet, Vec<LinkId>) {
         let mut net = FlowNet::new();
@@ -1268,10 +1409,11 @@ mod tests {
     }
 
     #[test]
-    fn next_event_memo_matches_a_fresh_network_after_every_change() {
+    fn next_event_memo_matches_the_walk_oracle_after_every_change() {
         // After each step, the answer of a network that asked after every
-        // earlier step (so holds a memo) must equal the first answer of a
-        // fresh network that replays the same steps.
+        // earlier step (so holds a memo) must equal a walk over every live
+        // flow. A fresh network replaying the steps would keep its bounds
+        // the same way, so it would share a bound bug with this one.
         type Step = fn(&mut FlowNet);
         fn at(ms: u64) -> SimTime {
             SimTime::ZERO + SimDuration::from_millis(ms)
@@ -1281,7 +1423,7 @@ mod tests {
                 net.add_link(Link::new(name, cap, SimDuration::ZERO, LinkClass::Other));
             }
         }
-        let steps: [(&str, Step); 8] = [
+        let steps: [(&str, Step); 9] = [
             ("links", links),
             ("start", |net| start(net, at(0), &[LinkId(0)], 100.0, 0)),
             ("advance", |net| net.advance(at(250))),
@@ -1300,6 +1442,7 @@ mod tests {
                     2,
                 )
             }),
+            ("shift", |net| net.shift(SimDuration::from_millis(100))),
             ("reset", FlowNet::reset),
             ("after reset", |net| {
                 links(net);
@@ -1308,20 +1451,147 @@ mod tests {
         ];
         let mut net = FlowNet::new();
         let mut answers = Vec::new();
-        for (k, (what, step)) in steps.iter().enumerate() {
+        for (what, step) in &steps {
             step(&mut net);
             let got = net.next_event_time();
             assert_eq!(net.next_event_time(), got, "asking twice moved the answer");
-            let mut fresh = FlowNet::new();
-            for (_, s) in &steps[..=k] {
-                s(&mut fresh);
-            }
-            assert_eq!(got, fresh.next_event_time(), "stale answer after `{what}`");
+            assert_eq!(got, net.walk_next_event(), "stale answer after `{what}`");
+            net.assert_walk_oracle();
             answers.push(got);
         }
         // The steps move the answer, so a memo that missed one would show.
         let distinct: std::collections::BTreeSet<_> = answers.iter().collect();
-        assert!(distinct.len() >= 6, "answers: {answers:?}");
+        assert!(distinct.len() >= 7, "answers: {answers:?}");
+    }
+
+    /// One random operation on `net` at the caller's clock `now`, which
+    /// never precedes the network's; returns what it did.
+    fn random_op(net: &mut FlowNet, rng: &mut DetRng, now: &mut SimTime, tag: &mut u64) -> String {
+        let links = net.link_count() as u64;
+        match rng.next_below(16) {
+            0..=6 => {
+                // Up to three hops over four links: empty, shared,
+                // disjoint and repeated-link routes all come up.
+                let hops = rng.next_below(4);
+                let route: Vec<LinkId> = (0..hops)
+                    .map(|_| LinkId(rng.next_below(links) as u32))
+                    .collect();
+                let bytes = if rng.next_below(5) == 0 {
+                    0.0
+                } else {
+                    rng.next_f64() * 2_000.0
+                };
+                let latency = if rng.next_below(2) == 0 {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_nanos(1 + rng.next_below(300_000_000))
+                };
+                *tag += 1;
+                net.start_flow(*now, &route, bytes, latency, *tag);
+                format!("start {route:?} {bytes} B after {latency}")
+            }
+            7..=9 => {
+                // To the predicted event, or just short of or past it.
+                let Some(t) = net.next_event_time() else {
+                    return "advance: nothing in flight".into();
+                };
+                let t = match rng.next_below(3) {
+                    0 => t,
+                    1 => SimTime::from_nanos(t.as_nanos().saturating_sub(1)),
+                    _ => t + SimDuration::from_nanos(1),
+                };
+                *now = (*now).max(t);
+                net.advance(*now);
+                format!("advance to {now:?}")
+            }
+            10..=11 => {
+                *now += SimDuration::from_nanos(rng.next_below(500_000_000));
+                net.advance(*now);
+                format!("advance to {now:?}")
+            }
+            12..=13 => {
+                let l = LinkId(rng.next_below(links) as u32);
+                let cap = 50.0 + rng.next_f64() * 5_000.0;
+                net.set_link_capacity(*now, l, cap);
+                format!("capacity {l:?} {cap}")
+            }
+            14 => {
+                let d = SimDuration::from_nanos(rng.next_below(2_000_000_000));
+                net.shift(d);
+                *now += d;
+                format!("shift {d}")
+            }
+            _ => {
+                if rng.next_below(4) == 0 {
+                    net.reset();
+                    random_links(net, rng);
+                    "reset".into()
+                } else {
+                    "nothing".into()
+                }
+            }
+        }
+    }
+
+    /// Four links, the first two without latency.
+    fn random_links(net: &mut FlowNet, rng: &mut DetRng) {
+        for k in 0..4u64 {
+            let latency = if k < 2 {
+                SimDuration::ZERO
+            } else {
+                SimDuration::from_nanos(rng.next_below(5_000_000))
+            };
+            let cap = 50.0 + rng.next_f64() * 5_000.0;
+            net.add_link(Link::new(format!("l{k}"), cap, latency, LinkClass::Other));
+        }
+        net.track_utilization(LinkId(0));
+    }
+
+    #[test]
+    fn kept_bounds_match_the_walk_oracle_under_random_operations() {
+        // Random starts (with and without latency, zero-byte, empty-route,
+        // shared and disjoint), advances to predicted and arbitrary
+        // instants, capacity changes, shifts and resets. After every
+        // operation the prediction, the kept bounds and the finished-flow
+        // bookkeeping must equal a walk over every live flow.
+        let mut completions = 0;
+        let mut both_bounds = 0;
+        let mut starts_onto_live = 0;
+        for seed in 0..64 {
+            let mut rng = DetRng::new(seed);
+            let mut net = FlowNet::new();
+            random_links(&mut net, &mut rng);
+            let mut now = SimTime::ZERO;
+            let mut tag = 0;
+            for step in 0..200 {
+                let live = net.n_active;
+                let what = random_op(&mut net, &mut rng, &mut now, &mut tag);
+                if live > 0 && what.starts_with("start") {
+                    starts_onto_live += 1;
+                }
+                let got = net.next_event_time();
+                assert_eq!(
+                    got,
+                    net.walk_next_event(),
+                    "seed {seed} step {step}: {what}"
+                );
+                net.assert_walk_oracle();
+                if net.next_change.latency.is_some() && net.next_change.ttc.is_some() {
+                    both_bounds += 1;
+                }
+                completions += done(&mut net).len();
+            }
+        }
+        // The sequences must reach the states the bounds are about.
+        assert!(completions > 3_000, "only {completions} completions");
+        assert!(
+            both_bounds > 5_000,
+            "both bounds set in {both_bounds} steps"
+        );
+        assert!(
+            starts_onto_live > 4_000,
+            "{starts_onto_live} starts onto live flows"
+        );
     }
 
     #[test]

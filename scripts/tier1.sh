@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, full test suite, the vendored
 # serde's unit tests, the benchmark package's build, unit tests and smoke
-# runs (untraced and traced), lint-clean under clippy (every target),
+# runs (untraced and traced, with the traced run's work counters pinned),
+# lint-clean under clippy (every target),
 # warning-free rustdoc, the pay-once characterization example, the
 # dump_reports profiles against their committed copy and the other root
 # examples, CLI smoke tests for the trace, report, diff, chaos, perf, dash,
@@ -30,7 +31,29 @@ cargo test -q --manifest-path vendor/serde/Cargo.toml --target-dir target/vendor
 # traced measurements read.
 cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke
-cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke --trace 1
+cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- --smoke --trace 1 |
+    tee /tmp/stash_tier1_traced_smoke.txt
+# Work-counter gate: the traced smoke's integer work counters repeat
+# exactly from run to run and at any CPU count, so each workload's must
+# match tests/bench_smoke_counts.txt. A fast-forward or a solver shortcut
+# that silently stops engaging moves them while every result stays right.
+# A change meant to move them regenerates the file (this block's output)
+# and says why.
+python3 - >/tmp/stash_tier1_smoke_counts.txt <<'PY'
+import json
+doc = json.loads(open("/tmp/stash_tier1_traced_smoke.txt").read().splitlines()[-1])
+counters = [
+    "ddl.epochs", "ddl.ff.iterations", "ddl.fault_branches", "simkit.events",
+    "flowsim.full_solves", "flowsim.shortcuts", "datapipe.fetches", "datapipe.preps",
+    "core.cache.misses", "store.write.count", "store.append.count", "store.read.count",
+]
+for workload in ["grid", "profile", "store", "chaos"]:
+    for name in counters:
+        value = doc["metrics"][f"{workload}.{name}"]["value"]
+        assert value == int(value), f"{workload}.{name} is not a count: {value}"
+        print(f"{workload}.{name} {int(value)}")
+PY
+diff -u tests/bench_smoke_counts.txt /tmp/stash_tier1_smoke_counts.txt
 cargo clippy --workspace --all-targets -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the

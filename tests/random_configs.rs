@@ -7,19 +7,30 @@
 //! precision, bucketing, an optional static straggler and an optional
 //! seeded fault plan. Every case must run or be refused with a typed
 //! error, never panic. Every run must give the same `FaultedRun` with
-//! fast-forward off, on, and on with an iteration series attached, and
-//! the series totals must reconcile with the report to the nanosecond.
-//! Cases come from fixed seeds and are not shrunk; a failing case prints
-//! its configuration and fault plan as JSON.
+//! fast-forward off, on, on with an iteration series attached, on inside
+//! one `EngineArena` that every case that runs reuses in turn (so nothing
+//! a case leaves in the arena's network, queue or loaders may steer the
+//! next, whatever its topology), and with an enabled tracer (which keeps
+//! fast-forward off and records spans). The series totals must reconcile with the report to
+//! the nanosecond. Cases come from fixed seeds and are not shrunk; a
+//! failing case prints its configuration and fault plan as JSON.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use stash::ddl::engine::EngineArena;
 use stash::prelude::*;
 use stash::telemetry::series::IterSeries;
+
+thread_local! {
+    /// The one arena every case that runs reuses, in case order.
+    static ARENA: RefCell<EngineArena> = RefCell::new(EngineArena::new());
+}
 
 /// One drawn configuration, and the seed of its fault plan if it has one.
 #[derive(Debug)]
@@ -104,9 +115,14 @@ fn reconciles(report: &EpochReport, series: &IterSeries) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `case` fast-forward off, on, and on with a series; `Ok` when all
-/// three agree (a typed error included) and the series reconciles.
-fn differential(case: &Case, plan: &mut Option<FaultPlan>) -> Result<(), String> {
+/// Runs `case` fast-forward off, on, on with a series, on in `arena` and
+/// traced; `Ok` when all five agree (a typed error included), the tracer
+/// saw spans and the series reconciles.
+fn differential(
+    case: &Case,
+    plan: &mut Option<FaultPlan>,
+    arena: &mut EngineArena,
+) -> Result<(), String> {
     let cfg = &case.cfg;
     let run = |fast_forward: bool, plan: Option<&FaultPlan>, series: Option<&mut IterSeries>| {
         Run {
@@ -135,11 +151,34 @@ fn differential(case: &Case, plan: &mut Option<FaultPlan>) -> Result<(), String>
     let on = run(true, plan, None);
     let mut series = IterSeries::default();
     let with_series = run(true, plan, Some(&mut series));
+    let in_arena = Run {
+        plan,
+        arena: Some(arena),
+        ..Run::default()
+    }
+    .epoch(cfg);
+    let sink = Rc::new(RefCell::new(CountingSink::new()));
+    let tracer = shared(Tracer::new(sink.clone()));
+    let traced = Run {
+        plan,
+        tracer: Some(&tracer),
+        ..Run::default()
+    }
+    .epoch(cfg);
     if on != off {
         return Err(format!("fast-forward on {on:?} != off {off:?}"));
     }
     if with_series != off {
         return Err(format!("with a series {with_series:?} != without {off:?}"));
+    }
+    if in_arena != off {
+        return Err(format!("in a reused arena {in_arena:?} != fresh {off:?}"));
+    }
+    if traced != off {
+        return Err(format!("traced {traced:?} != untraced {off:?}"));
+    }
+    if off.is_ok() && sink.borrow().spans() == 0 {
+        return Err("the tracer saw no spans: the traced comparison is vacuous".into());
     }
     match off {
         Ok(run) => reconciles(&run.report, &series),
@@ -151,13 +190,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every random configuration runs or is refused with a typed error,
-    /// and every run is the same with fast-forward on, off and recording
-    /// a series.
+    /// and every run is the same with fast-forward on, off, recording a
+    /// series, in a reused arena and traced.
     #[test]
     fn random_configs_run_and_agree_across_fast_forward_and_series(case in RandomConfigs) {
         let mut plan = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| differential(&case, &mut plan)))
-            .unwrap_or_else(|_| Err("panicked".to_string()));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            ARENA.with_borrow_mut(|arena| differential(&case, &mut plan, arena))
+        }))
+        .unwrap_or_else(|_| Err("panicked".to_string()));
         if let Err(failure) = outcome {
             let config = serde_json::to_string(&case.cfg).unwrap_or_else(|e| format!("<{e}>"));
             let plan = plan.as_ref().map_or_else(|| "none".to_string(), FaultPlan::to_json);
