@@ -91,15 +91,25 @@ enum Ev {
 }
 
 impl Ev {
-    /// One word naming the event and its target, for state keys.
-    fn code(&self) -> u64 {
+    /// Whether the event's time is fixed by the fault plan or a recovery
+    /// delay rather than by the periodic dynamics. State keys leave pinned
+    /// events out, and a fast-forward skip moves every other event but
+    /// lands it before the earliest pinned one.
+    fn pinned(&self) -> bool {
+        matches!(
+            self,
+            Ev::Fault { .. } | Ev::FaultClear { .. } | Ev::FaultResume
+        )
+    }
+
+    /// One word naming the event and its target, for state keys; `None`
+    /// for a pinned event.
+    fn code(&self) -> Option<u64> {
         match *self {
-            Ev::NetWake => 0,
-            Ev::RankCompute { rank } => 1 << 56 | rank as u64,
-            Ev::LoaderPrep { node, worker } => 2 << 56 | (node as u64) << 24 | worker as u64,
-            Ev::Fault { idx } => 3 << 56 | idx as u64,
-            Ev::FaultClear { idx } => 4 << 56 | idx as u64,
-            Ev::FaultResume => 5 << 56,
+            Ev::NetWake => Some(0),
+            Ev::RankCompute { rank } => Some(1 << 56 | rank as u64),
+            Ev::LoaderPrep { node, worker } => Some(2 << 56 | (node as u64) << 24 | worker as u64),
+            Ev::Fault { .. } | Ev::FaultClear { .. } | Ev::FaultResume => None,
         }
     }
 }
@@ -213,8 +223,8 @@ pub struct EngineOptions {
     /// state; when the key equals that of one of the previous three
     /// boundaries, the state is periodic, and the engine shifts time
     /// forward by as many whole periods as fit before the epoch's last
-    /// iteration and its loaders' drain, then simulates the rest event
-    /// by event. On by default.
+    /// iteration, its loaders' drain and the next fault event, then
+    /// simulates the rest event by event. On by default.
     pub fast_forward: bool,
 }
 
@@ -265,6 +275,9 @@ struct FfBoundary {
     key: Vec<u64>,
     /// Each active rank's accumulators ([`RankState::accs`]).
     accs: Vec<[SimDuration; 5]>,
+    /// Each plan event's blame ([`FaultRuntime::blame`]); empty on
+    /// fault-free runs.
+    blame: Vec<SimDuration>,
     /// The flow network's clock, which the key holds only while a flow
     /// is live.
     net_clock: SimTime,
@@ -275,16 +288,30 @@ struct FfBoundary {
 
 /// Exact-state fast-forward: the last [`MAX_PERIOD`] boundaries and the
 /// host-bus load samples since the oldest. Lives only on untraced runs
-/// without per-iteration trace samples, and only until it skips or no
-/// skip can fit any more.
+/// without per-iteration trace samples, and only until a skip that no
+/// pending fault event cut short, or until no skip can fit any more.
 #[derive(Debug, Default)]
 struct FfState {
-    /// Consecutive boundaries, oldest first.
+    /// Consecutive boundaries since the last delivered pinned event
+    /// ([`Ev::pinned`]), oldest first.
     seen: VecDeque<FfBoundary>,
     /// A retired boundary whose buffers the next one reuses.
     spare: FfBoundary,
     /// Host-bus load samples, from the oldest kept boundary on.
     samples: Vec<(SimTime, f64)>,
+    /// Set when the earliest pending pinned event left no room for
+    /// another period: no boundary is keyed until it is delivered.
+    held: bool,
+}
+
+impl FfState {
+    /// Forgets the kept boundaries and load samples, the net's pending
+    /// ones included: the next keyed boundary starts a new stretch.
+    fn restart(&mut self, net: &mut FlowNet) {
+        net.take_probe_samples(&mut self.samples);
+        self.samples.clear();
+        self.seen.clear();
+    }
 }
 
 /// The reporting rank's accumulator baseline at the last emitted series
@@ -335,10 +362,6 @@ struct FaultRuntime {
     fired: Vec<bool>,
     /// Wall-clock stall blamed directly on each plan event.
     blame: Vec<SimDuration>,
-    /// Plan events not yet fully resolved. Fast-forward may only engage
-    /// once this reaches zero (and no replay is active): an engaged
-    /// fast-forward would otherwise skip straight past scheduled faults.
-    outstanding: usize,
     /// Per-rank product of the slowdowns of open straggler windows
     /// (exactly 1.0 when none are open).
     slow_factor: Vec<f64>,
@@ -374,6 +397,16 @@ struct FaultRuntime {
 }
 
 impl FaultRuntime {
+    /// Whether a preemption is being recovered from: one is queued,
+    /// gathering ranks at its barrier, waiting out its delay or being
+    /// replayed. Fast-forward keys no boundary meanwhile.
+    fn recovering(&self) -> bool {
+        !self.preempt_queue.is_empty()
+            || self.barrier.is_some()
+            || self.resume.is_some()
+            || self.replaying > 0
+    }
+
     /// The open window faults with their plan indices, in plan order.
     fn open_windows(&self) -> impl DoubleEndedIterator<Item = (usize, &FaultKind)> {
         self.plan
@@ -496,8 +529,9 @@ pub struct Run<'a> {
     pub options: EngineOptions,
     /// Faults injected through the event queue, with checkpoint/restart
     /// replay, elastic re-formation and straggler detection engaged. An
-    /// empty plan is the fault-free run. Fast-forward pauses while a fault
-    /// is pending or being recovered from.
+    /// empty plan is the fault-free run. Fast-forward skips only between
+    /// fault events, never across one, and pauses while a preemption is
+    /// being recovered from.
     pub plan: Option<&'a FaultPlan>,
     /// Simulation state to reuse, returned with its capacity intact; a
     /// fresh arena when `None`.
@@ -769,7 +803,6 @@ impl<'a> Engine<'a> {
                 open: vec![false; p.events.len()],
                 fired: vec![false; p.events.len()],
                 blame: vec![SimDuration::ZERO; p.events.len()],
-                outstanding: p.events.len(),
                 slow_factor: vec![1.0; topo.world_size()],
                 nominal_nic: (0..nodes)
                     .map(|n| topo.degraded_nic_capacities(&net, n, 1.0))
@@ -1063,6 +1096,14 @@ impl<'a> Engine<'a> {
                 };
                 stash_telemetry::flight::flight_record(self.q.now().as_nanos(), code, a, b);
             }
+            if ev.pinned() {
+                stash_telemetry::metrics::FAULT_BRANCHES.inc();
+                // A proven period never contains a fault transition.
+                if let Some(ff) = &mut self.ff {
+                    ff.restart(&mut self.net);
+                    ff.held = false;
+                }
+            }
             match ev {
                 Ev::NetWake => {
                     self.next_wake = None;
@@ -1072,18 +1113,9 @@ impl<'a> Engine<'a> {
                 Ev::LoaderPrep { node, worker } => {
                     self.loader_step(node, |l, work| l.prep_done(worker, work));
                 }
-                Ev::Fault { idx } => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
-                    self.on_fault_fired(idx);
-                }
-                Ev::FaultClear { idx } => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
-                    self.on_fault_cleared(idx);
-                }
-                Ev::FaultResume => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
-                    self.on_fault_resume();
-                }
+                Ev::Fault { idx } => self.on_fault_fired(idx),
+                Ev::FaultClear { idx } => self.on_fault_cleared(idx),
+                Ev::FaultResume => self.on_fault_resume(),
             }
             self.drain_flows();
             self.schedule_wake();
@@ -1304,15 +1336,20 @@ impl<'a> Engine<'a> {
     /// the complete simulation state ([`Engine::state_key`]). A key equal
     /// to that of the boundary `k ≤ MAX_PERIOD` iterations earlier proves
     /// the state periodic: everything from here on repeats what followed
-    /// that boundary, `k` iterations and the time between later. The
-    /// engine then skips as many whole periods as [`Engine::ff_room`]
-    /// allows ([`Engine::ff_skip`]) and simulates the rest, the loader
-    /// drain included, event by event.
+    /// that boundary, `k` iterations and the time between later, until
+    /// the next pinned event ([`Ev::pinned`]) is delivered. The engine
+    /// then skips as many whole periods as [`Engine::ff_room`] and
+    /// [`Engine::ff_pin_room`] allow ([`Engine::ff_skip`]) and simulates
+    /// the rest, the loader drain included, event by event.
     ///
-    /// Keys are taken only once the fault plan is quiescent (every event
-    /// fired and resolved, no replay running), so a skip can never jump
-    /// past a scheduled fault. The fast-forward switches itself off after
-    /// a match, and as soon as not even one period could be skipped.
+    /// Keys are taken whenever no preemption is being recovered from
+    /// ([`FaultRuntime::recovering`]); open fault windows are keyed
+    /// through their effects. Delivering a pinned event discards the kept
+    /// boundaries, so a proven period never contains a fault transition.
+    /// When the next pinned event cuts a skip short, or leaves no room for
+    /// one, keying holds until it is delivered; otherwise the fast-forward
+    /// switches itself off after a match, and as soon as not even one
+    /// period could be skipped.
     fn on_ff_iteration_done(&mut self, rank: usize) {
         let iter = self.ranks[rank].iter;
         if !self.active.iter().all(|&r| self.ranks[r].iter >= iter) {
@@ -1324,13 +1361,12 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut ff = self.ff.take().req("ff state");
-        self.net.take_probe_samples(&mut ff.samples);
-        if !self.faults_quiescent() {
-            ff.seen.clear();
-            ff.samples.clear();
+        if ff.held || self.faults.as_ref().is_some_and(FaultRuntime::recovering) {
+            ff.restart(&mut self.net);
             self.ff = Some(ff);
             return;
         }
+        self.net.take_probe_samples(&mut ff.samples);
         let mut cur = std::mem::take(&mut ff.spare);
         cur.iter = iter;
         cur.at = self.q.now();
@@ -1339,6 +1375,10 @@ impl<'a> Engine<'a> {
         cur.accs.clear();
         cur.accs
             .extend(self.active.iter().map(|&r| self.ranks[r].accs()));
+        cur.blame.clear();
+        if let Some(fr) = &self.faults {
+            cur.blame.extend_from_slice(&fr.blame);
+        }
         cur.net_clock = self.net.last_advance();
         cur.samples_end = ff.samples.len();
         let matched = (1..=MAX_PERIOD).find_map(|k| {
@@ -1347,11 +1387,21 @@ impl<'a> Engine<'a> {
         });
         if let Some((k, b)) = matched {
             stash_telemetry::metrics::FF_CONFIRMATIONS.inc();
-            let n = self.ff_room(iter, k);
+            let room = self.ff_room(iter, k);
+            let n = room.min(self.ff_pin_room(cur.at.duration_since(b.at)));
             if n > 0 {
                 self.ff_skip(&ff.samples[b.samples_end..cur.samples_end], b, &cur, k, n);
             }
-            self.net.clear_load_probe();
+            if n < room {
+                // The next pinned event cut the skip short: what is left
+                // of this stretch is shorter than a period.
+                ff.restart(&mut self.net);
+                ff.spare = cur;
+                ff.held = true;
+                self.ff = Some(ff);
+            } else {
+                self.net.clear_load_probe();
+            }
             return;
         }
         ff.seen.push_back(cur);
@@ -1381,15 +1431,37 @@ impl<'a> Engine<'a> {
             })
     }
 
+    /// Largest number of whole periods of length `period` a skip may
+    /// cover so that every shifted event, and the clock, lands strictly
+    /// before the earliest pending pinned event ([`Ev::pinned`]): then no
+    /// fault falls inside the skipped span, and no shifted event ties with
+    /// a pinned one, so FIFO order matches the unskipped run. Unbounded
+    /// when no pinned event is pending.
+    fn ff_pin_room(&self, period: SimDuration) -> u64 {
+        let (first_pinned, last_other) = self.q.pin_bounds(Ev::pinned);
+        let Some(first_pinned) = first_pinned else {
+            return u64::MAX;
+        };
+        let last = last_other.unwrap_or_else(|| self.q.now());
+        first_pinned
+            .as_nanos()
+            .checked_sub(last.as_nanos() + 1)
+            .map_or(0, |slack| {
+                slack.checked_div(period.as_nanos()).unwrap_or(u64::MAX)
+            })
+    }
+
     /// Appends the complete simulation state at this iteration boundary
     /// to `key`: times relative to now, iteration and batch counters
     /// relative to `iter`. Two boundaries with equal keys continue
-    /// identically. The key holds the active ranks (phase, iteration,
-    /// micro-batch, wait start), the communicator and its open bucket,
-    /// the pending network wake, every loader, the fault runtime's mutable
-    /// fields, the flow network ([`FlowNet::key_into`]) and the event
-    /// queue's live events in delivery order. Accumulators are left out:
-    /// nothing the simulation decides reads them.
+    /// identically until the next pinned event. The key holds the active
+    /// ranks (phase, iteration, micro-batch, wait start), the
+    /// communicator and its open bucket, the pending network wake, every
+    /// loader, the fault runtime's window and straggler-detection state,
+    /// the flow network ([`FlowNet::key_into`]) and the event queue's live
+    /// events in delivery order, pinned ones left out. Accumulators are
+    /// left out: nothing the simulation decides reads them. So are the
+    /// recovery fields, which are idle whenever a key is taken.
     fn state_key(&mut self, iter: u64, key: &mut Vec<u64>) {
         let now = self.q.now();
         let time = |key: &mut Vec<u64>, t: Option<SimTime>| match t {
@@ -1436,9 +1508,6 @@ impl<'a> Engine<'a> {
                 time(key, t);
             }
             key.extend([fr.timeout.as_nanos(), fr.detections.len() as u64]);
-            key.extend([fr.replaying as u64, fr.preempt_queue.len() as u64]);
-            key.push(fr.barrier.map_or(0, |i| i as u64 + 1));
-            key.push(fr.resume.map_or(0, |i| i as u64 + 1));
         }
         self.net.key_into(now, key);
         self.q.key_into(now, key, Ev::code);
@@ -1448,10 +1517,12 @@ impl<'a> Engine<'a> {
     /// equals the state at `b`, so `n` periods later it is the same state
     /// again, every time `n` periods later and every counter `n·k`
     /// iterations on. One time offset moves the event queue (order, ties
-    /// and keys intact), the network's clock and memo (an idle network's
-    /// clock only if it moved during the proven period), the pending
-    /// wake, the open bucket, straggler-detection stamps, wait starts and
-    /// the telemetry-only open transfers. The accumulators grow by `n` times
+    /// and keys intact; pinned events stay at their times, after every
+    /// moved one by [`Engine::ff_pin_room`]), the network's clock and
+    /// memo (an idle network's clock only if it moved during the proven
+    /// period), the pending wake, the open bucket, straggler-detection
+    /// stamps, wait starts and the telemetry-only open transfers. The
+    /// rank accumulators and the plan events' blame grow by `n` times
     /// their per-period deltas, the loaders' started counts by `n·k`
     /// iterations' batches, and the host-bus utilization integral by the
     /// recorded load `samples` of one period, replayed `n` times. The
@@ -1466,7 +1537,7 @@ impl<'a> Engine<'a> {
     ) {
         let period = cur.at.duration_since(b.at);
         let d = period * n;
-        self.q.shift(d);
+        self.q.shift(d, Ev::pinned);
         self.net
             .replay_probe_load(self.topo.host_bus(0), samples, period, n);
         // An idle network's clock is not in the key. It moved during the
@@ -1480,6 +1551,9 @@ impl<'a> Engine<'a> {
         self.xfer_open.values_mut().for_each(|(t, _)| later(t));
         if let Some(fr) = &mut self.faults {
             fr.bucket_first.iter_mut().flatten().for_each(later);
+            for (blame, (now, then)) in fr.blame.iter_mut().zip(cur.blame.iter().zip(&b.blame)) {
+                *blame += (*now - *then) * n;
+            }
         }
         let batches = n * k * self.cfg.grad_accumulation.max(1);
         self.loaders
@@ -1631,15 +1705,6 @@ impl<'a> Engine<'a> {
     }
 
     // ----- fault injection and recovery -----------------------------------
-
-    /// `true` when the plan is fully resolved: every event fired, every
-    /// window closed, every recovery completed. Fast-forward may only
-    /// engage while this holds, so it can never skip a scheduled fault.
-    fn faults_quiescent(&self) -> bool {
-        self.faults
-            .as_ref()
-            .is_none_or(|fr| fr.outstanding == 0 && fr.replaying == 0)
-    }
 
     /// Attributes straggler-window excess to the most recently opened
     /// window targeting `rank`.
@@ -2049,7 +2114,6 @@ impl<'a> Engine<'a> {
     /// preemption, if any.
     fn resolve_fault(&mut self, idx: usize) {
         self.series_annotate_close(idx);
-        self.faults.as_mut().req("faults").outstanding -= 1;
         self.arm_next_preemption();
     }
 

@@ -85,8 +85,8 @@ pub struct EventQueue<E> {
     /// Deepest `live` has been since the last [`EventQueue::take_depth_high_water`].
     window_hw: usize,
     scheduled: u64,
-    /// Scratch for [`EventQueue::key_into`]: live entries as `(time,
-    /// insertion, payload code)`, sorted into delivery order.
+    /// Scratch for [`EventQueue::key_into`]: the kept live entries as
+    /// `(time, insertion, payload code)`, sorted into delivery order.
     order: Vec<(SimTime, u64, u64)>,
 }
 
@@ -203,32 +203,77 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Moves the clock and every pending event `d` later. Delivery order,
-    /// FIFO ties and outstanding [`EventKey`]s are unchanged: a uniform
-    /// shift preserves every `(time, insertion)` comparison, and keys name
-    /// slots, not times. A caller that has proved its state periodic uses
-    /// this to skip whole periods of simulated time.
-    pub fn shift(&mut self, d: SimDuration) {
+    /// Moves the clock and every pending event `d` later, except the
+    /// events `pinned` selects, which keep their absolute times. Order
+    /// among the moved events, FIFO ties and outstanding [`EventKey`]s are
+    /// unchanged: a uniform shift preserves every `(time, insertion)`
+    /// comparison among them, and keys name slots, not times. A caller
+    /// that has proved its state periodic between pinned events uses this
+    /// to skip whole periods of simulated time. It must land every moved
+    /// live event strictly before every pinned one ([`EventQueue::pin_bounds`]),
+    /// so no moved event ties with a pinned one and the delivery order is
+    /// the one the skipped periods would have produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a moved live event lands at or after a
+    /// live pinned one.
+    pub fn shift(&mut self, d: SimDuration, pinned: impl Fn(&E) -> bool) {
         self.now += d;
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         for Reverse(e) in &mut entries {
-            e.at += d;
+            if !pinned(&e.payload) {
+                e.at += d;
+            }
         }
-        // Still heap-ordered; rebuilding checks that in O(n) and keeps
-        // the buffer.
+        // Rebuilding is O(n) and keeps the buffer.
         self.heap = BinaryHeap::from(entries);
+        debug_assert!(
+            match self.pin_bounds(&pinned) {
+                (Some(first_pinned), Some(last_moved)) => last_moved < first_pinned,
+                _ => true,
+            },
+            "a shifted event reached a pinned one"
+        );
     }
 
-    /// Appends the live events to `key` in delivery order (time, then
-    /// insertion), two words each: the time relative to `base` (wrapping)
-    /// and `encode(payload)`. Two queues with equal keys deliver the same
-    /// payloads at the same offsets from their bases, and an event
-    /// scheduled later sorts behind the same ties in both.
-    pub fn key_into(&mut self, base: SimTime, key: &mut Vec<u64>, encode: impl Fn(&E) -> u64) {
+    /// One scan over the live events: the time of the earliest one
+    /// `pinned` selects and of the latest one it does not, each `None`
+    /// when there is no such event. Cancelled entries are ignored.
+    pub fn pin_bounds(&self, pinned: impl Fn(&E) -> bool) -> (Option<SimTime>, Option<SimTime>) {
+        let mut first_pinned: Option<SimTime> = None;
+        let mut last_other: Option<SimTime> = None;
+        for Reverse(e) in &self.heap {
+            if self.slot_gen[e.idx as usize] != e.gen {
+                continue;
+            }
+            if pinned(&e.payload) {
+                first_pinned = Some(first_pinned.map_or(e.at, |t| t.min(e.at)));
+            } else {
+                last_other = Some(last_other.map_or(e.at, |t| t.max(e.at)));
+            }
+        }
+        (first_pinned, last_other)
+    }
+
+    /// Appends the live events `encode` keeps to `key` in delivery order
+    /// (time, then insertion), two words each: the time relative to `base`
+    /// (wrapping) and `encode(payload)`. An event it maps to `None` is
+    /// left out. Two queues with equal keys deliver the same kept payloads
+    /// at the same offsets from their bases, and an event scheduled later
+    /// sorts behind the same ties in both.
+    pub fn key_into(
+        &mut self,
+        base: SimTime,
+        key: &mut Vec<u64>,
+        encode: impl Fn(&E) -> Option<u64>,
+    ) {
         self.order.clear();
         for Reverse(e) in &self.heap {
             if self.slot_gen[e.idx as usize] == e.gen {
-                self.order.push((e.at, e.seq, encode(&e.payload)));
+                if let Some(code) = encode(&e.payload) {
+                    self.order.push((e.at, e.seq, code));
+                }
             }
         }
         self.order.sort_unstable();
@@ -414,7 +459,7 @@ mod tests {
         let mut shifted = EventQueue::new();
         let plain_key = populated(&mut plain);
         let shifted_key = populated(&mut shifted);
-        shifted.shift(SimDuration::from_nanos(d));
+        shifted.shift(SimDuration::from_nanos(d), |_| false);
         assert_eq!(shifted.now(), at(5 + d));
         assert_eq!(shifted.len(), plain.len());
         // A key issued before the shift still cancels its event, and an
@@ -436,7 +481,7 @@ mod tests {
 
     #[test]
     fn keys_are_relative_and_skip_cancelled_entries() {
-        let code = |e: &&str| e.len() as u64;
+        let code = |e: &&str| Some(e.len() as u64);
         let key = |q: &mut EventQueue<&'static str>| {
             let mut k = Vec::new();
             let now = q.now();
@@ -447,7 +492,7 @@ mod tests {
         populated(&mut plain);
         let mut shifted = EventQueue::new();
         populated(&mut shifted);
-        shifted.shift(SimDuration::from_nanos(777));
+        shifted.shift(SimDuration::from_nanos(777), |_| false);
         let k = key(&mut plain);
         // Four live entries, two words each; the cancelled one is absent.
         assert_eq!(k, [7, 3, 15, 5, 15, 5, 15, 5]);
@@ -457,5 +502,103 @@ mod tests {
         let tie_b = populated(&mut other);
         other.cancel(tie_b);
         assert_ne!(key(&mut other), k);
+    }
+
+    fn is_pinned(e: &&str) -> bool {
+        e.starts_with("pin")
+    }
+
+    /// [`populated`] plus pinned events after every other live one, one
+    /// of them cancelled; returns the live pinned event's key.
+    fn populated_with_pins(q: &mut EventQueue<&'static str>) -> EventKey {
+        q.schedule_at(at(50), "pin-a");
+        let dead = q.schedule_at(at(40), "pin-cancelled");
+        populated(q);
+        let key = q.schedule_at(at(50), "pin-b");
+        q.cancel(dead);
+        key
+    }
+
+    #[test]
+    fn pinned_shift_keeps_pinned_times_and_the_rest_in_order() {
+        let d = 25;
+        let mut plain = EventQueue::new();
+        let mut shifted = EventQueue::new();
+        let plain_key = populated_with_pins(&mut plain);
+        let shifted_key = populated_with_pins(&mut shifted);
+        let plain_tie = plain.schedule_at(at(20), "tie-d");
+        let shifted_tie = shifted.schedule_at(at(20), "tie-d");
+        shifted.shift(SimDuration::from_nanos(d), is_pinned);
+        assert_eq!(shifted.now(), at(5 + d));
+        assert_eq!(shifted.len(), plain.len());
+        // Keys issued before the shift still cancel their events, pinned
+        // or moved.
+        assert!(plain.cancel(plain_tie));
+        assert!(shifted.cancel(shifted_tie));
+        assert!(plain.cancel(plain_key));
+        assert!(shifted.cancel(shifted_key));
+        // An event scheduled after the shift sorts behind the moved ties.
+        plain.schedule_at(at(20), "tie-e");
+        shifted.schedule_at(at(20 + d), "tie-e");
+        let want: Vec<_> = drain(&mut plain)
+            .into_iter()
+            .map(|(t, e)| (if is_pinned(&e) { t } else { t + d }, e))
+            .collect();
+        assert_eq!(drain(&mut shifted), want);
+        assert_eq!(
+            want,
+            [
+                (12 + d, "mid"),
+                (20 + d, "tie-a"),
+                (20 + d, "tie-b"),
+                (20 + d, "tie-c"),
+                (20 + d, "tie-e"),
+                (50, "pin-a"),
+            ]
+        );
+    }
+
+    #[test]
+    fn keys_omit_the_entries_the_encoder_excludes() {
+        let key = |q: &mut EventQueue<&'static str>, pins: bool| {
+            let mut k = Vec::new();
+            let now = q.now();
+            q.key_into(now, &mut k, |e| {
+                (pins || !is_pinned(e)).then_some(e.len() as u64)
+            });
+            k
+        };
+        let mut plain = EventQueue::new();
+        populated(&mut plain);
+        let mut pinned = EventQueue::new();
+        populated_with_pins(&mut pinned);
+        // Without its pinned events the queue keys as one that never had
+        // them, and the excluded entries' times do not matter.
+        assert_eq!(key(&mut pinned, false), key(&mut plain, false));
+        assert_eq!(
+            key(&mut pinned, true).len(),
+            key(&mut plain, true).len() + 4
+        );
+        let mut moved = EventQueue::new();
+        moved.schedule_at(at(90), "pin-a");
+        populated(&mut moved);
+        assert_eq!(key(&mut moved, false), key(&mut plain, false));
+        assert_ne!(key(&mut moved, true), key(&mut pinned, true));
+    }
+
+    #[test]
+    fn pin_bounds_ignore_cancelled_entries() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.pin_bounds(is_pinned), (None, None));
+        let early_pin = q.schedule_at(at(8), "pin-early");
+        let late = q.schedule_at(at(90), "late");
+        q.schedule_at(at(30), "pin-a");
+        q.schedule_at(at(12), "mid");
+        assert_eq!(q.pin_bounds(is_pinned), (Some(at(8)), Some(at(90))));
+        q.cancel(early_pin);
+        q.cancel(late);
+        assert_eq!(q.pin_bounds(is_pinned), (Some(at(30)), Some(at(12))));
+        assert_eq!(q.pin_bounds(|_| false), (None, Some(at(30))));
+        assert_eq!(q.pin_bounds(|_| true), (Some(at(12)), None));
     }
 }

@@ -1,10 +1,11 @@
 //! Fault injection must be a strict superset of the fault-free engine:
 //! with an empty [`FaultPlan`] every [`EpochReport`] bit matches the
 //! plain entry points (fast-forward on and off, synthetic and real data,
-//! static stragglers included), seeded plans are run-to-run
-//! deterministic and fast-forward invariant (real-data epochs included),
-//! and on factor-1 runs the faulted accumulators tile the wall clock at
-//! integer-nanosecond exactness.
+//! static stragglers included), seeded and hand-written plans are
+//! run-to-run deterministic and fast-forward invariant (real-data epochs
+//! included) while fast-forward skips between their fault events but
+//! never across one, and on factor-1 runs the faulted accumulators tile
+//! the wall clock at integer-nanosecond exactness.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -124,12 +125,200 @@ fn seeded_plans_are_deterministic_across_runs_and_fast_forward() {
     }
 }
 
+/// Requires that no fast-forwarded series bucket strictly contains a
+/// fault annotation's start or end, or overlaps a preemption's recovery:
+/// a skip lands before the next fault event and never starts while a
+/// preemption is being recovered from.
+fn assert_no_skip_spans_a_fault(series: &IterSeries, what: &str) {
+    for s in series.samples.iter().filter(|s| s.ff_iterations > 0) {
+        let (start, end) = (s.start_ns, s.start_ns + s.wall_ns);
+        let inside = |t: u64| start < t && t < end;
+        for a in &series.annotations {
+            assert!(
+                !inside(a.start_ns) && !inside(a.end_ns),
+                "{what}: skipped span {start}..{end} ns crosses {} ({}..{} ns)",
+                a.label,
+                a.start_ns,
+                a.end_ns
+            );
+            assert!(
+                a.kind != "preemption" || end <= a.start_ns || a.end_ns <= start,
+                "{what}: skipped span {start}..{end} ns overlaps the recovery of {} ({}..{} ns)",
+                a.label,
+                a.start_ns,
+                a.end_ns
+            );
+        }
+    }
+}
+
+/// Runs `plan` with fast-forward on, recording the series, and off;
+/// requires equal [`FaultedRun`]s (blame included) and no skipped span
+/// across a fault transition. Returns the run and its series.
+fn assert_ff_invariant(
+    cfg: &TrainConfig,
+    plan: &FaultPlan,
+    what: &str,
+) -> (FaultedRun, IterSeries) {
+    let mut series = IterSeries::default();
+    let on = Run {
+        plan: Some(plan),
+        series: Some(&mut series),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("fast-forward on");
+    let off = Run {
+        options: EngineOptions {
+            fast_forward: false,
+        },
+        plan: Some(plan),
+        ..Run::default()
+    }
+    .epoch(cfg)
+    .expect("fast-forward off");
+    assert_eq!(on, off, "{what}: drifted across fast-forward");
+    assert_no_skip_spans_a_fault(&series, what);
+    (on, series)
+}
+
+/// The benchmark's chaos cell: a 48-iteration synthetic epoch.
+fn chaos_cfg(cluster: ClusterSpec, model: Model) -> TrainConfig {
+    let mut cfg = TrainConfig::synthetic(cluster, model, 32, 32 * 48);
+    cfg.epoch_mode = EpochMode::Full;
+    cfg
+}
+
+/// The benchmark's chaos cells under their seeded plans: fast-forward
+/// keys the state between fault events, open windows included, and
+/// every run skips before its plan resolves.
+#[test]
+fn chaos_cells_skip_between_faults() {
+    let shapes = [
+        ClusterSpec::homogeneous(p3_8xlarge(), 2),
+        ClusterSpec::single(p3_16xlarge()),
+        ClusterSpec::homogeneous(p2_8xlarge(), 2),
+        ClusterSpec::homogeneous(p3_2xlarge(), 4),
+    ];
+    for cluster in shapes {
+        for model in zoo::small_models() {
+            let cfg = chaos_cfg(cluster.clone(), model);
+            let base = run_epoch(&cfg).expect("baseline");
+            let (world, nodes) = (cfg.cluster.world_size(), cfg.cluster.node_count());
+            for seed in 1..=3 {
+                let what = format!(
+                    "{} on {} (plan seed {seed})",
+                    cfg.model.name,
+                    cluster.display_name()
+                );
+                let plan = FaultPlan::seeded(seed, world, nodes, base.epoch_time);
+                let (_, series) = assert_ff_invariant(&cfg, &plan, &what);
+                let resolved = series.annotations.iter().map(|a| a.end_ns).max();
+                assert!(
+                    series
+                        .samples
+                        .iter()
+                        .any(|s| s.ff_iterations > 0 && Some(s.start_ns) < resolved),
+                    "{what}: no skip before the plan resolved at {resolved:?} ns"
+                );
+            }
+        }
+    }
+}
+
+/// Hand-written plans that put fault events where the skip bound is
+/// tight: exactly on the fault-free run's iteration boundaries, windows
+/// back to back with no gap between them, and a window still open when
+/// the epoch ends. On one GPU nothing else is pending at a boundary, so
+/// the clock alone bounds the skip: a skip that landed on a fault's own
+/// boundary would open its window one forward pass late.
+#[test]
+fn hand_written_plans_bound_the_skip() {
+    for cluster in [
+        ClusterSpec::homogeneous(p3_8xlarge(), 2),
+        ClusterSpec::single(p3_2xlarge()),
+    ] {
+        let cfg = chaos_cfg(cluster.clone(), zoo::resnet18());
+        let (last_rank, last_node) = (cfg.cluster.world_size() - 1, cfg.cluster.node_count() - 1);
+        let mut base_series = IterSeries::default();
+        let base = Run {
+            options: EngineOptions {
+                fast_forward: false,
+            },
+            series: Some(&mut base_series),
+            ..Run::default()
+        }
+        .epoch(&cfg)
+        .expect("baseline")
+        .report;
+        // End of each iteration of the fault-free run's reporting rank.
+        let boundary: Vec<SimTime> = base_series
+            .samples
+            .iter()
+            .map(|s| SimTime::from_nanos(s.start_ns + s.wall_ns))
+            .collect();
+        assert_eq!(boundary.len(), 48);
+        let between = |a: usize, b: usize| boundary[b].duration_since(boundary[a]);
+        let event = |at: SimTime, kind: FaultKind| FaultEvent { at, kind };
+        let straggler = |rank: usize, duration: SimDuration| FaultKind::StragglerWindow {
+            rank,
+            duration,
+            slowdown: 1.5,
+        };
+        let link = |node: usize, duration: SimDuration| FaultKind::LinkDegradation {
+            node,
+            duration,
+            factor: 0.5,
+        };
+        let plan = |events: Vec<FaultEvent>| {
+            let mut plan = FaultPlan::empty();
+            plan.events = events;
+            plan
+        };
+
+        let on_boundaries = plan(vec![
+            event(boundary[5], straggler(0, between(5, 12))),
+            event(boundary[18], link(last_node, between(18, 26))),
+            event(
+                boundary[30],
+                FaultKind::Preemption {
+                    node: last_node,
+                    restart_after: Some(between(30, 32)),
+                },
+            ),
+            event(boundary[38], straggler(last_rank, between(38, 41))),
+        ]);
+        let third = base.epoch_time / 3;
+        let back_to_back = plan(vec![
+            event(boundary[6], straggler(last_rank, third)),
+            event(boundary[6] + third, straggler(last_rank, third / 2)),
+            event(boundary[6] + third + third / 2, link(0, third / 2)),
+        ]);
+        let open_at_end = plan(vec![
+            event(boundary[4], link(last_node, base.epoch_time * 10)),
+            event(boundary[20], straggler(0, base.epoch_time * 10)),
+        ]);
+        for (kind, plan) in [
+            ("faults on iteration boundaries", on_boundaries),
+            ("back-to-back windows", back_to_back),
+            ("windows open at the epoch's end", open_at_end),
+        ] {
+            let what = format!("{kind} on {}", cluster.display_name());
+            let (_, series) = assert_ff_invariant(&cfg, &plan, &what);
+            assert!(
+                series.totals().ff_iterations > 0,
+                "{what}: fast-forward never skipped"
+            );
+        }
+    }
+}
+
 /// A cold real-data epoch whose seeded plan fires and resolves in its
-/// first quarter: fast-forward stays off while faults are pending, then
-/// keys the state a resolved plan leaves behind (restored SSD and NIC
+/// first quarter: fast-forward keys the state between fault events and
+/// the state a resolved plan leaves behind (restored SSD and NIC
 /// capacities, a cleared brownout flag, loaders after a preemption) and
-/// may skip. The run must be bit-identical either way, and any skipped
-/// span must start after the last fault window closed.
+/// may skip. The run must be bit-identical either way, and no skipped
+/// span may cross a fault transition.
 #[test]
 fn faulted_real_data_is_fast_forward_invariant() {
     let mut cfg = TrainConfig::synthetic(
@@ -148,41 +337,16 @@ fn faulted_real_data_is_fast_forward_invariant() {
     let mut skipped_seeds = 0;
     for seed in [1, 7, 23] {
         let plan = FaultPlan::seeded(seed, cfg.cluster.world_size(), 2, horizon);
-        let mut series = IterSeries::default();
-        let on = Run {
-            plan: Some(&plan),
-            series: Some(&mut series),
-            ..Run::default()
-        }
-        .epoch(&cfg)
-        .expect("fast-forward on");
-        let off = Run {
-            options: EngineOptions {
-                fast_forward: false,
-            },
-            plan: Some(&plan),
-            ..Run::default()
-        }
-        .epoch(&cfg)
-        .expect("fast-forward off");
-        assert_eq!(on, off, "seed {seed} drifted across fast-forward");
+        let (on, series) = assert_ff_invariant(&cfg, &plan, &format!("seed {seed}"));
         assert!(
             on.faults.events.iter().all(|e| e.fired),
             "seed {seed}: every planned fault must fire inside the epoch"
         );
-        let resolved = series.annotations.iter().map(|a| a.end_ns).max();
-        for s in series.samples.iter().filter(|s| s.ff_iterations > 0) {
-            assert!(
-                Some(s.start_ns) >= resolved,
-                "seed {seed}: skipped from {} ns, before the plan resolved at {resolved:?}",
-                s.start_ns
-            );
-        }
         if series.totals().ff_iterations > 0 {
             skipped_seeds += 1;
         }
     }
-    assert!(skipped_seeds > 0, "no seed skipped after its plan resolved");
+    assert!(skipped_seeds > 0, "no seed skipped");
 }
 
 /// On a factor-1 run the rank-0 accumulators must tile the epoch to the
