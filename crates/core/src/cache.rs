@@ -9,17 +9,19 @@
 //! is identical (and therefore, the engine being deterministic, so is the
 //! result).
 //!
-//! The cache is shared: `&MeasurementCache` is [`Sync`], so the parallel
-//! profiler's worker threads and the sweep pool's jobs
-//! ([`par_profile_many`], `run_sweep`) all hit one map. Within a single
-//! profile this deduplicates nothing (the five steps differ), but across
-//! a sweep it collapses the repeated reference-instance measurements —
-//! e.g. steps 1/2 of every multi-node p3 cluster re-measure the same
-//! `p3.16xlarge` epochs, often on two workers at once, which is why a
-//! miss is single-flight.
+//! The cache is shared: `&MeasurementCache` is [`Sync`], so every worker
+//! of the profiler's one worker pool hits one map, whether it runs the
+//! steps of a [`Stash::profile_cached`] call or the jobs of a sweep
+//! ([`par_profile_many`], `run_sweep`). Within a single profile this
+//! deduplicates nothing (the five steps differ), but across a sweep it
+//! collapses the repeated reference-instance measurements — e.g. steps
+//! 1/2 of every multi-node p3 cluster re-measure the same `p3.16xlarge`
+//! epochs, often on two workers at once, which is why a miss is
+//! single-flight.
 //!
 //! [`run_epoch`]: stash_ddl::engine::run_epoch
 //! [`par_profile_many`]: crate::profiler::par_profile_many
+//! [`Stash::profile_cached`]: crate::profiler::Stash::profile_cached
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};

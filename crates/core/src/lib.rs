@@ -6,9 +6,10 @@
 //! steps 1 and 5) plus the **CPU (prep)** and **disk (fetch)** stalls of
 //! prior work DS-Analyzer (steps 2-4).
 //!
-//! * [`profiler`] — [`profiler::Stash`] (all five steps, serial or
-//!   parallel execution) and [`profiler::DsAnalyzer`] (the prior-work
-//!   subset), plus [`profiler::par_profile_many`] for sweep fan-out;
+//! * [`profiler`] — [`profiler::Stash`] (all five steps, serial or on
+//!   the worker pool) and [`profiler::DsAnalyzer`] (the prior-work
+//!   subset), plus [`profiler::par_profile_many`] for sweep fan-out over
+//!   the same pool;
 //! * [`cache`] — [`cache::MeasurementCache`], memoizing identical epoch
 //!   measurements within and across profiles;
 //! * [`report`] — [`report::StallReport`] with the paper's stall formulas;

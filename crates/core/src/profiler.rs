@@ -14,6 +14,12 @@
 //! Steps 2-4 are the prior-work DS-Analyzer subset ([`DsAnalyzer`]); steps
 //! 1 and 5 are Stash's contribution — the communication stalls.
 
+use std::collections::BTreeMap;
+use std::ffi::OsStr;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, OnceLock};
+
 use serde::Serialize;
 use stash_collectives::bucket::Bucketing;
 use stash_collectives::schedule::Algorithm;
@@ -35,15 +41,58 @@ use crate::report::{StallReport, StepTimes};
 /// DL's repetitiveness the same way: one epoch characterizes training).
 pub const DEFAULT_SAMPLED_ITERATIONS: u64 = 25;
 
-/// Number of worker threads sweep fan-out uses: the `STASH_BENCH_THREADS`
-/// environment variable when set (minimum 1), otherwise the machine's
-/// available parallelism.
+/// The environment variable that sets the worker count of every fan-out
+/// (see [`profile_threads`]).
+pub const THREADS_ENV: &str = "STASH_BENCH_THREADS";
+
+/// The worker count a [`THREADS_ENV`] value asks for on a machine with
+/// `available` cores: `available` when unset, the value when it is a
+/// whole number (surrounding spaces allowed, `0` meaning one worker).
+///
+/// # Errors
+///
+/// A message naming the variable when the value is set but is not a
+/// whole number (`two`, empty, `-1`, not UTF-8).
+pub fn threads_from(value: Option<&OsStr>, available: usize) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(available.max(1));
+    };
+    value
+        .to_str()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map(|n| n.max(1))
+        .ok_or_else(|| {
+            format!(
+                "{THREADS_ENV} must be a whole number of worker threads, got '{}'",
+                value.to_string_lossy()
+            )
+        })
+}
+
+/// The worker count [`THREADS_ENV`] sets, or the machine's available
+/// parallelism when it is unset: the one place the variable is read,
+/// once per process (asking the OS for the available parallelism costs
+/// tens of microseconds, a noticeable share of one profile call).
+///
+/// # Errors
+///
+/// As for [`threads_from`]; the `stash` binary exits on it.
+pub fn threads_setting() -> Result<usize, String> {
+    static SETTING: OnceLock<Result<usize, String>> = OnceLock::new();
+    SETTING
+        .get_or_init(|| {
+            let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            threads_from(std::env::var_os(THREADS_ENV).as_deref(), available)
+        })
+        .clone()
+}
+
+/// Number of worker threads a sweep's jobs and a profile's steps fan out
+/// to: [`threads_setting`], or one worker when the variable cannot be
+/// read.
 #[must_use]
 pub fn profile_threads() -> usize {
-    match std::env::var("STASH_BENCH_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    }
+    threads_setting().unwrap_or(1)
 }
 
 /// The Stash profiler: configured once per (model, dataset, batch), then
@@ -255,8 +304,9 @@ impl Stash {
         configs
     }
 
-    /// Runs the full Stash methodology against `cluster`, with the five
-    /// steps executed concurrently (they are independent simulations).
+    /// Runs the full Stash methodology against `cluster`, its measurement
+    /// steps (independent simulations) shared out among
+    /// [`profile_threads`] workers, the real-data steps first.
     ///
     /// Single-instance clusters get steps 1-4 (`t5 = None`); multi-node
     /// clusters additionally get step 5, with steps 1/2 measured on the
@@ -267,7 +317,7 @@ impl Stash {
     /// Propagates engine errors (e.g. out-of-memory) and
     /// [`ProfileError::NoReference`] for unreferenced multi-node shapes.
     pub fn profile(&self, cluster: &ClusterSpec) -> Result<StallReport, ProfileError> {
-        self.profile_threaded(cluster, None)
+        self.profile_threaded(cluster, None, profile_threads())
     }
 
     /// [`Stash::profile`] on the calling thread only — the original
@@ -292,11 +342,12 @@ impl Stash {
         cluster: &ClusterSpec,
         cache: &MeasurementCache,
     ) -> Result<StallReport, ProfileError> {
-        self.profile_threaded(cluster, Some(cache))
+        self.profile_threaded(cluster, Some(cache), profile_threads())
     }
 
-    /// The steps on scoped threads, one per step, each in an arena of its
-    /// own (the engine's state is deliberately !Send).
+    /// The steps on the worker pool ([`profile_in_order`]) with at most
+    /// `workers` threads, each reusing one arena for every step it claims
+    /// (the engine's state is deliberately !Send).
     ///
     /// Bit-identical to [`Stash::profile_serial_in`]: the engine is
     /// deterministic, steps are independent, results are assembled in step
@@ -306,34 +357,21 @@ impl Stash {
         &self,
         cluster: &ClusterSpec,
         cache: Option<&MeasurementCache>,
+        workers: usize,
     ) -> Result<StallReport, ProfileError> {
         let reference = Self::reference_for(cluster)?;
         let configs = self.step_configs(cluster, &reference);
-        let results: Vec<Result<SimDuration, ProfileError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = configs
-                .iter()
-                .map(|cfg| scope.spawn(move || measure_in(cache, cfg, &mut EngineArena::new())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => panic!("measurement step panicked"),
-                })
-                .collect()
-        });
-        let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-        for r in results {
-            times.push(r?);
-        }
+        let times = measure_steps(&configs, workers, |cfg, arena| {
+            measure_in(cache, cfg, arena)
+        })?;
         Ok(self.assemble_report(cluster, reference, &times))
     }
 
     /// The steps one after another inside a caller-owned [`EngineArena`]:
     /// the five-step measurement ladder reuses one flow network and event
     /// queue, and a sweep worker passes the same arena to every profile it
-    /// runs.
-    fn profile_serial_in(
+    /// runs (so no pool runs inside another).
+    pub(crate) fn profile_serial_in(
         &self,
         cluster: &ClusterSpec,
         cache: Option<&MeasurementCache>,
@@ -397,6 +435,33 @@ fn measure_in(
     out
 }
 
+/// Runs the measurement steps `configs` with `measure` on at most
+/// `workers` threads and returns their times in step order, or the error
+/// of the lowest-numbered failing step.
+///
+/// The real-data steps (3 and 4) are claimed first, the rest in step
+/// order: the real-data steps carry most of a profile's host time, and a
+/// worker that starts one last keeps the call waiting while the others
+/// sit idle.
+fn measure_steps(
+    configs: &[TrainConfig],
+    workers: usize,
+    measure: impl Fn(&TrainConfig, &mut EngineArena) -> Result<SimDuration, ProfileError> + Sync,
+) -> Result<Vec<SimDuration>, ProfileError> {
+    let mut claim: Vec<usize> = (0..configs.len()).collect();
+    claim.sort_by_key(|&step| configs[step].data.is_synthetic());
+    let claimed: Vec<&TrainConfig> = claim.iter().map(|&step| &configs[step]).collect();
+    let mut by_step = BTreeMap::new();
+    let mut steps = claim.into_iter();
+    profile_in_order(
+        &claimed,
+        workers,
+        |cfg, arena| measure(cfg, arena),
+        |result| by_step.extend(steps.next().map(|step| (step, result))),
+    );
+    by_step.into_values().collect()
+}
+
 /// A (profiler, cluster) pair to run as one unit of sweep work.
 #[derive(Debug, Clone)]
 pub struct ProfileJob {
@@ -406,60 +471,59 @@ pub struct ProfileJob {
     pub cluster: ClusterSpec,
 }
 
-/// The sweep worker pool: profiles `jobs` on `workers` threads and hands
-/// each result to `sink` *on the calling thread*, in input order, as soon
-/// as it and every earlier result are done.
+/// The worker pool behind every fan-out, a sweep's jobs and a profile's
+/// steps alike: runs `work` on each of `items` on at most `workers`
+/// threads and hands each result to `sink` *on the calling thread*, in
+/// input order, as soon as it and every earlier result are done.
 ///
-/// Each worker claims whole jobs and runs their steps serially inside one
-/// [`EngineArena`] of its own — the parallelism lives at
-/// the job level, so a sweep of dozens of instance x batch x model points
-/// saturates the machine without oversubscribing it with nested per-step
-/// threads. Passing a `cache` additionally deduplicates measurements
-/// shared between jobs (e.g. the reference-instance steps of multi-node
-/// points).
+/// Workers claim items from a shared index in input order, so a caller
+/// that wants its longest items started first lists them first. Each
+/// worker builds one [`EngineArena`] and passes it to every item it
+/// claims. No thread is spawned for an empty list.
 ///
-/// Results are bit-identical to profiling the jobs one by one (jobs are
+/// The calling thread only receives: it runs `sink` (for a durable sweep,
+/// the store writes and their fsyncs) while the workers simulate. A
+/// calling thread that also claimed items would save one thread spawn
+/// per call, but it would hold those commits back while it simulates,
+/// and it did not make a profile call any faster.
+///
+/// Results are bit-identical to running the items one by one (items are
 /// independent and the engine is deterministic), and because `sink` sees
 /// them in input order on one thread, whatever it does with them — the
 /// durable sweep's store writes and journal appends — happens in the same
 /// order at any worker count. Results that finish early wait in a reorder
 /// buffer until their turn.
-pub(crate) fn profile_in_order(
-    jobs: &[&ProfileJob],
-    cache: Option<&MeasurementCache>,
+pub(crate) fn profile_in_order<T: Sync, R: Send>(
+    items: &[T],
     workers: usize,
-    mut sink: impl FnMut(Result<StallReport, ProfileError>),
+    work: impl Fn(&T, &mut EngineArena) -> R + Sync,
+    mut sink: impl FnMut(R),
 ) {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
-    if jobs.is_empty() {
+    if items.is_empty() {
         return;
     }
-    let workers = workers.clamp(1, jobs.len());
+    let workers = workers.clamp(1, items.len());
     let next = AtomicUsize::new(0);
     let (done_tx, done_rx) = mpsc::channel();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let done_tx = done_tx.clone();
-            let next = &next;
+            let (next, work) = (&next, &work);
             scope.spawn(move || {
                 // Arenas are !Send, so each is built inside its worker.
                 let mut arena = EngineArena::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let result = job.stash.profile_serial_in(&job.cluster, cache, &mut arena);
-                    if done_tx.send((i, result)).is_err() {
+                    let Some(item) = items.get(i) else { break };
+                    if done_tx.send((i, work(item, &mut arena))).is_err() {
                         break;
                     }
                 }
             });
         }
         // The workers hold the only senders now: the receive loop ends
-        // once every one of them has run out of jobs (or died).
+        // once every one of them has run out of items (or died).
         drop(done_tx);
         let mut early = BTreeMap::new();
         let mut due = 0;
@@ -475,17 +539,20 @@ pub(crate) fn profile_in_order(
 
 /// Profiles many (profiler, cluster) jobs across [`profile_threads`]
 /// workers, returning one result per job in input order: the collect
-/// over the sweep worker pool that `core::sweep::run_sweep` streams
-/// from. Passing a `cache` deduplicates measurements shared between jobs.
+/// over the worker pool that `core::sweep::run_sweep` streams from.
+/// Passing a `cache` deduplicates measurements shared between jobs (e.g.
+/// the reference-instance steps of multi-node points).
 pub fn par_profile_many(
     jobs: &[ProfileJob],
     cache: Option<&MeasurementCache>,
 ) -> Vec<Result<StallReport, ProfileError>> {
-    let jobs: Vec<&ProfileJob> = jobs.iter().collect();
     let mut results = Vec::with_capacity(jobs.len());
-    profile_in_order(&jobs, cache, profile_threads(), |result| {
-        results.push(result)
-    });
+    profile_in_order(
+        jobs,
+        profile_threads(),
+        |job, arena| job.stash.profile_serial_in(&job.cluster, cache, arena),
+        |result| results.push(result),
+    );
     results
 }
 
@@ -680,18 +747,158 @@ mod tests {
     }
 
     #[test]
-    fn profile_threads_honors_env_override() {
-        // Temp-env style: the test process may run others concurrently, so
-        // restore whatever was set.
-        let prior = std::env::var("STASH_BENCH_THREADS").ok();
-        std::env::set_var("STASH_BENCH_THREADS", "3");
-        assert_eq!(profile_threads(), 3);
-        std::env::set_var("STASH_BENCH_THREADS", "0");
-        assert_eq!(profile_threads(), 1);
-        match prior {
-            Some(v) => std::env::set_var("STASH_BENCH_THREADS", v),
-            None => std::env::remove_var("STASH_BENCH_THREADS"),
+    fn threads_from_parses_the_setting() {
+        let set = |v: &str| threads_from(Some(OsStr::new(v)), 8);
+        assert_eq!(threads_from(None, 8), Ok(8));
+        assert_eq!(threads_from(None, 0), Ok(1));
+        assert_eq!(set("3"), Ok(3));
+        assert_eq!(set(" 2\n"), Ok(2));
+        assert_eq!(set("0"), Ok(1), "0 means one worker");
+        assert_eq!(set("64"), Ok(64), "the setting is not capped at the cores");
+        for bad in ["two", "", " ", "-1", "1.5", "2 workers"] {
+            let err = set(bad).unwrap_err();
+            assert!(err.contains(THREADS_ENV), "{bad:?}: {err}");
+            assert!(err.contains(&format!("'{bad}'")), "{bad:?}: {err}");
         }
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStrExt;
+            let not_utf8 = OsStr::from_bytes(&[b'2', 0xff]);
+            assert!(threads_from(Some(not_utf8), 8).is_err());
+        }
+    }
+
+    /// The step pool at 1, 2, 3 and 5 workers (fewer, as many as and more
+    /// than the steps) against the serial ladder, on a single-node and a
+    /// multi-node shape, with and without a measurement cache.
+    #[test]
+    fn step_pool_matches_serial_at_every_worker_count() {
+        let stash = quick(zoo::resnet18());
+        for cluster in [
+            ClusterSpec::single(p3_16xlarge()),
+            ClusterSpec::homogeneous(p3_8xlarge(), 2),
+        ] {
+            let serial = stash.profile_serial(&cluster).unwrap();
+            for workers in [1, 2, 3, 5] {
+                let name = format!("{} at {workers} workers", cluster.display_name());
+                let pooled = stash.profile_threaded(&cluster, None, workers).unwrap();
+                assert_eq!(pooled, serial, "{name}");
+                let cache = crate::cache::MeasurementCache::new();
+                let cold = stash.profile_threaded(&cluster, Some(&cache), workers);
+                let warm = stash.profile_threaded(&cluster, Some(&cache), workers);
+                assert_eq!(cold.unwrap(), serial, "{name}, cold cache");
+                assert_eq!(warm.unwrap(), serial, "{name}, warm cache");
+            }
+        }
+    }
+
+    #[test]
+    fn step_pool_refuses_like_the_serial_ladder() {
+        // ResNet18 at batch 4096 fits no V100: every step fails the same way.
+        let stash = quick(zoo::resnet18()).with_batch(4096);
+        let cluster = ClusterSpec::homogeneous(p3_8xlarge(), 2);
+        let serial = stash.profile_serial(&cluster).unwrap_err();
+        assert!(matches!(serial, ProfileError::Train(_)), "{serial:?}");
+        for workers in [1, 2, 3, 5] {
+            assert_eq!(
+                stash.profile_threaded(&cluster, None, workers).unwrap_err(),
+                serial,
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// A stand-in measurement that reports each step's number as its time,
+    /// fails the steps in `failing` with an error naming the step, and
+    /// logs the order in which steps are claimed.
+    fn fake_measure<'a>(
+        configs: &'a [TrainConfig],
+        failing: &'a [usize],
+        claimed: &'a std::sync::Mutex<Vec<usize>>,
+    ) -> impl Fn(&TrainConfig, &mut EngineArena) -> Result<SimDuration, ProfileError> + Sync + 'a
+    {
+        move |cfg, _| {
+            let step = configs.iter().position(|c| std::ptr::eq(c, cfg)).unwrap() + 1;
+            claimed.lock().unwrap().push(step);
+            if failing.contains(&step) {
+                let msg = format!("step {step}");
+                return Err(ProfileError::Train(
+                    stash_ddl::error::TrainError::InvalidConfig(msg),
+                ));
+            }
+            Ok(SimDuration::from_nanos(step as u64))
+        }
+    }
+
+    #[test]
+    fn steps_are_claimed_real_data_first_and_reported_in_step_order() {
+        let cluster = ClusterSpec::homogeneous(p3_8xlarge(), 2);
+        let configs = quick(zoo::alexnet()).step_configs(&cluster, &p3_16xlarge());
+        let claimed = std::sync::Mutex::new(Vec::new());
+        let times = measure_steps(&configs, 1, fake_measure(&configs, &[], &claimed)).unwrap();
+        let steps: Vec<u64> = times.iter().map(|t| t.as_nanos()).collect();
+        assert_eq!(steps, [1, 2, 3, 4, 5]);
+        assert_eq!(*claimed.lock().unwrap(), [3, 4, 1, 2, 5]);
+    }
+
+    #[test]
+    fn the_lowest_numbered_failing_step_wins_at_every_worker_count() {
+        let cluster = ClusterSpec::homogeneous(p3_8xlarge(), 2);
+        let configs = quick(zoo::alexnet()).step_configs(&cluster, &p3_16xlarge());
+        // Step 3 is claimed before step 2, step 4 before step 5.
+        for (failing, first) in [(&[2, 3, 5][..], "step 2"), (&[4, 5][..], "step 4")] {
+            for workers in [1, 2, 3, 5] {
+                let claimed = std::sync::Mutex::new(Vec::new());
+                let err =
+                    measure_steps(&configs, workers, fake_measure(&configs, failing, &claimed))
+                        .unwrap_err();
+                assert!(
+                    err.to_string().ends_with(first),
+                    "{failing:?} at {workers} workers: {err}"
+                );
+                assert_eq!(claimed.lock().unwrap().len(), 5, "every step runs");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_delivers_in_input_order_and_the_first_failure_wins() {
+        // Items 2 and 5 fail, each differently. With more than one worker,
+        // item 0 waits until the last item has finished, so every later
+        // result reaches the reorder buffer before it.
+        let items: Vec<u64> = (0..8).collect();
+        let last = items.len() as u64 - 1;
+        let outcome = |i: u64| {
+            if i % 3 == 2 {
+                Err(format!("item {i} failed"))
+            } else {
+                Ok(i)
+            }
+        };
+        let want: Vec<_> = items.iter().map(|&i| outcome(i)).collect();
+        for workers in [1, 2, 3, 5] {
+            let last_done = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+            let work = |&i: &u64, _: &mut EngineArena| {
+                let (done, finished) = &last_done;
+                if i == 0 && workers > 1 {
+                    let guard = done.lock().unwrap();
+                    drop(finished.wait_while(guard, |done| !*done).unwrap());
+                }
+                if i == last {
+                    *done.lock().unwrap() = true;
+                    finished.notify_all();
+                }
+                outcome(i)
+            };
+            let mut delivered = Vec::new();
+            profile_in_order(&items, workers, work, |r| delivered.push(r));
+            assert_eq!(delivered, want, "{workers} workers");
+            let first: Result<Vec<u64>, String> = delivered.into_iter().collect();
+            assert_eq!(first, Err("item 2 failed".to_string()), "{workers} workers");
+        }
+        let mut none = 0;
+        profile_in_order(&[] as &[u64], 3, |&i, _| i, |_| none += 1);
+        assert_eq!(none, 0);
     }
 
     #[test]

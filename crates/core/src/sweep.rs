@@ -513,19 +513,27 @@ fn run_sweep_on(
         status: Vec::new(),
     };
     let mut pending = cells.iter().zip(consulted);
-    profile_in_order(&misses, Some(cache), workers, |profiled| {
-        let mut profiled = Some(profiled);
-        for (cell, consulted) in pending.by_ref() {
-            let needs_profile = consulted.needs_profile();
-            let result = if needs_profile { profiled.take() } else { None };
-            outcome
-                .cells
-                .push(committer.commit(cell, consulted, result));
-            if needs_profile {
-                break;
+    profile_in_order(
+        &misses,
+        workers,
+        |job, arena| {
+            job.stash
+                .profile_serial_in(&job.cluster, Some(cache), arena)
+        },
+        |profiled| {
+            let mut profiled = Some(profiled);
+            for (cell, consulted) in pending.by_ref() {
+                let needs_profile = consulted.needs_profile();
+                let result = if needs_profile { profiled.take() } else { None };
+                outcome
+                    .cells
+                    .push(committer.commit(cell, consulted, result));
+                if needs_profile {
+                    break;
+                }
             }
-        }
-    });
+        },
+    );
     for (cell, consulted) in pending {
         outcome.cells.push(committer.commit(cell, consulted, None));
     }

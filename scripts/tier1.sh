@@ -8,7 +8,7 @@
 # examples, CLI smoke tests for the trace, report, diff, chaos, perf, dash,
 # flight-recorder, sweep and fsck subcommand surface, the durable-sweep
 # resume gate (a resume simulates no cell), and a gate that regenerates
-# every bench output at one and two sweep workers.
+# every bench output at one and two workers.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -323,11 +323,12 @@ awk -v c="$((t1 - t0))" -v r="$((t2 - t1))" \
     'BEGIN { printf "[durable sweep: cold %.3fs -> resumed %.3fs, %.1fx]\n", c / 1e9, r / 1e9, c / r }'
 
 # Regeneration gate: every bench target rewrites its committed results/
-# files byte for byte — all targets on two sweep workers, then the ten
-# figure sweeps (the only outputs that depend on the worker count) on
-# one. `git diff` catches a changed file and `git status` a new or
-# renamed one, so a deliberate change to an output passes only once it
-# is committed.
+# files byte for byte, on two workers and again on one. The worker count
+# schedules every target's work: sweeps share their jobs among the
+# workers, and each `Stash::profile` call shares its measurement steps.
+# `git diff` catches a changed file and `git status` a new or renamed
+# one, so a deliberate change to an output passes only once it is
+# committed.
 results_match_commit() {
     git diff --exit-code --stat -- results/
     local stray
@@ -339,5 +340,5 @@ results_match_commit() {
 }
 STASH_BENCH_THREADS=2 cargo bench -q -p stash-bench --benches >/dev/null
 results_match_commit
-STASH_BENCH_THREADS=1 cargo bench -q -p stash-bench --bench figures >/dev/null
+STASH_BENCH_THREADS=1 cargo bench -q -p stash-bench --benches >/dev/null
 results_match_commit

@@ -8,6 +8,8 @@
 //! a usage error. Every command returns `Result<ExitCode, String>` and
 //! `main` alone reports an `Err`: the message on stderr, exit 1. Exit 2
 //! is a finished run with failed sweep cells or corrupt store records.
+//! A `STASH_BENCH_THREADS` value that is not a whole number of worker
+//! threads exits 1 naming the variable before any command runs.
 //!
 //! Cluster syntax matches the paper: `p3.16xlarge` or `p3.8xlarge*2`.
 
@@ -15,6 +17,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+use stash::core::profiler::threads_setting;
 use stash::prelude::*;
 use stash::telemetry::diff::TelemetryDiff;
 use stash::telemetry::series::IterSeries;
@@ -1586,7 +1589,11 @@ fn main() -> ExitCode {
         .first()
         .and_then(|name| COMMANDS.iter().find(|c| c.name() == name))
     {
-        Some(cmd) => Args::parse(cmd, &raw[1..]).and_then(|args| (cmd.run)(&args)),
+        // Every command that profiles fans out to this many workers; an
+        // unreadable count is refused up front, whatever the command.
+        Some(cmd) => threads_setting()
+            .and_then(|_| Args::parse(cmd, &raw[1..]))
+            .and_then(|args| (cmd.run)(&args)),
         None => Err(help()),
     };
     result.unwrap_or_else(|e| {

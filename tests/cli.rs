@@ -117,6 +117,64 @@ fn oom_configurations_report_cleanly() {
     assert!(stderr.contains("does not fit"), "{stderr}");
 }
 
+fn stash_on_workers(args: &[&str], threads: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_stash"))
+        .args(args)
+        .env("STASH_BENCH_THREADS", threads)
+        .output()
+        .expect("run stash binary")
+}
+
+#[test]
+fn profiles_are_identical_at_every_worker_count() {
+    // A five-step multi-node profile and a refused one: the worker count
+    // schedules the steps but must not show in any output byte.
+    let cases: [&[&str]; 2] = [
+        &["profile", "resnet18", "p3.8xlarge*2"],
+        &["profile", "bert-large", "p2.xlarge", "-b", "64"],
+    ];
+    for args in cases {
+        let one = stash_on_workers(args, "1");
+        for threads in ["2", "5"] {
+            let other = stash_on_workers(args, threads);
+            assert_eq!(
+                other.status.code(),
+                one.status.code(),
+                "{args:?} at {threads}"
+            );
+            assert_eq!(other.stdout, one.stdout, "{args:?} at {threads}: stdout");
+            assert_eq!(other.stderr, one.stderr, "{args:?} at {threads}: stderr");
+        }
+    }
+    let report = stash_on_workers(cases[0], "2");
+    assert!(report.status.success());
+    assert!(String::from_utf8(report.stdout)
+        .unwrap()
+        .contains("T5 (synthetic multi-node)"));
+    let refused = stash_on_workers(cases[1], "2");
+    assert_eq!(refused.status.code(), Some(1));
+    assert!(String::from_utf8(refused.stderr)
+        .unwrap()
+        .contains("does not fit"));
+}
+
+#[test]
+fn unreadable_worker_counts_exit_one_naming_the_variable() {
+    let args = ["profile", "resnet18", "p3.2xlarge"];
+    for bad in ["two", "", "-1"] {
+        let out = stash_on_workers(&args, bad);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}");
+        assert!(out.stdout.is_empty(), "{bad:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("STASH_BENCH_THREADS"), "{bad:?}: {stderr}");
+        assert!(stderr.contains(&format!("'{bad}'")), "{bad:?}: {stderr}");
+    }
+    // 0 still means one worker.
+    let zero = stash_on_workers(&args, "0");
+    assert!(zero.status.success());
+    assert_eq!(zero.stdout, stash_on_workers(&args, "1").stdout);
+}
+
 #[test]
 fn trace_out_creates_nested_parent_directories() {
     let dir = std::env::temp_dir().join("stash_cli_nested_out_test");
