@@ -6,41 +6,40 @@
 //! verified on-disk record is decoded and reused bit-identically
 //! ([`CellStatus::Resumed`]); a missing, quarantined or stale record is
 //! recomputed through the shared [`MeasurementCache`] and durably stored.
-//! Intent and progress go through the store's write-ahead journal: a
-//! `plan` line for every cell, all in one synced append before any work
-//! starts, then a `done`/`fail` line per cell — so a sweep killed
-//! mid-write resumes the *whole* grid (including cells it never reached)
-//! and re-runs only those whose records do not verify. The engine being
-//! deterministic, the resumed store converges to the same bytes an
-//! uninterrupted run produces.
+//! The store's write-ahead journal records intent only: a `plan` line for
+//! every cell, all in one synced append before any work starts, so a
+//! sweep killed mid-write resumes the *whole* grid (including cells it
+//! never reached) and re-runs only those whose records do not verify.
+//! What a cell produced is its record and nothing else: a failed cell
+//! has none, so resume recomputes it. The engine being deterministic,
+//! the resumed store converges to the same bytes an uninterrupted run
+//! produces.
 //!
 //! Misses are simulated in parallel on the profiler's worker pool, but
 //! every store and journal operation happens on the calling thread, and
 //! cells are committed strictly in input order. A cell that finished
 //! simulating but waits behind a slower earlier cell is not yet durable:
 //! a crash in that window costs its recomputation on resume, never a
-//! wrong or missing record. Status lines are group-committed: they queue
-//! up and go to the journal in one append before the next record write
-//! and once at the end of the sweep. A resume that simulates nothing
-//! therefore syncs the journal twice, and a crash loses at most the
-//! status lines queued since the last record write, which resume never
-//! reads (it re-verifies records).
+//! wrong or missing record.
 //!
 //! Failure is graceful by construction: store I/O goes through the retry
 //! policy, profile errors are permanent and typed, and a failed cell is
-//! recorded with its [`FailReason`] while the sweep continues — one sick
+//! reported with its [`FailReason`] while the sweep continues — one sick
 //! cell costs one row in the results, never the run.
 
 use std::io;
 
 use serde::Serialize;
+use stash_dnn::dataset::DatasetSpec;
+use stash_dnn::zoo;
+use stash_hwtopo::cluster::ClusterSpec;
 use stash_store::journal::JournalEntry;
 use stash_store::prelude::{with_retry, FailReason, Fetch, ResultStore, RetryPolicy};
 use stash_store::{fnv128, key_hex};
 
 use crate::cache::MeasurementCache;
 use crate::error::ProfileError;
-use crate::profiler::{profile_in_order, profile_threads, ProfileJob};
+use crate::profiler::{profile_in_order, profile_threads, ProfileJob, Stash};
 use crate::report::StallReport;
 
 /// Schema tag stamped into every cell record payload and journal plan.
@@ -187,8 +186,10 @@ impl SweepOutcome {
     }
 }
 
-/// The cell's self-describing journal/plan descriptor: everything the
-/// CLI needs to reconstruct the job on resume.
+/// The cell's self-describing journal/plan descriptor: everything
+/// [`job_from_descriptor`] needs to rebuild the job on resume. It names
+/// no bucketing, algorithm or precision: the rebuilt job takes the
+/// defaults, and the decoder refuses a plan whose key says otherwise.
 #[must_use]
 pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
     let mut m = serde_json::Map::new();
@@ -218,6 +219,72 @@ pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
         job.stash.dataset().name.to_json_value(),
     );
     serde_json::Value::Object(m)
+}
+
+/// Rebuilds the job a journal `plan` line describes, so `--resume` and
+/// `fsck --repair` re-run exactly what the interrupted sweep intended.
+/// `key` is the line's store key and `detail` its [`cell_descriptor`]
+/// JSON.
+///
+/// # Errors
+///
+/// A message naming the cell when the descriptor is not JSON, carries
+/// another schema, lacks a field or has one of the wrong type, names an
+/// unknown model or cluster (or more replicas than
+/// [`ClusterSpec::parse`] admits), or names a dataset other than the
+/// model's; and when the rebuilt job's [`cell_key`] is not `key`, as for
+/// a cell swept with a bucketing, algorithm or precision the descriptor
+/// does not carry.
+pub fn job_from_descriptor(key: &str, detail: &str) -> Result<ProfileJob, String> {
+    decode_descriptor(key, detail).map_err(|e| format!("journal plan for cell {key}: {e}"))
+}
+
+fn decode_descriptor(key: &str, detail: &str) -> Result<ProfileJob, String> {
+    use serde_json::Value;
+    let v: Value = serde_json::from_str(detail).map_err(|e| format!("not JSON: {e}"))?;
+    let field = |k: &str| v.get(k).ok_or_else(|| format!("missing '{k}'"));
+    let text = |k: &str| {
+        field(k)?
+            .as_str()
+            .ok_or_else(|| format!("'{k}' is not a string"))
+    };
+    let count = |k: &str| {
+        field(k)?
+            .as_u64()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("'{k}' is not a positive integer"))
+    };
+    match text("schema")? {
+        CELL_SCHEMA => {}
+        other => return Err(format!("unknown schema '{other}'")),
+    }
+    let cluster = ClusterSpec::parse(text("cluster")?)?;
+    let model_name = text("model")?;
+    let model = zoo::by_name(model_name).ok_or_else(|| format!("unknown model '{model_name}'"))?;
+    let dataset = DatasetSpec::for_model(&model);
+    let named = text("dataset")?;
+    if named != dataset.name {
+        return Err(format!(
+            "dataset '{named}' is not '{}', the model's",
+            dataset.name
+        ));
+    }
+    let mut stash = Stash::new(model)
+        .with_dataset(dataset)
+        .with_batch(count("per_gpu_batch")?)
+        .with_sampled_iterations(count("sampled_iterations")?);
+    match field("epoch_samples")? {
+        Value::Null => {}
+        _ => stash = stash.with_epoch_samples(count("epoch_samples")?),
+    }
+    let job = ProfileJob { stash, cluster };
+    let rebuilt = key_hex(cell_key(&job));
+    if rebuilt != key {
+        return Err(format!(
+            "the rebuilt job's key is {rebuilt}: the plan does not describe this cell"
+        ));
+    }
+    Ok(job)
 }
 
 /// The cell's content address: FNV-128 over the canonical compact JSON
@@ -273,13 +340,6 @@ pub fn decode_cell_record(payload: &[u8]) -> Result<StallReport, String> {
     }
     let report = v.get("report").ok_or("record missing report")?;
     StallReport::from_json_value(report)
-}
-
-/// Journal writes are an optimization hint, not the source of truth
-/// (resume re-verifies records), so after retries are exhausted the
-/// sweep proceeds without the entries rather than failing a cell.
-fn journal_best_effort(store: &ResultStore, policy: &RetryPolicy, entries: &[JournalEntry]) {
-    let _ = store.journal().append(store.io(), entries, policy);
 }
 
 /// A sweep cell with its store key and plan descriptor, each derived
@@ -348,86 +408,47 @@ fn consult(store: &ResultStore, policy: &RetryPolicy, key: u128) -> Consult {
     }
 }
 
-/// Settles cells on the calling thread, in input order: writes each
-/// freshly simulated cell's record and queues every cell's `done`/`fail`
-/// line. The queue goes to the journal in one append before the next
-/// record write, so the journal never lags more than one record behind,
-/// and once more when the sweep ends ([`Committer::flush`]).
-struct Committer<'s> {
-    store: Option<&'s ResultStore>,
-    policy: &'s RetryPolicy,
-    status: Vec<JournalEntry>,
-}
-
-impl Committer<'_> {
-    /// Queues a status line (a storeless sweep keeps no journal).
-    fn queue(&mut self, entry: JournalEntry) {
-        if self.store.is_some() {
-            self.status.push(entry);
+/// Settles one cell on the calling thread: asks the store again for a
+/// repeated cell, writes a freshly simulated cell's record, and returns
+/// the outcome. `profiled` is the simulation result exactly when the
+/// consult asked for one.
+fn commit(
+    store: Option<&ResultStore>,
+    policy: &RetryPolicy,
+    cell: &Cell<'_>,
+    consulted: Consult,
+    profiled: Option<Result<StallReport, ProfileError>>,
+) -> CellOutcome {
+    let consulted = match (consulted, store) {
+        (Consult::Repeat, Some(store)) => consult(store, policy, cell.key),
+        (consulted, _) => consulted,
+    };
+    let report = match (consulted, profiled) {
+        (Consult::Resumed(report), _) => return cell.outcome(Some(report), CellStatus::Resumed),
+        (Consult::Failed(reason), _) => return cell.outcome(None, CellStatus::Failed(reason)),
+        // Profile errors are permanent: typed, never retried.
+        (_, Some(Err(e))) => {
+            let reason = FailReason::Profile {
+                error: e.to_string(),
+            };
+            return cell.outcome(None, CellStatus::Failed(reason));
         }
-    }
-
-    /// Appends the queued status lines in one journal append.
-    fn flush(&mut self) {
-        if let Some(store) = self.store {
-            journal_best_effort(store, self.policy, &self.status);
+        (_, Some(Ok(report))) => report,
+        (Consult::Miss | Consult::Repeat, None) => {
+            unreachable!("cells that miss the store are always profiled")
         }
-        self.status.clear();
-    }
-
-    /// Settles one cell. `profiled` is the simulation result exactly when
-    /// the consult asked for one.
-    fn commit(
-        &mut self,
-        cell: &Cell<'_>,
-        consulted: Consult,
-        profiled: Option<Result<StallReport, ProfileError>>,
-    ) -> CellOutcome {
-        let consulted = match (consulted, self.store) {
-            (Consult::Repeat, Some(store)) => consult(store, self.policy, cell.key),
-            (consulted, _) => consulted,
-        };
-        let report = match (consulted, profiled) {
-            (Consult::Resumed(report), _) => {
-                self.queue(JournalEntry::done(&cell.hex));
-                return cell.outcome(Some(report), CellStatus::Resumed);
-            }
-            (Consult::Failed(reason), _) => {
-                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
-                return cell.outcome(None, CellStatus::Failed(reason));
-            }
-            // Profile errors are permanent: typed, never retried.
-            (_, Some(Err(e))) => {
-                let reason = FailReason::Profile {
-                    error: e.to_string(),
-                };
-                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
-                return cell.outcome(None, CellStatus::Failed(reason));
-            }
-            (_, Some(Ok(report))) => report,
-            (Consult::Miss | Consult::Repeat, None) => {
-                unreachable!("cells that miss the store are always profiled")
-            }
-        };
-        let Some(store) = self.store else {
-            return cell.outcome(Some(report), CellStatus::Computed);
-        };
-        self.flush();
-        let payload = encode_record(&cell.descriptor, &report);
-        match with_retry(self.policy, || {
-            store.put(cell.key, &payload).map_err(io::Error::other)
-        }) {
-            Ok(()) => {
-                self.queue(JournalEntry::done(&cell.hex));
-                cell.outcome(Some(report), CellStatus::Computed)
-            }
-            Err(reason) => {
-                // Computed but not durable: report the result, flag the
-                // cell — a resumed run must re-run it.
-                self.queue(JournalEntry::fail(&cell.hex, &reason.to_json()));
-                cell.outcome(Some(report), CellStatus::Failed(reason))
-            }
-        }
+    };
+    let Some(store) = store else {
+        return cell.outcome(Some(report), CellStatus::Computed);
+    };
+    let payload = encode_record(&cell.descriptor, &report);
+    match with_retry(policy, || {
+        store.put(cell.key, &payload).map_err(io::Error::other)
+    }) {
+        Ok(()) => cell.outcome(Some(report), CellStatus::Computed),
+        // Computed but not durable: report the result, flag the cell — a
+        // resumed run finds no record and re-runs it.
+        Err(reason) => cell.outcome(Some(report), CellStatus::Failed(reason)),
     }
 }
 
@@ -440,15 +461,12 @@ impl Committer<'_> {
 /// [`par_profile_many`] also runs on: one arena per worker, with `cache`
 /// shared by all of them, so repeated reference-instance measurements
 /// are deduplicated across cells. Each cell is then committed on the
-/// calling thread in strict input order — record write plus `done` for a
-/// computed cell, `done`/`fail` for a resumed or failed one, the status
-/// lines group-committed in one append before the next record write and
-/// one at the end. All store and journal I/O therefore happens on one
-/// thread, in the same order whatever the worker count: records, journal
-/// and results CSV are byte-identical at any worker count, and the
-/// journal holds the same lines in the same order as one appended line
-/// by line. Without a store this is a plain storeless sweep producing
-/// the identical reports and CSV.
+/// calling thread in strict input order: a computed cell's record is
+/// written, and nothing more goes to the journal. All store and journal
+/// I/O therefore happens on one thread, in the same order whatever the
+/// worker count: records, journal and results CSV are byte-identical at
+/// any worker count. Without a store this is a plain storeless sweep
+/// producing the identical reports and CSV.
 ///
 /// Never aborts on a failed cell: failures land in the outcome with
 /// typed reasons, and the caller maps `outcome.failed() > 0` to its
@@ -477,13 +495,15 @@ fn run_sweep_on(
 
     // Write-ahead intent: journal a plan line for *every* cell, in one
     // append, before any work starts, so a sweep killed in cell 2 of 10
-    // still resumes all ten — including the cells it never reached.
+    // still resumes all ten — including the cells it never reached. The
+    // journal is a hint (resume re-verifies records), so once retries run
+    // out the sweep goes on without it rather than failing a cell.
     if let Some(store) = store {
         let plan: Vec<JournalEntry> = cells
             .iter()
             .map(|cell| JournalEntry::plan(&cell.hex, &cell.descriptor))
             .collect();
-        journal_best_effort(store, policy, &plan);
+        let _ = store.journal().append(store.io(), &plan, policy);
     }
 
     let mut seen = std::collections::HashSet::new();
@@ -507,11 +527,6 @@ fn run_sweep_on(
     let mut outcome = SweepOutcome {
         cells: Vec::with_capacity(cells.len()),
     };
-    let mut committer = Committer {
-        store,
-        policy,
-        status: Vec::new(),
-    };
     let mut pending = cells.iter().zip(consulted);
     profile_in_order(
         &misses,
@@ -527,7 +542,7 @@ fn run_sweep_on(
                 let result = if needs_profile { profiled.take() } else { None };
                 outcome
                     .cells
-                    .push(committer.commit(cell, consulted, result));
+                    .push(commit(store, policy, cell, consulted, result));
                 if needs_profile {
                     break;
                 }
@@ -535,9 +550,10 @@ fn run_sweep_on(
         },
     );
     for (cell, consulted) in pending {
-        outcome.cells.push(committer.commit(cell, consulted, None));
+        outcome
+            .cells
+            .push(commit(store, policy, cell, consulted, None));
     }
-    committer.flush();
     outcome
 }
 
@@ -545,11 +561,8 @@ fn run_sweep_on(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::profiler::Stash;
-    use stash_dnn::zoo;
-    use stash_hwtopo::cluster::ClusterSpec;
     use stash_hwtopo::instance::{p3_2xlarge, p3_8xlarge};
-    use stash_store::prelude::{FaultFs, IoFaultPlan, Journal, StdFs, StoreIo};
+    use stash_store::prelude::{FaultFs, IoFaultPlan, StdFs, StoreIo};
     use std::path::{Path, PathBuf};
 
     fn jobs() -> Vec<ProfileJob> {
@@ -771,12 +784,6 @@ mod tests {
         ));
         let csv = out.results_csv();
         assert!(csv.contains("profile-error"));
-        // The journal carries the typed reason.
-        let replay = store.journal().replay(store.io()).unwrap();
-        assert!(replay
-            .entries
-            .iter()
-            .any(|e| e.op == "fail" && e.detail.contains("Profile")));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -844,55 +851,69 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_group_commit_the_journal_line_for_line() {
+    fn a_sweep_journals_its_plan_in_one_append_and_nothing_else() {
         let jobs = jobs();
         let policy = RetryPolicy::default();
-        let root = tmp("group_commit");
+        let root = tmp("one_append");
         let io = CountingIo::default();
         let store = ResultStore::open(&root, Box::new(io.clone())).unwrap();
-        let ops = |appends: &[String]| -> Vec<Vec<String>> {
-            appends
-                .iter()
-                .map(|batch| {
-                    let lines = batch
-                        .lines()
-                        .map(|l| l.split('"').nth(3).unwrap().to_string());
-                    lines.collect()
-                })
-                .collect()
-        };
+        let lines: String = jobs
+            .iter()
+            .map(Cell::new)
+            .map(|cell| {
+                let json = serde_json::to_string(&JournalEntry::plan(&cell.hex, &cell.descriptor))
+                    .unwrap();
+                let sum = (fnv128(json.as_bytes()) & u128::from(u64::MAX)) as u64;
+                format!("{sum:016x} {json}\n")
+            })
+            .collect();
+        let plan = [format!("\n{lines}")];
 
-        // Cold: the whole plan in one append, then one status batch per
-        // record write (each flushed before the next write) and one at the
-        // end: N + 1 appends for N computed cells.
+        // Cold and resumed sweeps alike: the whole plan in one append,
+        // behind the newline every batch starts with.
         let cold = run_sweep(&jobs, Some(&store), &policy, &MeasurementCache::new());
         assert_eq!(cold.computed(), 3);
-        assert_eq!(
-            ops(&io.take()),
-            [vec!["plan"; 3], vec!["done"], vec!["done"], vec!["done"]]
-        );
-        // Resume: the plan and every status line, two appends in all.
+        assert_eq!(io.take(), plan);
         let resumed = run_sweep(&jobs, Some(&store), &policy, &MeasurementCache::new());
         assert_eq!(resumed.resumed(), 3);
-        assert_eq!(ops(&io.take()), [vec!["plan"; 3], vec!["done"; 3]]);
-
-        // The same bytes as the two sweeps' lines appended one at a time.
-        let one_by_one = Journal::new(&root.join("one_by_one.log"));
-        let cells: Vec<Cell<'_>> = jobs.iter().map(Cell::new).collect();
-        for _sweep in 0..2 {
-            let plans = cells
-                .iter()
-                .map(|c| JournalEntry::plan(&c.hex, &c.descriptor));
-            let dones = cells.iter().map(|c| JournalEntry::done(&c.hex));
-            for entry in plans.chain(dones) {
-                one_by_one.append(&StdFs, &[entry], &policy).unwrap();
-            }
-        }
+        assert_eq!(io.take(), plan);
         assert_eq!(
-            std::fs::read(store.journal().path()).unwrap(),
-            std::fs::read(one_by_one.path()).unwrap()
+            std::fs::read_to_string(store.journal().path()).unwrap(),
+            plan[0].repeat(2)
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn plans_decode_to_the_jobs_that_wrote_them() {
+        use stash_gpucompute::precision::Precision;
+        use stash_hwtopo::instance::p3_16xlarge;
+        let mut jobs = jobs();
+        jobs.push(ProfileJob {
+            stash: Stash::new(zoo::bert_large())
+                .with_dataset(DatasetSpec::squad2())
+                .with_sampled_iterations(2),
+            cluster: ClusterSpec::homogeneous(p3_16xlarge(), 3),
+        });
+        for job in &jobs {
+            let key = key_hex(cell_key(job));
+            let detail = serde_json::to_string(&cell_descriptor(job)).unwrap();
+            let back = job_from_descriptor(&key, &detail).unwrap();
+            assert_eq!(key_hex(cell_key(&back)), key);
+            assert_eq!(back.cluster, job.cluster);
+        }
+
+        // The descriptor does not carry the precision: an AMP cell's plan
+        // rebuilds an fp32 job, and the decoder refuses it by its key.
+        let amp = ProfileJob {
+            stash: jobs[0].stash.clone().with_precision(Precision::Amp),
+            cluster: jobs[0].cluster.clone(),
+        };
+        let key = key_hex(cell_key(&amp));
+        let detail = serde_json::to_string(&cell_descriptor(&amp)).unwrap();
+        let err = job_from_descriptor(&key, &detail).unwrap_err();
+        assert!(err.contains(&format!("cell {key}")), "{err}");
+        assert!(err.contains("does not describe this cell"), "{err}");
     }
 
     #[test]

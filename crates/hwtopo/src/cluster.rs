@@ -8,6 +8,11 @@ use serde::Serialize;
 use crate::error::TopoError;
 use crate::instance::{by_name, InstanceType};
 
+/// The most instances [`ClusterSpec::parse`] accepts in `<type>*<count>`:
+/// far above any simulated cluster, and checked before a single instance
+/// is cloned, so a hostile count cannot ask for billions of them.
+pub const MAX_REPLICAS: usize = 1024;
+
 /// A set of instances participating in one data-parallel training job.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
@@ -105,7 +110,7 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown instances or invalid
-    /// counts.
+    /// counts: zero, unreadable, or above [`MAX_REPLICAS`].
     pub fn parse(spec: &str) -> Result<ClusterSpec, String> {
         let (name, count) = match spec.split_once('*') {
             Some((n, c)) => (
@@ -117,6 +122,11 @@ impl ClusterSpec {
         };
         if count == 0 {
             return Err("replica count must be positive".into());
+        }
+        if count > MAX_REPLICAS {
+            return Err(format!(
+                "replica count {count} in '{spec}' is above the limit of {MAX_REPLICAS} instances"
+            ));
         }
         let inst = by_name(name).ok_or_else(|| format!("unknown instance '{name}'"))?;
         Ok(ClusterSpec::homogeneous(inst, count))
@@ -230,5 +240,16 @@ mod tests {
         assert!(ClusterSpec::parse("m5.large").is_err());
         assert!(ClusterSpec::parse("p3.8xlarge*0").is_err());
         assert!(ClusterSpec::parse("p3.8xlarge*x").is_err());
+        assert!(ClusterSpec::parse("p3.8xlarge*99999999999999999999").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_the_replica_count() {
+        let max = ClusterSpec::parse(&format!("p2.xlarge*{MAX_REPLICAS}")).unwrap();
+        assert_eq!(max.node_count(), MAX_REPLICAS);
+        let err = ClusterSpec::parse(&format!("p2.xlarge*{}", MAX_REPLICAS + 1)).unwrap_err();
+        assert!(err.contains("above the limit of 1024"), "{err}");
+        let err = ClusterSpec::parse("nonesuch*1000000000").unwrap_err();
+        assert!(err.contains("above the limit"), "{err}");
     }
 }

@@ -1,10 +1,8 @@
 //! The write-ahead sweep journal.
 //!
 //! One append-only text file (`journal.log` in the store root) records
-//! the sweep's intent and progress: a `plan` line before any work on a
-//! cell, a `done` line after its record is durably in the store, a
-//! `fail` line when retries were exhausted. Each line carries its own
-//! checksum:
+//! the sweep's intent: a `plan` line for every cell, written before any
+//! work on the sweep starts. Each line carries its own checksum:
 //!
 //! ```text
 //! <fnv128-low-64-bits, 16 hex> <entry JSON>\n
@@ -15,17 +13,17 @@
 //! sum does not verify and trusts every line that does.
 //!
 //! Lines go to disk in batches: [`Journal::append`] writes a whole batch
-//! with one synced append, so a sweep pays one sync for its plan and one
-//! per commit batch, not one per line. A batch that fails part-way may
-//! leave a fragment without its newline. A process that finds one at the
-//! end of the journal terminates it ([`Journal::seal`]) before appending,
-//! and a retried append starts with a newline of its own, so new lines
-//! start clean instead of being glued onto the fragment. The journal is
-//! an *optimization hint*, not the source of truth — resume always
-//! re-verifies `done` claims against the checksummed records themselves,
-//! so a lost line only costs recomputation, never correctness.
+//! with one synced append, so a sweep pays one sync for its whole plan.
+//! Every batch, retried or not, starts with a newline: a crashed process
+//! or a failed attempt may have left part of a line without one, and the
+//! newline ends that fragment, so new lines never glue onto it. A clean
+//! journal therefore holds an empty line before each batch, which replay
+//! skips. The journal is an *optimization hint*, not the source of
+//! truth: what a cell produced lives in its checksummed record, which
+//! resume re-verifies, so a lost line only costs recomputation, never
+//! correctness. Journals written with `done`/`fail` status lines replay
+//! too; their status lines are kept as entries that no plan query reads.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -37,21 +35,16 @@ use crate::retry::{with_retry, FailReason, RetryPolicy};
 
 /// Cell planned: emitted before any work on the cell starts.
 pub const OP_PLAN: &str = "plan";
-/// Cell complete: its record is durable in the store.
-pub const OP_DONE: &str = "done";
-/// Cell failed permanently (retries/deadline exhausted).
-pub const OP_FAIL: &str = "fail";
 
 /// One journal line: an operation on a store key, with an opaque
-/// JSON detail (the cell descriptor for `plan`, the typed failure
-/// reason for `fail`, empty for `done`).
+/// JSON detail (the cell descriptor of a `plan`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalEntry {
-    /// [`OP_PLAN`], [`OP_DONE`] or [`OP_FAIL`].
+    /// [`OP_PLAN`] for every line this crate writes.
     pub op: String,
     /// The 32-hex store key the entry is about.
     pub key: String,
-    /// Operation-specific JSON payload (or empty).
+    /// Operation-specific JSON payload.
     pub detail: String,
 }
 
@@ -63,26 +56,6 @@ impl JournalEntry {
             op: OP_PLAN.to_string(),
             key: key.to_string(),
             detail: detail.to_string(),
-        }
-    }
-
-    /// A `done` entry.
-    #[must_use]
-    pub fn done(key: &str) -> JournalEntry {
-        JournalEntry {
-            op: OP_DONE.to_string(),
-            key: key.to_string(),
-            detail: String::new(),
-        }
-    }
-
-    /// A `fail` entry carrying the typed failure reason.
-    #[must_use]
-    pub fn fail(key: &str, reason: &str) -> JournalEntry {
-        JournalEntry {
-            op: OP_FAIL.to_string(),
-            key: key.to_string(),
-            detail: reason.to_string(),
         }
     }
 }
@@ -99,44 +72,29 @@ pub struct JournalReplay {
 }
 
 impl JournalReplay {
+    /// The plan lines, in append order.
+    fn plans(&self) -> impl DoubleEndedIterator<Item = &JournalEntry> {
+        self.entries.iter().filter(|e| e.op == OP_PLAN)
+    }
+
     /// The planned cell descriptor for `key`, if a `plan` line was
     /// recorded (last write wins).
     #[must_use]
     pub fn plan_for(&self, key: &str) -> Option<&str> {
-        self.entries
-            .iter()
+        self.plans()
             .rev()
-            .find(|e| e.op == OP_PLAN && e.key == key)
+            .find(|e| e.key == key)
             .map(|e| e.detail.as_str())
-    }
-
-    /// Keys whose *latest* status line is `done`. Resume treats these as
-    /// hints and still re-verifies the record bytes.
-    #[must_use]
-    pub fn done_keys(&self) -> Vec<String> {
-        let mut last: BTreeMap<&str, &str> = BTreeMap::new();
-        for e in &self.entries {
-            if e.op == OP_DONE || e.op == OP_FAIL {
-                last.insert(e.key.as_str(), e.op.as_str());
-            }
-        }
-        last.iter()
-            .filter(|(_, op)| **op == OP_DONE)
-            .map(|(k, _)| (*k).to_string())
-            .collect()
     }
 
     /// All planned cells in first-planned order, deduplicated by key.
     #[must_use]
     pub fn planned_cells(&self) -> Vec<(String, String)> {
         let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for e in &self.entries {
-            if e.op == OP_PLAN && seen.insert(e.key.clone()) {
-                out.push((e.key.clone(), e.detail.clone()));
-            }
-        }
-        out
+        self.plans()
+            .filter(|e| seen.insert(e.key.as_str()))
+            .map(|e| (e.key.clone(), e.detail.clone()))
+            .collect()
     }
 }
 
@@ -184,12 +142,12 @@ impl Journal {
         &self.path
     }
 
-    /// Appends `entries`, in order, as checksummed lines: one
-    /// [`StoreIo::append`], so one sync, per attempt, retried under
-    /// `policy`. A retry starts with a newline, because the failed attempt
-    /// may have left part of a line without one, and a line glued onto that
-    /// fragment would fail its sum; a cleanly failed attempt leaves only an
-    /// empty line, which replay skips. An empty batch appends nothing.
+    /// Appends `entries`, in order, as checksummed lines behind a leading
+    /// newline: one [`StoreIo::append`], so one sync, per attempt, retried
+    /// under `policy`. The newline ends any fragment an earlier crash or
+    /// failed attempt left, so the first line starts clean instead of
+    /// failing its sum glued onto the fragment. An empty batch appends
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -203,35 +161,11 @@ impl Journal {
         if entries.is_empty() {
             return Ok(());
         }
-        // The batch behind the newline a retry starts with.
         let mut batch = String::from("\n");
         for entry in entries {
             push_line(entry, &mut batch);
         }
-        let mut first = true;
-        with_retry(policy, || {
-            let skip = usize::from(std::mem::take(&mut first));
-            io.append(&self.path, &batch.as_bytes()[skip..])
-        })
-    }
-
-    /// Terminates a torn fragment at the end of the journal with a
-    /// newline, so the next [`Journal::append`] starts a line of its own.
-    /// Returns whether there was a fragment to terminate. A missing or
-    /// cleanly ended journal is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend read and append errors.
-    pub fn seal(&self, io: &dyn StoreIo) -> io::Result<bool> {
-        if !io.exists(&self.path) {
-            return Ok(false);
-        }
-        let bytes = io.read(&self.path)?;
-        match bytes.last() {
-            Some(&last) if last != b'\n' => io.append(&self.path, b"\n").map(|()| true),
-            _ => Ok(false),
-        }
+        with_retry(policy, || io.append(&self.path, batch.as_bytes()))
     }
 
     /// Replays the journal, skipping torn or corrupt lines (and flagging
@@ -288,48 +222,52 @@ mod tests {
         j.append(io, entries, &policy()).unwrap();
     }
 
+    /// A status line as journals used to write them.
+    fn status(op: &str, key: &str) -> JournalEntry {
+        JournalEntry {
+            op: op.to_string(),
+            key: key.to_string(),
+            detail: String::new(),
+        }
+    }
+
     #[test]
     fn append_then_replay_round_trips() {
         let path = tmp("rt");
         let io = StdFs::new();
         let j = Journal::new(&path);
         append(&j, &io, &[JournalEntry::plan("00ab", "{\"m\":1}")]);
-        append(
-            &j,
-            &io,
-            &[
-                JournalEntry::done("00ab"),
-                JournalEntry::fail("00cd", "deadline"),
-            ],
-        );
+        append(&j, &io, &[JournalEntry::plan("00cd", "{}")]);
         let replay = j.replay(&io).unwrap();
         assert!(!replay.torn_tail);
-        assert_eq!(replay.entries.len(), 3);
+        assert_eq!(replay.entries.len(), 2);
         assert_eq!(replay.plan_for("00ab"), Some("{\"m\":1}"));
-        assert_eq!(replay.done_keys(), vec!["00ab".to_string()]);
+        assert_eq!(replay.plan_for("00ef"), None);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
-    fn a_batch_writes_the_bytes_of_its_lines_one_by_one() {
+    fn every_batch_starts_with_a_newline() {
         let entries = [
             JournalEntry::plan("0001", "{\"m\":1}"),
             JournalEntry::plan("0002", "{}"),
-            JournalEntry::done("0001"),
-            JournalEntry::fail("0002", "io"),
         ];
-        let (one, batched) = (tmp("one_by_one"), tmp("batched"));
+        let path = tmp("batch_bytes");
         let io = StdFs::new();
+        append(&Journal::new(&path), &io, &entries);
+        append(&Journal::new(&path), &io, &entries[..1]);
+        let mut want = String::from("\n");
         for entry in &entries {
-            append(&Journal::new(&one), &io, std::slice::from_ref(entry));
+            push_line(entry, &mut want);
         }
-        append(&Journal::new(&batched), &io, &entries);
-        assert_eq!(fs::read(&one).unwrap(), fs::read(&batched).unwrap());
+        want.push('\n');
+        push_line(&entries[0], &mut want);
+        assert_eq!(fs::read_to_string(&path).unwrap(), want);
         // An empty batch does not even create the file.
         let empty = tmp("empty_batch");
         append(&Journal::new(&empty), &io, &[]);
         assert!(!io.exists(&empty));
-        for path in [one, batched, empty] {
+        for path in [path, empty] {
             let _ = fs::remove_dir_all(path.parent().unwrap());
         }
     }
@@ -337,7 +275,7 @@ mod tests {
     #[test]
     fn a_retried_batch_starts_a_line_of_its_own() {
         let path = tmp("retried");
-        // The first append tears after 10 bytes, the second fails cleanly.
+        // The first append tears after 10 bytes, the third fails cleanly.
         let fault = |index, kind| IoFault {
             op: IoOpClass::Append,
             index,
@@ -355,12 +293,12 @@ mod tests {
             JournalEntry::plan("0002", "{}"),
         ];
         append(&j, &io, &plans);
-        append(&j, &io, &[JournalEntry::done("0001")]);
+        append(&j, &io, &[JournalEntry::plan("0003", "{}")]);
         assert_eq!(io.pending_faults(), 0);
         let replay = j.replay(&io).unwrap();
         assert!(replay.torn_tail, "the fragment replays as a torn line");
         let mut want = plans.to_vec();
-        want.push(JournalEntry::done("0001"));
+        want.push(JournalEntry::plan("0003", "{}"));
         assert_eq!(replay.entries, want, "no retried line was lost");
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
@@ -382,86 +320,65 @@ mod tests {
         append(
             &j,
             &io,
-            &[JournalEntry::plan("0001", "{}"), JournalEntry::done("0001")],
+            &[
+                JournalEntry::plan("0001", "{}"),
+                JournalEntry::plan("0002", "{}"),
+            ],
         );
         // Simulate a crash mid-append: chop the file mid-line.
+        let full = fs::read(&path).unwrap().len();
+        append(&j, &io, &[JournalEntry::plan("0003", "{}")]);
         let mut bytes = fs::read(&path).unwrap();
-        let full = bytes.len();
-        append(&j, &io, &[JournalEntry::plan("0002", "{}")]);
-        bytes = fs::read(&path).unwrap();
         bytes.truncate(full + 9);
         fs::write(&path, &bytes).unwrap();
         let replay = j.replay(&io).unwrap();
         assert!(replay.torn_tail);
-        assert_eq!(replay.entries.len(), 2);
-        assert_eq!(replay.done_keys(), vec!["0001".to_string()]);
+        assert_eq!(replay.planned_cells().len(), 2);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
-    fn appends_after_a_sealed_tear_replay() {
+    fn appends_after_a_torn_fragment_replay() {
         let path = tmp("torn_then_append");
         let io = StdFs::new();
         let j = Journal::new(&path);
         append(&j, &io, &[JournalEntry::plan("0001", "{}")]);
-        // A crash mid-append leaves a fragment without its newline.
+        // A crash mid-append leaves a fragment without its newline; the
+        // next process appends as usual.
         let mut line = String::new();
         push_line(&JournalEntry::plan("0002", "{}"), &mut line);
         io.append(&path, &line.as_bytes()[..20]).unwrap();
-        // The next process seals the fragment, then appends as usual.
-        assert!(j.seal(&io).unwrap());
-        assert!(!j.seal(&io).unwrap(), "sealing is idempotent");
-        append(
-            &j,
-            &io,
-            &[JournalEntry::plan("0003", "{}"), JournalEntry::done("0003")],
-        );
+        append(&j, &io, &[JournalEntry::plan("0003", "{}")]);
         let replay = j.replay(&io).unwrap();
         assert!(replay.torn_tail);
-        let keys: Vec<(&str, &str)> = replay
-            .entries
-            .iter()
-            .map(|e| (e.op.as_str(), e.key.as_str()))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![("plan", "0001"), ("plan", "0003"), ("done", "0003")]
-        );
-        assert_eq!(replay.done_keys(), vec!["0003".to_string()]);
+        let keys: Vec<&str> = replay.entries.iter().map(|e| e.key.as_str()).collect();
+        assert_eq!(keys, ["0001", "0003"]);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
-    fn sealing_leaves_clean_and_missing_journals_alone() {
-        let path = tmp("seal_clean");
-        let io = StdFs::new();
-        let j = Journal::new(&path);
-        assert!(!j.seal(&io).unwrap());
-        assert!(!io.exists(&path), "sealing must not create a journal");
-        append(&j, &io, &[JournalEntry::plan("0001", "{}")]);
-        let before = fs::read(&path).unwrap();
-        assert!(!j.seal(&io).unwrap());
-        assert_eq!(fs::read(&path).unwrap(), before);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn fail_after_done_wins_and_vice_versa() {
-        let path = tmp("lastwins");
+    fn status_lines_of_older_journals_replay_but_plan_nothing() {
+        let path = tmp("status_lines");
         let io = StdFs::new();
         let j = Journal::new(&path);
         append(
             &j,
             &io,
             &[
-                JournalEntry::done("aaaa"),
-                JournalEntry::fail("aaaa", "io"),
-                JournalEntry::fail("bbbb", "io"),
-                JournalEntry::done("bbbb"),
+                JournalEntry::plan("aaaa", "A"),
+                status("done", "aaaa"),
+                status("fail", "bbbb"),
+                JournalEntry::plan("bbbb", "B"),
             ],
         );
         let replay = j.replay(&io).unwrap();
-        assert_eq!(replay.done_keys(), vec!["bbbb".to_string()]);
+        assert!(!replay.torn_tail);
+        assert_eq!(replay.entries.len(), 4);
+        assert_eq!(
+            replay.planned_cells(),
+            vec![("aaaa".into(), "A".into()), ("bbbb".into(), "B".into())]
+        );
+        assert_eq!(replay.plan_for("aaaa"), Some("A"));
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -484,6 +401,7 @@ mod tests {
             replay.planned_cells(),
             vec![("b".into(), "B".into()), ("a".into(), "A".into())]
         );
+        assert_eq!(replay.plan_for("b"), Some("B2"), "the last plan wins");
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 }

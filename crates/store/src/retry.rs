@@ -52,9 +52,9 @@ impl RetryPolicy {
     }
 }
 
-/// Why a sweep cell failed permanently. Serialized into the journal's
-/// `fail` lines and the results CSV `status` column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Why a sweep cell failed permanently. Its [`FailReason::code`] is the
+/// results CSV `status` column.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum FailReason {
     /// Store I/O kept failing until retries ran out.
     RetriesExhausted {
@@ -87,12 +87,6 @@ impl FailReason {
             FailReason::DeadlineExceeded { .. } => "deadline-exceeded",
             FailReason::Profile { .. } => "profile-error",
         }
-    }
-
-    /// JSON form for journal `fail` lines.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|_| format!("\"{}\"", self.code()))
     }
 }
 
@@ -243,13 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn fail_reason_codes_and_json_round_trip() {
+    fn fail_reason_codes_and_messages() {
         let r = FailReason::Profile {
             error: "model does not fit".to_string(),
         };
         assert_eq!(r.code(), "profile-error");
-        let back: FailReason = serde_json::from_str(&r.to_json()).unwrap();
-        assert_eq!(back, r);
         assert!(r.to_string().contains("model does not fit"));
     }
 }

@@ -170,9 +170,9 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) a store rooted at `root`, terminating a
-    /// torn journal tail left by a crashed process so this process's
-    /// journal lines replay (see [`Journal::seal`]).
+    /// Opens (creating if needed) a store rooted at `root`. Opening reads
+    /// nothing: a torn journal tail left by a crashed process is ended by
+    /// the newline every [`Journal::append`] batch starts with.
     ///
     /// # Errors
     ///
@@ -188,9 +188,6 @@ impl ResultStore {
                 .create_dir_all(&dir)
                 .map_err(|e| io_err("mkdir", &dir, &e))?;
         }
-        // The journal is a hint (resume re-verifies records), so an
-        // unsealable tail costs at most the lines glued onto it.
-        let _ = store.journal().seal(store.io());
         Ok(store)
     }
 

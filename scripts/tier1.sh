@@ -19,10 +19,12 @@ cargo test -q
 # Every workspace crate's unit tests and doctests (the line above runs
 # only the root package).
 cargo test --workspace -q
-# The vendored serde stand-in sits outside the workspace. Its unit tests
-# pin the canonical JSON number text that cell keys, cache keys and
-# record payloads are built from.
+# The vendored serde stand-ins sit outside the workspace. serde's unit
+# tests pin the canonical JSON number text that cell keys, cache keys and
+# record payloads are built from; serde_json's pin its reader, nesting
+# bound included.
 cargo test -q --manifest-path vendor/serde/Cargo.toml --target-dir target/vendor
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml --target-dir target/vendor
 # The repository benchmark (examples/benchmark) imports profiler, engine,
 # cache and store names directly: build it, run its unit tests, and run
 # its smoke mode, which exits non-zero unless every workload's re-checks

@@ -272,6 +272,9 @@ fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
     ClusterSpec::parse(spec).map_err(|e| {
         let cat = catalog();
         let inst = spec.split('*').next().unwrap_or(spec);
+        if cat.iter().any(|i| i.name == inst) {
+            return e;
+        }
         let hint = nearest(inst, cat.iter().map(|i| i.name.as_str()))
             .map(|s| format!(" — did you mean '{s}'?"))
             .unwrap_or_default();
@@ -1246,47 +1249,6 @@ fn cmd_dash(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Reconstructs a sweep cell from its journal `plan` descriptor (the
-/// JSON written by `cell_descriptor`), so `--resume` and `fsck --repair`
-/// can re-run exactly what the interrupted sweep intended.
-fn job_from_descriptor(detail: &str) -> Result<ProfileJob, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(detail).map_err(|e| format!("journal plan is not JSON: {e}"))?;
-    match v.get("schema").and_then(serde_json::Value::as_str) {
-        Some(s) if s == stash::core::sweep::CELL_SCHEMA => {}
-        Some(other) => return Err(format!("unknown journal plan schema '{other}'")),
-        None => return Err("journal plan missing schema tag".to_string()),
-    }
-    let str_field = |k: &str| {
-        v.get(k)
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| format!("journal plan missing '{k}'"))
-    };
-    let u64_field = |k: &str| {
-        v.get(k)
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| format!("journal plan missing '{k}'"))
-    };
-    let cluster = parse_cluster(str_field("cluster")?)?;
-    let model = lookup_model(str_field("model")?)?;
-    let mut stash_p = stash_for(model, u64_field("per_gpu_batch")?)
-        .with_sampled_iterations(u64_field("sampled_iterations")?);
-    if let Some(samples) = v.get("epoch_samples").and_then(serde_json::Value::as_u64) {
-        stash_p = stash_p.with_epoch_samples(samples);
-    }
-    let dataset = str_field("dataset")?;
-    if stash_p.dataset().name != dataset {
-        return Err(format!(
-            "journal plan dataset '{dataset}' does not match '{}' derived for the model",
-            stash_p.dataset().name
-        ));
-    }
-    Ok(ProfileJob {
-        stash: stash_p,
-        cluster,
-    })
-}
-
 /// The record key a quarantine file holds the corpse of, from its
 /// `<32 hex>.rec.qN` name.
 fn quarantined_record_key(path: &Path) -> Option<String> {
@@ -1388,9 +1350,7 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, String> {
             );
         }
         for (key, detail) in &replay.planned_cells() {
-            let job = job_from_descriptor(detail)
-                .map_err(|e| format!("journal plan for cell {key}: {e}"))?;
-            jobs.push(job);
+            jobs.push(stash::core::sweep::job_from_descriptor(key, detail)?);
         }
         if jobs.is_empty() {
             println!("sweep: journal is empty — running a fresh sweep");
@@ -1533,9 +1493,9 @@ fn cmd_fsck(args: &Args) -> Result<ExitCode, String> {
             eprintln!("cannot rebuild {key}: no journal plan for it");
             continue;
         };
-        match job_from_descriptor(detail) {
+        match stash::core::sweep::job_from_descriptor(key, detail) {
             Ok(job) => jobs.push(job),
-            Err(e) => eprintln!("cannot rebuild {key}: {e}"),
+            Err(e) => eprintln!("cannot rebuild: {e}"),
         }
     }
     let cache = MeasurementCache::new();

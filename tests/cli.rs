@@ -350,6 +350,22 @@ fn diff_rejects_corrupted_json_without_panicking() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // 30,000 nested arrays (60 KB) are refused at the nesting bound, not
+    // by a stack overflow that aborts the process.
+    std::fs::write(
+        &bad,
+        format!("{}{}", "[".repeat(30_000), "]".repeat(30_000)),
+    )
+    .unwrap();
+    let out = stash(&["diff", bad.to_str().unwrap(), bad.to_str().unwrap()]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid JSON"), "{stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 levels"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -701,6 +717,17 @@ fn cli_error_paths_exit_with_their_messages() {
             vec!["sweep", "--clusters", ","],
             1,
             "empty --clusters/--models list",
+        ),
+        // A replica count is bounded before any instance is cloned.
+        (
+            vec!["profile", "resnet18", "p3.2xlarge*1000000000"],
+            1,
+            "replica count 1000000000 in 'p3.2xlarge*1000000000' is above the limit of 1024",
+        ),
+        (
+            vec!["sweep", "--clusters", "p3.2xlarge*1025"],
+            1,
+            "is above the limit of 1024 instances",
         ),
         // A flag with its value missing, or misspelt, is a usage error,
         // never a run without it.

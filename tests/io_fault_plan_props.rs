@@ -6,9 +6,10 @@
 //!
 //! Documents are built from a template whose every field is drawn from
 //! valid values or, one draw in four, from hostile ones: wrong types,
-//! negative and out-of-range numbers, unknown variants and missing
-//! payload fields. Cases are seeded and never shrunk; a failure prints
-//! the document. `StallMidWrite` parses but never runs here: it blocks
+//! negative and out-of-range numbers, unknown variants, enum objects with
+//! more than one key and missing payload fields. Cases are seeded and
+//! never shrunk; a failure prints the document. Nesting far deeper than
+//! any plan is refused with a typed error, not a stack overflow. `StallMidWrite` parses but never runs here: it blocks
 //! forever by design, for the crash-kill test.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -40,6 +41,44 @@ fn every_kind() -> IoFaultPlan {
             fault(IoOpClass::Write, 9, IoFaultKind::StallMidWrite { keep: 1 }),
         ],
     }
+}
+
+/// `depth` nested arrays around `inner`: 30,000 levels make a 60 KB file.
+fn nested(depth: usize, inner: &str) -> String {
+    format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth))
+}
+
+#[test]
+fn deep_nesting_and_multi_key_enums_are_refused() {
+    for doc in [
+        nested(30_000, ""),
+        format!("{{\"faults\":{}}}", nested(30_000, "")),
+        format!(
+            "{{\"faults\":[{{\"op\":\"Write\",\"index\":0,\"kind\":{}}}]}}",
+            nested(200, "\"Enospc\"")
+        ),
+        "[".repeat(100_000),
+    ] {
+        let err = parse(&doc).unwrap().unwrap_err();
+        assert!(
+            err.contains("nesting deeper than"),
+            "{}...: {err}",
+            &doc[..40]
+        );
+    }
+    // An externally tagged enum is an object with exactly one key: a
+    // second key, known variant or not, in either order, is refused.
+    for kind in [
+        r#"{"TornWrite":{"keep":1},"Melt":null}"#,
+        r#"{"Melt":null,"TornWrite":{"keep":1}}"#,
+        r#"{"TornWrite":{"keep":1},"ShortRead":{"drop":1}}"#,
+    ] {
+        let doc = format!(r#"{{"faults":[{{"op":"Write","index":0,"kind":{kind}}}]}}"#);
+        let err = parse(&doc).unwrap().unwrap_err();
+        assert!(err.contains("exactly one key"), "{doc}: {err}");
+    }
+    let one_key = r#"{"faults":[{"op":"Write","index":0,"kind":{"TornWrite":{"keep":1}}}]}"#;
+    assert!(parse(one_key).unwrap().is_ok());
 }
 
 #[test]
@@ -129,6 +168,8 @@ impl Strategy for HostileDocs {
                 "{\"TornWrite\":1}",
                 "\"TornWrite\"",
                 "{\"TransientErr\":{}}",
+                "{\"TornWrite\":{\"keep\":1},\"Melt\":null}",
+                "{\"Enospc\":null,\"TransientErr\":null}",
                 "{}",
                 "[]",
                 "null",
@@ -249,11 +290,13 @@ fn sweep_refuses_hostile_plan_files_naming_them() {
         r#"{"faults":[{"op":"Write","index":0,"kind":{"BitFlip":{"byte":"7"}}}]}"#,
         r#"{"faults":[{"op":"Delete","index":0,"kind":"Enospc"}]}"#,
         r#"{"faults":[{"op":"Write","index":0,"kind":"Melt"}]}"#,
+        r#"{"faults":[{"op":"Write","index":0,"kind":{"TornWrite":{"keep":1},"Melt":null}}]}"#,
         r#"{"faults":{}}"#,
         "",
     ] {
         docs.push(hostile.as_bytes().to_vec());
     }
+    docs.push(nested(30_000, "").into_bytes());
     docs.push(vec![b'{', 0xff, 0xfe, b'}']);
     for (i, doc) in docs.iter().enumerate() {
         let plan = scratch.0.join(format!("plan_{i}.json"));

@@ -3,6 +3,8 @@
 //! were the retry glued onto it, the first retried line would fail its
 //! checksum and replay would drop it, and `--resume`, which rebuilds its
 //! cell list from the journal's `plan` lines, would silently skip a cell.
+//! Every attempt of a batch starts with a newline of its own, so each
+//! fragment ends before the next attempt's lines begin.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -33,14 +35,15 @@ fn torn_journal_appends_keep_every_retried_line() {
     let (cold, warm) = (dir.join("cold.csv"), dir.join("warm.csv"));
     let store_arg = store.to_str().unwrap();
 
-    // Append 0 is the plan, append 2 the first status line after the
-    // retried plan: both tear, leaving fragments for the retries to follow.
+    // The sweep's one append is its plan batch: its first two attempts
+    // tear, each leaving a fragment for the next attempt to follow, and
+    // the third goes through.
     let plan = dir.join("faults.json");
     std::fs::write(
         &plan,
         r#"{"faults":[
             {"op":"Append","index":0,"kind":{"TornWrite":{"keep":10}}},
-            {"op":"Append","index":2,"kind":{"TornWrite":{"keep":25}}}
+            {"op":"Append","index":1,"kind":{"TornWrite":{"keep":25}}}
         ]}"#,
     )
     .unwrap();
@@ -66,13 +69,14 @@ fn torn_journal_appends_keep_every_retried_line() {
         "{stdout}"
     );
 
-    // Both tears replay as torn lines; every retried line survives.
+    // Both tears replay as torn lines; every retried line survives, and
+    // the plan lines are all the journal holds.
     let replay = Journal::new(&Path::new(store_arg).join("journal.log"))
         .replay(&StdFs::new())
         .unwrap();
     assert!(replay.torn_tail);
     assert_eq!(replay.planned_cells().len(), 3, "{:?}", replay.entries);
-    assert_eq!(replay.done_keys().len(), 3, "{:?}", replay.entries);
+    assert_eq!(replay.entries.len(), 3, "{:?}", replay.entries);
 
     let out = stash(&[
         "sweep",
